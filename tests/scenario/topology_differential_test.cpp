@@ -1,11 +1,14 @@
-// topology_differential_test.cpp — byte-identity pin for the arena /
-// hot-path rework.
+// topology_differential_test.cpp — byte-identity pin for the packet
+// simulator's world builder and hot path.
 //
-// The performance PR (per-cell arena allocation, SoA segment state, batched
-// link drains, typed-event workload orchestration) is only admissible if it
-// changes NOTHING observable: the five topology scenarios at scale 0.1 /
-// seed 42 must serialize to exactly the CSV bytes recorded before the
-// rework (tests/data/topology_golden/).  Each scenario runs in-process,
+// Refactors of the packet engine (per-cell arena allocation, SoA segment
+// state, batched link drains, typed-event orchestration, the single world
+// builder) are only admissible if they change NOTHING observable: the
+// scenarios below at scale 0.1 / seed 42 must serialize to exactly the CSV
+// bytes recorded before the change (tests/data/topology_golden/).  Besides
+// the five topology scenarios, fig2b_scheduled pins scheduled-mode
+// admission over a single link and ablation_background_traffic pins
+// single-link background load.  Each scenario runs in-process,
 // serializes through the same trace::CsvWriter the scenario_runner CLI
 // uses, and the result is compared byte-for-byte against the committed
 // golden file.  Any drift in event order, float arithmetic, or formatting
@@ -28,7 +31,9 @@ namespace sss::scenario {
 namespace {
 
 const char* const kScenarios[] = {
+    "ablation_background_traffic",
     "dtn_nic_undersizing",
+    "fig2b_scheduled",
     "hop_bottleneck_sweep",
     "lcls_streaming_feasibility",
     "moving_bottleneck",
