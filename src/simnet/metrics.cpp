@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "simnet/path.hpp"
 #include "trace/table.hpp"
 
 namespace sss::simnet {
@@ -19,13 +18,6 @@ HopMetrics snapshot_hop(const Link& link) {
   m.packets_forwarded = link.counters().packets_forwarded;
   m.packets_dropped = link.counters().packets_dropped;
   return m;
-}
-
-std::vector<HopMetrics> snapshot_hops(const Path& path) {
-  std::vector<HopMetrics> out;
-  out.reserve(path.hop_count());
-  for (std::size_t h = 0; h < path.hop_count(); ++h) out.push_back(snapshot_hop(path.hop(h)));
-  return out;
 }
 
 std::vector<std::string> hop_csv_header(std::size_t hop_count) {

@@ -17,8 +17,6 @@
 
 namespace sss::simnet {
 
-class Path;
-
 struct FlowRecord {
   std::uint32_t flow_id = 0;
   std::uint32_t client_id = 0;
@@ -38,15 +36,15 @@ struct ClientRecord {
   std::uint32_t client_id = 0;
   // When the client wanted to start (its spawn instant or reserved slot).
   double requested_s = 0.0;
-  // When its transfer actually began.  Equal to requested_s except in
-  // scheduled-with-reservation mode (admission waits for the previous
-  // reservation to finish) and under a facility admission scheduler
-  // (admission waits for a policy dispatch; see simnet/scheduler.hpp).
+  // When its transfer actually began.  Equal to requested_s except under
+  // admission control: scheduled mode (one-slot FIFO, so each client waits
+  // for the previous transfer to finish) and facility admission policies
+  // (a wait for a policy dispatch; see simnet/scheduler.hpp).
   double start_s = 0.0;
   double end_s = 0.0;  // completion of the last parallel flow
   double bytes = 0.0;  // total across parallel flows
   std::uint32_t flow_count = 0;
-  // Facility-workload tenant index (0 for single-tenant / legacy runs) —
+  // Facility-workload tenant index (0 when no tenants are declared) —
   // the partition key for per-tenant fairness reductions
   // (simnet/scheduler.hpp facility_tenant_stats).
   std::uint16_t tenant = 0;
@@ -56,7 +54,7 @@ struct ClientRecord {
   // logs per client"): measured from actual transfer start, as an iperf3
   // client reports it.
   [[nodiscard]] double fct_s() const { return end_s - start_s; }
-  // Reservation queue wait (0 for simultaneous spawning).
+  // Admission queue wait (0 without admission control).
   [[nodiscard]] double queue_wait_s() const { return start_s - requested_s; }
   // End-to-end latency including the wait for a slot.
   [[nodiscard]] double total_latency_s() const { return end_s - requested_s; }
@@ -78,8 +76,6 @@ struct HopMetrics {
 
 // Snapshot a hop's counters / utilization into a HopMetrics record.
 [[nodiscard]] HopMetrics snapshot_hop(const Link& link);
-// Snapshot every hop of a forward path, in path order.
-[[nodiscard]] std::vector<HopMetrics> snapshot_hops(const Path& path);
 
 // One CSV column group per hop: hop<i>_name, hop<i>_gbps, hop<i>_mean_util,
 // hop<i>_peak_util, hop<i>_loss, hop<i>_drops.  `hop_csv_values` pads with

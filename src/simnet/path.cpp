@@ -96,14 +96,18 @@ std::uint64_t Path::packets_dropped_total() const {
   return dropped;
 }
 
+LinkConfig reverse_link(const LinkConfig& forward) {
+  LinkConfig cfg = forward;
+  cfg.name += "-reverse";
+  cfg.buffer = units::Bytes::megabytes(256.0);
+  return cfg;
+}
+
 std::vector<LinkConfig> reverse_hops(const std::vector<LinkConfig>& forward_hops) {
   std::vector<LinkConfig> out;
   out.reserve(forward_hops.size());
   for (auto it = forward_hops.rbegin(); it != forward_hops.rend(); ++it) {
-    LinkConfig cfg = *it;
-    cfg.name = it->name + "-reverse";
-    cfg.buffer = units::Bytes::megabytes(256.0);
-    out.push_back(std::move(cfg));
+    out.push_back(reverse_link(*it));
   }
   return out;
 }

@@ -113,9 +113,12 @@ class Path {
   units::Seconds total_propagation_delay_ = units::Seconds::of(0.0);
 };
 
-// Hop configs for the ACK/return direction of `forward_hops`: the same
-// capacities and delays in reverse order, with generous buffers so ACK loss
-// never originates on the return path (the paper's uncontended server side).
+// The ACK/return-direction twin of a forward link: same capacity and
+// delay, named "<name>-reverse", with a generous buffer so ACK loss never
+// originates on the return path (the paper's uncontended server side).
+[[nodiscard]] LinkConfig reverse_link(const LinkConfig& forward);
+// Hop configs for the ACK/return direction of `forward_hops`: the
+// reverse_link() of each hop, in reverse order.
 [[nodiscard]] std::vector<LinkConfig> reverse_hops(const std::vector<LinkConfig>& forward_hops);
 
 }  // namespace sss::simnet

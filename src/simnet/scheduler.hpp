@@ -10,11 +10,10 @@
 // transfers, with the queue discipline swept as an experimental axis:
 //
 //   kNone      — no admission control: every transfer starts at its arrival
-//                instant (the classic workload behaviour; the differential
-//                tests pin single-tenant runs in this mode byte-identical
-//                to the pre-facility simulator);
+//                instant (the classic workload behaviour);
 //   kFifo      — strict arrival order, the baseline every facility queue
-//                degenerates to;
+//                degenerates to (with one slot it is the workload's
+//                SpawnMode::kScheduled admission);
 //   kFairShare — per-tenant round-robin: a cursor walks the tenants and
 //                admits each non-empty queue's head in turn, so one tenant's
 //                burst cannot starve the others;

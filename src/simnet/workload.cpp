@@ -54,16 +54,77 @@ WorkloadConfig WorkloadConfig::paper_table2(int concurrency, int parallel_flows,
   return cfg;
 }
 
-std::vector<LinkConfig> WorkloadConfig::effective_hops() const {
-  if (!topology.empty()) {
-    return Topology(topology_preset(topology)).canonical_route();
+namespace {
+
+// The one internal description of the world a WorkloadConfig simulates.
+// Every config normalizes into this form, and Workload::prepare() builds
+// only from it: one live Link per edge, and per-tenant routes over those
+// shared links.
+struct World {
+  // Forward links.  A topology with declared tenants contributes its whole
+  // graph, in declaration order.  Every other config is a chain: the
+  // preset's canonical route, or path_hops, or the single `link`.
+  std::vector<LinkConfig> edges;
+  // Edge indices of the canonical source -> sink route, in hop order (the
+  // effective_hops() order hop_cross_traffic indexes into).
+  std::vector<std::size_t> canonical;
+  // The declared tenants, or else one default tenant on the canonical route
+  // that inherits every workload knob.
+  std::vector<TenantSpec> tenants;
+  std::vector<std::vector<std::size_t>> routes;  // edge indices, per tenant
+  // Admission: the configured scheduler, except that mode=scheduled (slotted
+  // arrivals, one transfer on the network at a time) is FIFO with one slot.
+  SchedulerConfig admission;
+};
+
+// The only place that decides which of `link`, `path_hops` and `topology`
+// describes the network.  Plain LinkConfig chains are taken as given:
+// path_hops may repeat or omit hop names, which Topology would reject.
+World normalize(const WorkloadConfig& config) {
+  World world;
+  if (!config.topology.empty()) {
+    const Topology topo(topology_preset(config.topology));
+    if (config.tenants.empty()) {
+      world.edges = topo.canonical_route();
+    } else {
+      for (const TopologyLink& edge : topo.config().links) world.edges.push_back(edge.link);
+      world.canonical = topo.route_indices(topo.config().source, topo.config().sink);
+      world.tenants = config.tenants;
+      for (const TenantSpec& tenant : world.tenants) {
+        const std::string& src = tenant.src.empty() ? topo.config().source : tenant.src;
+        const std::string& dst = tenant.dst.empty() ? topo.config().sink : tenant.dst;
+        world.routes.push_back(topo.route_indices(src, dst));
+      }
+    }
+  } else if (config.path_hops.empty()) {
+    world.edges = {config.link};
+  } else {
+    world.edges = config.path_hops;
   }
-  if (path_hops.empty()) return {link};
-  return path_hops;
+  if (world.tenants.empty()) {
+    for (std::size_t h = 0; h < world.edges.size(); ++h) world.canonical.push_back(h);
+    world.tenants.emplace_back();
+    world.routes.push_back(world.canonical);
+  }
+  world.admission = config.scheduler;
+  if (config.mode == SpawnMode::kScheduled) {
+    world.admission.policy = SchedPolicy::kFifo;
+    world.admission.slots = 1;
+  }
+  return world;
+}
+
+}  // namespace
+
+std::vector<LinkConfig> WorkloadConfig::effective_hops() const {
+  const World world = normalize(*this);
+  std::vector<LinkConfig> hops;
+  hops.reserve(world.canonical.size());
+  for (const std::size_t idx : world.canonical) hops.push_back(world.edges[idx]);
+  return hops;
 }
 
 units::DataRate WorkloadConfig::bottleneck_capacity() const {
-  if (topology.empty() && path_hops.empty()) return link.capacity;
   const std::vector<LinkConfig> hops = effective_hops();
   return hops[bottleneck_hop_index(hops)].capacity;
 }
@@ -232,20 +293,9 @@ std::vector<double> requested_arrival_times(const WorkloadConfig& config,
 
 namespace detail {
 
-// Book-keeping that maps completed flows back to their client records, and
-// — in scheduled mode — the reservation calendar: a client is admitted at
-// max(its slot, completion of the previous reservation), modeling the
-// paper's "scheduled to a specific time slot with network bandwidth
-// reserved" setup where scheduled transfers never contend with each other.
-//
-// An EventHandler so flow starts and reservation-slot checks ride the
-// non-allocating typed event queue instead of call_at's std::function path;
-// flow objects and every table are drawn from the cell's memory resource.
-// (Named namespace, not anonymous: an anonymous-namespace member type
-// inside the externally-visible Workload::Cell trips -Wsubobject-linkage.)
-// One planned facility transfer: a tenant's client carrying its own route
-// and size, admitted either at its arrival instant (policy none) or when
-// the TransferScheduler dispatches it.
+// One planned transfer: a tenant's client carrying its own route and size,
+// admitted either at its arrival instant (no admission policy) or when the
+// TransferScheduler dispatches it.
 struct ClientPlan {
   double requested_s = 0.0;
   double deadline_s = 0.0;  // absolute EDF deadline (requested + relative)
@@ -255,66 +305,52 @@ struct ClientPlan {
   Path* reverse = nullptr;
 };
 
+// Spawns the planned clients (directly, or through the admission
+// scheduler), and maps completed flows back to their client records.
+//
+// An EventHandler so flow starts, arrivals and scheduler re-checks ride the
+// non-allocating typed event queue instead of call_at's std::function path;
+// flow objects and every table are drawn from the cell's memory resource.
+// (Named namespace, not anonymous: an anonymous-namespace member type
+// inside the externally-visible Workload::Cell trips -Wsubobject-linkage.)
 class Orchestrator : public FlowObserver, public EventHandler {
  public:
   static constexpr int kStartFlow = 1;  // a = index into flows_
-  static constexpr int kTryAdmit = 2;
-  static constexpr int kArrive = 3;  // facility: a = client id; submit + pump
-  static constexpr int kPump = 4;    // facility: timed scheduler re-check
+  static constexpr int kArrive = 3;     // a = client id; submit + pump
+  static constexpr int kPump = 4;       // timed scheduler re-check
 
-  // `forward`/`reverse` are the shared legacy paths; null in facility mode,
-  // where every ClientPlan carries its own per-tenant route.
-  Orchestrator(const WorkloadConfig& config, Path* forward, Path* reverse,
-               stats::Random& rng, std::pmr::memory_resource* mem,
-               obs::TimelineRecorder* probe = nullptr)
-      : config_(config), forward_(forward), reverse_(reverse), rng_(rng), mem_(mem),
-        probe_(probe), flows_(mem), flow_client_(mem), clients_(mem),
-        reservations_(mem), plans_(mem) {}
+  Orchestrator(const WorkloadConfig& config, stats::Random& rng,
+               std::pmr::memory_resource* mem, obs::TimelineRecorder* probe = nullptr)
+      : config_(config), rng_(rng), mem_(mem), probe_(probe), flows_(mem),
+        flow_client_(mem), clients_(mem), plans_(mem) {}
 
   ~Orchestrator() override {
     std::pmr::polymorphic_allocator<> alloc(mem_);
     for (TcpFlow* flow : flows_) alloc.delete_object(flow);
   }
 
-  void spawn_all(Simulation& sim, const std::vector<double>& arrivals) {
-    // Client ids are assigned 0..N-1 in arrival order, so the client table
-    // is a flat vector; scheduled-mode entries stay unspawned until their
-    // reservation admits them.  Sizing every table up front keeps the
-    // admission-time spawns in the drive loop allocation-free.
-    clients_.resize(arrivals.size());
-    flows_.reserve(arrivals.size() * static_cast<std::size_t>(config_.parallel_flows));
-    flow_client_.reserve(flows_.capacity());
-    std::uint32_t client_id = 0;
-    for (const double at : arrivals) {
-      if (config_.mode == SpawnMode::kScheduled) {
-        reservations_.push_back(Reservation{client_id++, at});
-      } else {
-        spawn_client(sim, client_id++, units::Seconds::of(at), at);
-      }
-    }
-    if (config_.mode == SpawnMode::kScheduled) {
-      for (const Reservation& r : reservations_) {
-        sim.schedule_at(to_simtime(units::Seconds::of(r.slot_s)), *this, kTryAdmit);
-      }
-    }
-  }
-
-  // Facility mode: one entry per planned client, ids assigned in plan order
-  // (arrival-time order).  Without a scheduler every client spawns at its
-  // arrival instant — the same mechanics as spawn_all, so a single-tenant
-  // facility run is byte-identical to the legacy path.  With one, arrivals
-  // enqueue into the policy queue and spawn when dispatched.
-  void spawn_facility(Simulation& sim, const std::vector<ClientPlan>& plans,
-                      TransferScheduler* sched) {
+  // One entry per planned client, ids assigned in plan order (arrival-time
+  // order).  Without a scheduler every client spawns at its arrival
+  // instant; with one, arrivals enqueue into the policy queue and spawn when
+  // dispatched.  Sizing every table up front keeps the admission-time
+  // spawns in the drive loop allocation-free.
+  void spawn(Simulation& sim, const std::vector<ClientPlan>& plans,
+             TransferScheduler* sched) {
     plans_.assign(plans.begin(), plans.end());
     sched_ = sched;
     clients_.resize(plans_.size());
     flows_.reserve(plans_.size() * static_cast<std::size_t>(config_.parallel_flows));
     flow_client_.reserve(flows_.capacity());
     for (std::size_t id = 0; id < plans_.size(); ++id) {
+      ClientRecord& record = clients_[id].record;
+      record.client_id = static_cast<std::uint32_t>(id);
+      record.requested_s = plans_[id].requested_s;
+      record.bytes = plans_[id].size.bytes();
+      record.flow_count = static_cast<std::uint32_t>(config_.parallel_flows);
+      record.tenant = plans_[id].tenant;
       if (sched_ == nullptr) {
         spawn_client(sim, static_cast<std::uint32_t>(id),
-                     units::Seconds::of(plans_[id].requested_s), plans_[id].requested_s);
+                     units::Seconds::of(plans_[id].requested_s));
       } else {
         sim.schedule_at(to_simtime(units::Seconds::of(plans_[id].requested_s)), *this,
                         kArrive, id);
@@ -325,8 +361,6 @@ class Orchestrator : public FlowObserver, public EventHandler {
   void on_event(Simulation& sim, int kind, std::uint64_t a, std::uint64_t /*b*/) override {
     if (kind == kStartFlow) {
       flows_[a]->start(sim);
-    } else if (kind == kTryAdmit) {
-      try_admit(sim);
     } else if (kind == kArrive) {
       sched_->submit(static_cast<std::uint32_t>(a), plans_[a].tenant,
                      plans_[a].deadline_s);
@@ -356,45 +390,24 @@ class Orchestrator : public FlowObserver, public EventHandler {
         }
         return;
       }
-      spawn_client(sim, *id, sim.now_seconds(), plans_[*id].requested_s);
+      spawn_client(sim, *id, sim.now_seconds());
     }
   }
 
-  // Admit the next reserved client when its slot has arrived and the link
-  // reservation is free.
-  void try_admit(Simulation& sim) {
-    if (reservation_active_ || next_reservation_ >= reservations_.size()) return;
-    const Reservation& next = reservations_[next_reservation_];
-    if (to_simtime(units::Seconds::of(next.slot_s)) > sim.now()) return;
-    ++next_reservation_;
-    reservation_active_ = true;
-    active_reserved_client_ = next.client_id;
-    spawn_client(sim, next.client_id, sim.now_seconds(), next.slot_s);
-  }
-
-  void spawn_client(Simulation& sim, std::uint32_t client_id, units::Seconds at,
-                    double requested_s) {
-    const ClientPlan* plan = plans_.empty() ? nullptr : &plans_[client_id];
-    const units::Bytes size = plan != nullptr ? plan->size : config_.transfer_size;
-    Path& forward = plan != nullptr ? *plan->forward : *forward_;
-    Path& reverse = plan != nullptr ? *plan->reverse : *reverse_;
+  void spawn_client(Simulation& sim, std::uint32_t client_id, units::Seconds at) {
+    const ClientPlan& plan = plans_[client_id];
     ClientState& state = clients_[client_id];
-    state.record.client_id = client_id;
-    state.record.requested_s = requested_s;
     state.record.start_s = at.seconds();
-    state.record.bytes = size.bytes();
-    state.record.flow_count = static_cast<std::uint32_t>(config_.parallel_flows);
-    if (plan != nullptr) state.record.tenant = plan->tenant;
     state.remaining = config_.parallel_flows;
     state.spawned = true;
 
-    const units::Bytes per_flow = size / static_cast<double>(config_.parallel_flows);
+    const units::Bytes per_flow = plan.size / static_cast<double>(config_.parallel_flows);
     std::pmr::polymorphic_allocator<> alloc(mem_);
     for (int f = 0; f < config_.parallel_flows; ++f) {
       const auto flow_id = static_cast<std::uint32_t>(flows_.size());
       flow_client_.push_back(client_id);
       flows_.push_back(alloc.new_object<TcpFlow>(flow_id, per_flow, config_.tcp,
-                                                 forward, reverse, this, mem_));
+                                                 *plan.forward, *plan.reverse, this, mem_));
       if (probe_ != nullptr) {
         // Track names allocate from the recorder's heap, not the arena;
         // timeline capture is opt-in and outside the zero-alloc contract.
@@ -415,52 +428,19 @@ class Orchestrator : public FlowObserver, public EventHandler {
     state.record.end_s =
         std::max(state.record.end_s, to_seconds(flow.end_time()).seconds());
     --state.remaining;
-    if (state.remaining == 0) {
-      if (sched_ != nullptr) {
-        sched_->release();
-        pump(sim);
-      }
-      if (reservation_active_ && client_id == active_reserved_client_) {
-        reservation_active_ = false;
-        try_admit(sim);
-      }
+    if (state.remaining == 0 && sched_ != nullptr) {
+      sched_->release();
+      pump(sim);
     }
   }
 
   // Called after the simulation drains (or hits the deadline): writes flow
-  // and client records, censoring incomplete ones at `deadline`.
-  ExperimentMetrics collect(SimTime deadline, const Path& forward) const {
-    ExperimentMetrics m;
-    collect_records(deadline, m);
-
-    // Per-hop counters in path order, plus path-level summaries: the
-    // most-utilized hop's utilization (on a balanced chain the congested
-    // hop, not merely the nameplate bottleneck), aggregate loss, and what
-    // the last hop delivered.  For a one-hop path these are the former
-    // link figures.
-    m.hops = snapshot_hops(forward);
-    std::size_t hottest = 0;
-    for (std::size_t h = 1; h < forward.hop_count(); ++h) {
-      if (forward.hop(h).mean_utilization() >
-          forward.hop(hottest).mean_utilization()) {
-        hottest = h;
-      }
-    }
-    m.mean_utilization = forward.hop(hottest).mean_utilization();
-    m.peak_utilization = forward.hop(hottest).peak_utilization();
-    m.loss_rate = forward.aggregate_loss_rate();
-    m.packets_dropped = forward.packets_dropped_total();
-    m.packets_forwarded =
-        forward.hop(forward.hop_count() - 1).counters().packets_forwarded;
-    return m;
-  }
-
-  // Facility variant: hop counters come from the shared live links in
-  // topology declaration order; loss aggregates over the whole graph, and
-  // packets_forwarded sums what the (distinct) terminal hops delivered.
-  ExperimentMetrics collect_facility(SimTime deadline,
-                                     const std::pmr::vector<Link*>& links,
-                                     const std::pmr::vector<std::size_t>& last_hops) const {
+  // and client records, censoring incomplete ones at `deadline`.  Hop
+  // counters come from the live links in world-edge order; loss aggregates
+  // over every hop, and packets_forwarded sums what the (distinct) terminal
+  // hops of the tenant routes delivered.
+  ExperimentMetrics collect(SimTime deadline, const std::pmr::vector<Link*>& links,
+                            const std::pmr::vector<std::size_t>& last_hops) const {
     ExperimentMetrics m;
     collect_records(deadline, m);
 
@@ -474,10 +454,8 @@ class Orchestrator : public FlowObserver, public EventHandler {
       offered += m.hops[h].packets_offered;
       dropped += m.hops[h].packets_dropped;
     }
-    if (!m.hops.empty()) {
-      m.mean_utilization = m.hops[hottest].mean_utilization;
-      m.peak_utilization = m.hops[hottest].peak_utilization;
-    }
+    m.mean_utilization = m.hops[hottest].mean_utilization;
+    m.peak_utilization = m.hops[hottest].peak_utilization;
     m.loss_rate = offered > 0 ? static_cast<double>(dropped) / static_cast<double>(offered)
                               : 0.0;
     m.packets_dropped = dropped;
@@ -487,15 +465,10 @@ class Orchestrator : public FlowObserver, public EventHandler {
     return m;
   }
 
-  [[nodiscard]] bool all_complete() const {
-    return std::all_of(clients_.begin(), clients_.end(), [](const ClientState& s) {
-      return !s.spawned || s.remaining == 0;
-    });
-  }
-
  private:
-  // Flow and client records shared by both collect variants, censoring
-  // incomplete (and never-admitted) transfers at `deadline`.
+  // Flow and client records, censoring incomplete transfers at `deadline`.
+  // Clients the scheduler never dispatched are censored there too, with
+  // zero transfer progress.
   void collect_records(SimTime deadline, ExperimentMetrics& m) const {
     m.flows.reserve(flows_.size());
     for (const TcpFlow* flow : flows_) {
@@ -518,47 +491,14 @@ class Orchestrator : public FlowObserver, public EventHandler {
     }
     m.clients.reserve(clients_.size());
     for (const ClientState& state : clients_) {
-      if (!state.spawned) continue;
       ClientRecord r = state.record;
-      if (state.remaining > 0) {
+      if (!state.spawned) r.start_s = to_seconds(deadline).seconds();
+      if (!state.spawned || state.remaining > 0) {
         r.censored = true;
         r.end_s = to_seconds(deadline).seconds();
       }
       m.clients.push_back(r);
     }
-    // Reserved clients never admitted before the drain deadline are
-    // censored at the deadline with zero transfer progress.
-    for (std::size_t i = next_reservation_; i < reservations_.size(); ++i) {
-      ClientRecord r;
-      r.client_id = reservations_[i].client_id;
-      r.requested_s = reservations_[i].slot_s;
-      r.start_s = to_seconds(deadline).seconds();
-      r.end_s = to_seconds(deadline).seconds();
-      r.bytes = config_.transfer_size.bytes();
-      r.flow_count = static_cast<std::uint32_t>(config_.parallel_flows);
-      r.censored = true;
-      m.clients.push_back(r);
-    }
-    // Planned facility clients the scheduler never dispatched before the
-    // drain deadline: censored with zero transfer progress, like an
-    // un-admitted reservation.
-    for (std::size_t i = 0; i < plans_.size(); ++i) {
-      if (clients_[i].spawned) continue;
-      ClientRecord r;
-      r.client_id = static_cast<std::uint32_t>(i);
-      r.requested_s = plans_[i].requested_s;
-      r.start_s = to_seconds(deadline).seconds();
-      r.end_s = to_seconds(deadline).seconds();
-      r.bytes = plans_[i].size.bytes();
-      r.flow_count = static_cast<std::uint32_t>(config_.parallel_flows);
-      r.tenant = plans_[i].tenant;
-      r.censored = true;
-      m.clients.push_back(r);
-    }
-    std::sort(m.clients.begin(), m.clients.end(),
-              [](const ClientRecord& x, const ClientRecord& y) {
-                return x.client_id < y.client_id;
-              });
   }
 
   struct ClientState {
@@ -566,54 +506,38 @@ class Orchestrator : public FlowObserver, public EventHandler {
     int remaining = 0;
     bool spawned = false;
   };
-  struct Reservation {
-    std::uint32_t client_id;
-    double slot_s;
-  };
 
   const WorkloadConfig& config_;
-  Path* forward_;  // legacy shared paths; null in facility mode
-  Path* reverse_;
   stats::Random& rng_;
   std::pmr::memory_resource* mem_;
   obs::TimelineRecorder* probe_;  // null = timeline off
   std::pmr::vector<TcpFlow*> flows_;             // allocated from mem_
   std::pmr::vector<std::uint32_t> flow_client_;  // parallel to flows_
   std::pmr::vector<ClientState> clients_;        // indexed by client_id
-  std::pmr::vector<Reservation> reservations_;
-  std::size_t next_reservation_ = 0;
-  bool reservation_active_ = false;
-  std::uint32_t active_reserved_client_ = 0;
-  std::pmr::vector<ClientPlan> plans_;  // facility mode; empty otherwise
-  TransferScheduler* sched_ = nullptr;  // facility admission (may be null)
-  bool pump_pending_ = false;           // at most one outstanding kPump
+  std::pmr::vector<ClientPlan> plans_;           // indexed by client_id
+  TransferScheduler* sched_ = nullptr;           // admission (may be null)
+  bool pump_pending_ = false;                    // at most one outstanding kPump
 };
 
 }  // namespace detail
 
-// The world one experiment cell simulates.  Everything here draws from the
-// cell's memory resource; the destructor tears down background traffic and
-// cross paths before the paths they ride on, and paths before the shared
-// live links facility mode routes them over.
-//
-// Legacy mode owns its world through `forward`/`reverse` (owning Paths over
-// effective_hops()).  Facility mode instead instantiates ONE live Link per
-// topology edge (`links`, plus matching ACK-direction `rlinks`) and layers
-// non-owning per-tenant Paths over them (`owned_paths`), so tenants crossing
-// the same hop contend on the same queue.
+// The world one experiment cell simulates: ONE live Link per world edge
+// (`links`, plus matching ACK-direction twins in `rlinks`) and non-owning
+// routed Paths over them (`paths`), so every flow crossing the same hop —
+// any tenant's, or background traffic's — contends on the same queue.
+// Everything here draws from the cell's memory resource; the destructor
+// tears down background traffic and flows before the paths they ride on,
+// and paths before the links.
 struct Workload::Cell {
   Simulation sim;
   stats::Random rng;
-  std::pmr::vector<Link*> links;   // facility: live links, topology order
-  std::pmr::vector<Link*> rlinks;  // facility: reverse (ACK) twins, same order
-  std::pmr::vector<Path*> owned_paths;  // facility: non-owning routed paths
-  // Facility: distinct terminal-hop link indices (one per tenant route end).
+  std::pmr::vector<Link*> links;   // live forward links, world-edge order
+  std::pmr::vector<Link*> rlinks;  // reverse (ACK) twins, same order
+  std::pmr::vector<Path*> paths;   // non-owning routed paths
+  // Distinct terminal-hop link indices (one per tenant route end).
   std::pmr::vector<std::size_t> last_hop_links;
-  Path* forward = nullptr;  // legacy owning data path
-  Path* reverse = nullptr;  // ACK path: utilization series disabled — never read
   detail::Orchestrator* orchestrator = nullptr;
-  TransferScheduler* scheduler = nullptr;  // facility, policy != none
-  std::pmr::vector<Path*> cross_paths;
+  TransferScheduler* scheduler = nullptr;  // null without an admission policy
   std::pmr::vector<BackgroundTraffic*> backgrounds;
   std::pmr::memory_resource* mem;
   SimTime deadline = 0;
@@ -623,23 +547,44 @@ struct Workload::Cell {
         rng(config.seed),
         links(m),
         rlinks(m),
-        owned_paths(m),
+        paths(m),
         last_hop_links(m),
-        cross_paths(m),
         backgrounds(m),
         mem(m) {}
 
   ~Cell() {
     std::pmr::polymorphic_allocator<> alloc(mem);
     for (BackgroundTraffic* bg : backgrounds) alloc.delete_object(bg);
-    for (Path* path : cross_paths) alloc.delete_object(path);
     if (orchestrator != nullptr) alloc.delete_object(orchestrator);
     if (scheduler != nullptr) alloc.delete_object(scheduler);
-    for (Path* path : owned_paths) alloc.delete_object(path);
-    if (forward != nullptr) alloc.delete_object(forward);
-    if (reverse != nullptr) alloc.delete_object(reverse);
+    for (Path* path : paths) alloc.delete_object(path);
     for (Link* link : links) alloc.delete_object(link);
     for (Link* link : rlinks) alloc.delete_object(link);
+  }
+
+  // Forward and reverse non-owning Paths over `route` (edge indices): data
+  // crosses the live links in route order, ACKs return over their twins.
+  std::pair<Path*, Path*> route_paths(const std::vector<std::size_t>& route) {
+    std::vector<Link*> fwd;
+    std::vector<Link*> rev;
+    fwd.reserve(route.size());
+    rev.reserve(route.size());
+    for (const std::size_t idx : route) fwd.push_back(links[idx]);
+    for (auto it = route.rbegin(); it != route.rend(); ++it) rev.push_back(rlinks[*it]);
+    std::pmr::polymorphic_allocator<> alloc(mem);
+    paths.push_back(alloc.new_object<Path>(fwd, mem));
+    Path* forward = paths.back();
+    paths.push_back(alloc.new_object<Path>(rev, mem));
+    return {forward, paths.back()};
+  }
+
+  // Cross-traffic over `route`, scheduled immediately.
+  void add_background(const BackgroundTrafficConfig& bg,
+                      const std::vector<std::size_t>& route) {
+    const auto [forward, reverse] = route_paths(route);
+    std::pmr::polymorphic_allocator<> alloc(mem);
+    backgrounds.push_back(alloc.new_object<BackgroundTraffic>(bg, *forward, *reverse, mem));
+    backgrounds.back()->schedule(sim);
   }
 };
 
@@ -654,6 +599,11 @@ Workload::~Workload() {
   if (cell_ != nullptr) std::pmr::polymorphic_allocator<>(mem_).delete_object(cell_);
 }
 
+// Build the normalized world: one live Link per edge (plus reverse ACK
+// twins), every tenant routed over the SHARED links via non-owning Paths,
+// the tenants' arrival processes merged into one client plan, and the plan
+// handed to the orchestrator — gated by a TransferScheduler when the world
+// has an admission policy.
 void Workload::prepare() {
   const obs::ScopedPhase obs_phase(obs::Phase::kPrepare);
   std::pmr::polymorphic_allocator<> alloc(mem_);
@@ -667,162 +617,58 @@ void Workload::prepare() {
 
   cell_ = alloc.new_object<Cell>(config_, mem_);
   Cell& cell = *cell_;
+  const World world = normalize(config_);
 
-  if (config_.facility_mode()) {
-    prepare_facility(cell);
-  } else {
-    prepare_legacy(cell);
+  cell.links.reserve(world.edges.size());
+  cell.rlinks.reserve(world.edges.size());
+  for (const LinkConfig& edge : world.edges) {
+    cell.links.push_back(alloc.new_object<Link>(edge, units::Seconds::of(1.0), mem_,
+                                                /*record_series=*/true));
   }
-
-  cell.deadline = to_simtime(config_.duration) + to_simtime(config_.drain_timeout);
-}
-
-void Workload::prepare_legacy(Cell& cell) {
-  std::pmr::polymorphic_allocator<> alloc(mem_);
-  const std::vector<LinkConfig> hops = config_.effective_hops();
-  cell.forward =
-      alloc.new_object<Path>(hops, units::Seconds::of(1.0), mem_, /*record_series=*/true);
-  // Generous buffers so ACK loss never originates here (matching the
-  // paper's uncontended server side).
-  cell.reverse = alloc.new_object<Path>(reverse_hops(hops), units::Seconds::of(1.0),
-                                        mem_, /*record_series=*/false);
-  cell.orchestrator = alloc.new_object<detail::Orchestrator>(
-      config_, cell.forward, cell.reverse, cell.rng, mem_, probe_.recorder);
+  for (const LinkConfig& edge : world.edges) {
+    // The ACK direction's utilization is never read.
+    cell.rlinks.push_back(alloc.new_object<Link>(reverse_link(edge), units::Seconds::of(1.0),
+                                                 mem_, /*record_series=*/false));
+  }
 
   if (probe_.recorder != nullptr) {
     // Track order fixes the Perfetto row order: workload summary first,
     // then one counter track per forward hop, then flows as they spawn
     // (and per-client spans appended by finish()).
     probe_workload_track_ = probe_.recorder->add_track("workload");
-    for (std::size_t h = 0; h < hops.size(); ++h) {
-      const int track =
-          probe_.recorder->add_track("hop" + std::to_string(h) + " " + hops[h].name);
-      cell.forward->hop(h).attach_probe(probe_.recorder, track,
-                                        to_simtime(probe_.hop_sample_interval));
-    }
-  }
-
-  const std::vector<double> arrivals = requested_arrival_times(config_, cell.rng);
-  cell.orchestrator->spawn_all(cell.sim, arrivals);
-
-  if (config_.background_load > 0.0) {
-    BackgroundTrafficConfig bg;
-    bg.target_load = config_.background_load;
-    bg.mean_flow_size = config_.background_mean_flow_size;
-    bg.pareto_shape = config_.background_pareto_shape;
-    bg.until = config_.duration;
-    bg.tcp = config_.tcp;
-    bg.seed = config_.seed ^ 0x9e3779b97f4a7c15ULL;
-    cell.backgrounds.push_back(alloc.new_object<BackgroundTraffic>(
-        bg, *cell.forward, *cell.reverse, mem_));
-    cell.backgrounds.back()->schedule(cell.sim);
-  }
-  // Hop-local cross traffic: a one-hop path over the target hop (and the
-  // matching reverse hop for its ACKs), entering and leaving at the hop's
-  // endpoints.
-  for (std::size_t i = 0; i < config_.hop_cross_traffic.size(); ++i) {
-    const HopCrossTraffic& x = config_.hop_cross_traffic[i];
-    if (x.load == 0.0) continue;
-    const auto h = static_cast<std::size_t>(x.hop);
-    cell.cross_paths.push_back(alloc.new_object<Path>(
-        std::vector<Link*>{&cell.forward->hop(h)}, mem_));
-    Path& xf = *cell.cross_paths.back();
-    cell.cross_paths.push_back(alloc.new_object<Path>(
-        std::vector<Link*>{&cell.reverse->hop(hops.size() - 1 - h)}, mem_));
-    Path& xr = *cell.cross_paths.back();
-    BackgroundTrafficConfig bg;
-    bg.target_load = x.load;
-    bg.mean_flow_size = x.mean_flow_size;
-    bg.pareto_shape = x.pareto_shape;
-    bg.start = x.start;
-    bg.until = x.until;
-    bg.tcp = config_.tcp;
-    bg.seed = stats::SplitMix64(config_.seed ^ (0xa24baed4963ee407ULL + i)).next();
-    cell.backgrounds.push_back(alloc.new_object<BackgroundTraffic>(bg, xf, xr, mem_));
-    cell.backgrounds.back()->schedule(cell.sim);
-  }
-}
-
-// Facility mode: instantiate one live Link per topology edge (plus reverse
-// ACK twins), route every tenant over the SHARED links via non-owning
-// Paths, merge the tenants' arrival processes into one client plan, and
-// hand the plan to the orchestrator — gated by a TransferScheduler when a
-// policy is configured.
-void Workload::prepare_facility(Cell& cell) {
-  std::pmr::polymorphic_allocator<> alloc(mem_);
-  const Topology topo(topology_preset(config_.topology));
-  const std::vector<TopologyLink>& edges = topo.config().links;
-
-  cell.links.reserve(edges.size());
-  cell.rlinks.reserve(edges.size());
-  for (const TopologyLink& edge : edges) {
-    cell.links.push_back(alloc.new_object<Link>(edge.link, units::Seconds::of(1.0), mem_,
-                                                /*record_series=*/true));
-  }
-  for (const TopologyLink& edge : edges) {
-    // Reverse twins mirror reverse_hops(): same capacity/delay, generous
-    // buffers so ACK loss never originates on the return direction.
-    LinkConfig rc = edge.link;
-    rc.name += "-reverse";
-    rc.buffer = units::Bytes::megabytes(256.0);
-    cell.rlinks.push_back(alloc.new_object<Link>(rc, units::Seconds::of(1.0), mem_,
-                                                 /*record_series=*/false));
-  }
-
-  if (probe_.recorder != nullptr) {
-    probe_workload_track_ = probe_.recorder->add_track("workload");
-    for (std::size_t h = 0; h < edges.size(); ++h) {
+    for (std::size_t h = 0; h < world.edges.size(); ++h) {
       const int track = probe_.recorder->add_track("hop" + std::to_string(h) + " " +
-                                                   edges[h].link.name);
+                                                   world.edges[h].name);
       cell.links[h]->attach_probe(probe_.recorder, track,
                                   to_simtime(probe_.hop_sample_interval));
     }
   }
 
-  // Per-tenant routes over the shared links.
-  std::vector<Path*> tenant_forward(config_.tenants.size(), nullptr);
-  std::vector<Path*> tenant_reverse(config_.tenants.size(), nullptr);
-  for (std::size_t j = 0; j < config_.tenants.size(); ++j) {
-    const TenantSpec& tenant = config_.tenants[j];
-    const std::string& src = tenant.src.empty() ? topo.config().source : tenant.src;
-    const std::string& dst = tenant.dst.empty() ? topo.config().sink : tenant.dst;
-    const std::vector<std::size_t> route = topo.route_indices(src, dst);
-    std::vector<Link*> fwd;
-    fwd.reserve(route.size());
-    for (const std::size_t idx : route) fwd.push_back(cell.links[idx]);
-    std::vector<Link*> rev;
-    rev.reserve(route.size());
-    for (auto it = route.rbegin(); it != route.rend(); ++it) {
-      rev.push_back(cell.rlinks[*it]);
-    }
-    cell.owned_paths.push_back(alloc.new_object<Path>(fwd, mem_));
-    tenant_forward[j] = cell.owned_paths.back();
-    cell.owned_paths.push_back(alloc.new_object<Path>(rev, mem_));
-    tenant_reverse[j] = cell.owned_paths.back();
-    const std::size_t last = route.back();
-    if (std::find(cell.last_hop_links.begin(), cell.last_hop_links.end(), last) ==
+  std::vector<std::pair<Path*, Path*>> tenant_paths;
+  tenant_paths.reserve(world.tenants.size());
+  for (const std::vector<std::size_t>& route : world.routes) {
+    tenant_paths.push_back(cell.route_paths(route));
+    if (std::find(cell.last_hop_links.begin(), cell.last_hop_links.end(), route.back()) ==
         cell.last_hop_links.end()) {
-      cell.last_hop_links.push_back(last);
+      cell.last_hop_links.push_back(route.back());
     }
   }
 
-  if (config_.scheduler.policy != SchedPolicy::kNone) {
-    cell.scheduler = alloc.new_object<TransferScheduler>(
-        config_.scheduler, config_.tenants.size(), mem_);
+  if (world.admission.policy != SchedPolicy::kNone) {
+    cell.scheduler =
+        alloc.new_object<TransferScheduler>(world.admission, world.tenants.size(), mem_);
   }
-  cell.orchestrator = alloc.new_object<detail::Orchestrator>(
-      config_, nullptr, nullptr, cell.rng, mem_, probe_.recorder);
+  cell.orchestrator =
+      alloc.new_object<detail::Orchestrator>(config_, cell.rng, mem_, probe_.recorder);
 
   // Merge the tenants' arrival processes into one plan, in arrival-time
   // order; ties keep tenant-index order (stable sort), so the schedule is
   // deterministic.  The per-tenant generators run sequentially against the
   // cell RNG (only Poisson consumes it).
   std::vector<std::pair<double, std::size_t>> merged;
-  for (std::size_t j = 0; j < config_.tenants.size(); ++j) {
+  for (std::size_t j = 0; j < world.tenants.size(); ++j) {
     WorkloadConfig tenant_cfg = config_;
-    if (config_.tenants[j].concurrency > 0) {
-      tenant_cfg.concurrency = config_.tenants[j].concurrency;
-    }
+    if (world.tenants[j].concurrency > 0) tenant_cfg.concurrency = world.tenants[j].concurrency;
     for (const double at : requested_arrival_times(tenant_cfg, cell.rng)) {
       merged.emplace_back(at, j);
     }
@@ -836,38 +682,23 @@ void Workload::prepare_facility(Cell& cell) {
   std::vector<detail::ClientPlan> plans;
   plans.reserve(merged.size());
   for (const auto& [at, j] : merged) {
-    const TenantSpec& tenant = config_.tenants[j];
+    const TenantSpec& tenant = world.tenants[j];
     detail::ClientPlan plan;
     plan.requested_s = at;
     plan.deadline_s =
-        at + (tenant.deadline_s > 0.0 ? tenant.deadline_s : config_.scheduler.deadline_s);
+        at + (tenant.deadline_s > 0.0 ? tenant.deadline_s : world.admission.deadline_s);
     plan.tenant = static_cast<std::uint16_t>(j);
     plan.size =
         tenant.transfer_size.bytes() > 0.0 ? tenant.transfer_size : config_.transfer_size;
-    plan.forward = tenant_forward[j];
-    plan.reverse = tenant_reverse[j];
+    plan.forward = tenant_paths[j].first;
+    plan.reverse = tenant_paths[j].second;
     plans.push_back(plan);
   }
-  cell.orchestrator->spawn_facility(cell.sim, plans, cell.scheduler);
+  cell.orchestrator->spawn(cell.sim, plans, cell.scheduler);
 
-  // Background / cross traffic ride the canonical source -> sink route.
-  const bool wants_background =
-      config_.background_load > 0.0 || !config_.hop_cross_traffic.empty();
-  std::vector<std::size_t> canonical;
-  if (wants_background) {
-    canonical = topo.route_indices(topo.config().source, topo.config().sink);
-  }
+  // Background load rides the canonical source -> sink route; hop-local
+  // cross traffic enters and leaves at one canonical hop's endpoints.
   if (config_.background_load > 0.0) {
-    std::vector<Link*> fwd;
-    std::vector<Link*> rev;
-    for (const std::size_t idx : canonical) fwd.push_back(cell.links[idx]);
-    for (auto it = canonical.rbegin(); it != canonical.rend(); ++it) {
-      rev.push_back(cell.rlinks[*it]);
-    }
-    cell.owned_paths.push_back(alloc.new_object<Path>(fwd, mem_));
-    Path& bf = *cell.owned_paths.back();
-    cell.owned_paths.push_back(alloc.new_object<Path>(rev, mem_));
-    Path& br = *cell.owned_paths.back();
     BackgroundTrafficConfig bg;
     bg.target_load = config_.background_load;
     bg.mean_flow_size = config_.background_mean_flow_size;
@@ -875,20 +706,11 @@ void Workload::prepare_facility(Cell& cell) {
     bg.until = config_.duration;
     bg.tcp = config_.tcp;
     bg.seed = config_.seed ^ 0x9e3779b97f4a7c15ULL;
-    cell.backgrounds.push_back(alloc.new_object<BackgroundTraffic>(bg, bf, br, mem_));
-    cell.backgrounds.back()->schedule(cell.sim);
+    cell.add_background(bg, world.canonical);
   }
   for (std::size_t i = 0; i < config_.hop_cross_traffic.size(); ++i) {
     const HopCrossTraffic& x = config_.hop_cross_traffic[i];
     if (x.load == 0.0) continue;
-    // Hop index is into the canonical route (effective_hops order).
-    const std::size_t idx = canonical[static_cast<std::size_t>(x.hop)];
-    cell.cross_paths.push_back(
-        alloc.new_object<Path>(std::vector<Link*>{cell.links[idx]}, mem_));
-    Path& xf = *cell.cross_paths.back();
-    cell.cross_paths.push_back(
-        alloc.new_object<Path>(std::vector<Link*>{cell.rlinks[idx]}, mem_));
-    Path& xr = *cell.cross_paths.back();
     BackgroundTrafficConfig bg;
     bg.target_load = x.load;
     bg.mean_flow_size = x.mean_flow_size;
@@ -897,9 +719,10 @@ void Workload::prepare_facility(Cell& cell) {
     bg.until = x.until;
     bg.tcp = config_.tcp;
     bg.seed = stats::SplitMix64(config_.seed ^ (0xa24baed4963ee407ULL + i)).next();
-    cell.backgrounds.push_back(alloc.new_object<BackgroundTraffic>(bg, xf, xr, mem_));
-    cell.backgrounds.back()->schedule(cell.sim);
+    cell.add_background(bg, {world.canonical[static_cast<std::size_t>(x.hop)]});
   }
+
+  cell.deadline = to_simtime(config_.duration) + to_simtime(config_.drain_timeout);
 }
 
 void Workload::drive() {
@@ -920,11 +743,7 @@ ExperimentResult Workload::finish() {
   ExperimentResult result;
   result.config = config_;
   result.offered_load = config_.offered_load();
-  result.metrics =
-      config_.facility_mode()
-          ? cell.orchestrator->collect_facility(cell.deadline, cell.links,
-                                                cell.last_hop_links)
-          : cell.orchestrator->collect(cell.deadline, *cell.forward);
+  result.metrics = cell.orchestrator->collect(cell.deadline, cell.links, cell.last_hop_links);
   result.events_processed = cell.sim.events_processed();
   result.queue_high_water = cell.sim.queue_high_water();
   result.sim_duration_s = cell.sim.now_seconds().seconds();
@@ -945,24 +764,21 @@ ExperimentResult Workload::finish() {
                         to_simtime(units::Seconds::of(client.start_s)),
                         to_simtime(units::Seconds::of(client.end_s)));
     }
-    // Facility mode: per-tenant scheduler-queue tracks — one "queued" span
-    // per client that waited for admission, so policy head-of-line blocking
-    // is visible on the timeline.
-    if (config_.facility_mode()) {
-      std::vector<int> tenant_tracks(config_.tenants.size(), -1);
-      for (const ClientRecord& client : result.metrics.clients) {
-        if (client.queue_wait_s() <= 1e-9) continue;
-        const std::size_t j =
-            std::min<std::size_t>(client.tenant, config_.tenants.size() - 1);
-        if (tenant_tracks[j] < 0) {
-          const std::string& name = config_.tenants[j].name;
-          tenant_tracks[j] = rec.add_track(
-              "sched " + (name.empty() ? "tenant" + std::to_string(j) : name));
-        }
-        rec.complete_span(tenant_tracks[j], "queued",
-                          to_simtime(units::Seconds::of(client.requested_s)),
-                          to_simtime(units::Seconds::of(client.start_s)));
+    // Per-declared-tenant scheduler-queue tracks — one "queued" span per
+    // client that waited for admission, so policy head-of-line blocking is
+    // visible on the timeline.
+    std::vector<int> tenant_tracks(config_.tenants.size(), -1);
+    for (const ClientRecord& client : result.metrics.clients) {
+      if (config_.tenants.empty() || client.queue_wait_s() <= 1e-9) continue;
+      const std::size_t j = std::min<std::size_t>(client.tenant, config_.tenants.size() - 1);
+      if (tenant_tracks[j] < 0) {
+        const std::string& name = config_.tenants[j].name;
+        tenant_tracks[j] =
+            rec.add_track("sched " + (name.empty() ? "tenant" + std::to_string(j) : name));
       }
+      rec.complete_span(tenant_tracks[j], "queued",
+                        to_simtime(units::Seconds::of(client.requested_s)),
+                        to_simtime(units::Seconds::of(client.start_s)));
     }
   }
   return result;

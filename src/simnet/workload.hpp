@@ -9,7 +9,9 @@
 //   kSimultaneousBatches — all clients of a given second start at the same
 //     instant, creating the instantaneous congestion spikes of Fig. 2(a);
 //   kScheduled — clients are assigned evenly spaced slots within their
-//     second, modeling reserved/scheduled transfers as in Fig. 2(b).
+//     second and admitted FIFO with one slot (each waits for the previous
+//     transfer to finish), modeling the reserved/scheduled transfers of
+//     Fig. 2(b).
 //
 // Client arrivals follow one of three processes (ArrivalProcess): the
 // paper's per-second batches (default), an exact deterministic process that
@@ -17,11 +19,11 @@
 // sub-second and fractional durations spawn the exact pro-rata client
 // count), or a Poisson process at `concurrency` arrivals per second.
 //
-// Transfers run over a multi-hop Path (instrument -> DTN -> WAN -> HPC)
-// when `path_hops` is set; an empty `path_hops` uses the single `link`
-// bottleneck, bit-identical to the pre-topology simulator.  Per-hop
-// cross-traffic windows (`hop_cross_traffic`) let scenarios shift the
-// saturating hop mid-run.
+// The network is a single `link`, a `path_hops` chain (instrument -> DTN ->
+// WAN -> HPC), or a `topology` preset, optionally shared by several facility
+// `tenants`.  Every form normalizes into one world of live links and
+// per-tenant routes, built the same way.  Per-hop cross-traffic windows
+// (`hop_cross_traffic`) let scenarios shift the saturating hop mid-run.
 //
 // `WorkloadConfig::paper_table2` transcribes Table 2 (duration 10 s,
 // concurrency 1-8, parallel flows {2,4,8}, 0.5 GB per client, 25 Gbps link,
@@ -163,8 +165,8 @@ struct WorkloadConfig {
   // population (inheriting unset knobs from this config) between its
   // (src, dst) topology nodes.
   std::vector<TenantSpec> tenants;
-  // Admission scheduling for facility mode (policy kNone = transfers start
-  // at their arrival instants, the classic behaviour).
+  // Admission scheduling for facility tenants (policy kNone = transfers
+  // start at their arrival instants, the classic behaviour).
   SchedulerConfig scheduler;
 
   // Table 2 configuration for a given (concurrency, parallel flows) cell.
@@ -239,7 +241,8 @@ struct TimelineProbe {
 // the heap zero times after the first run: drive() is allocation-free
 // (pinned by tests/simnet/alloc_free_test.cpp).
 //
-// Lifecycle: prepare() builds the world, drive() runs it to the drain
+// Lifecycle: prepare() builds the world (one live Link per hop or topology
+// edge, per-tenant routes over them), drive() runs it to the drain
 // deadline, finish() collects metrics (finish allocates ordinary
 // heap-backed records — it is outside the hot loop).  run() does all three.
 // Calling prepare() again tears down the previous world and rebuilds from
@@ -269,12 +272,6 @@ class Workload {
 
  private:
   struct Cell;
-
-  // prepare() halves: the legacy single-route world (owning forward/reverse
-  // Paths) and the facility world (shared live links + per-tenant routes +
-  // admission scheduler).
-  void prepare_legacy(Cell& cell);
-  void prepare_facility(Cell& cell);
 
   WorkloadConfig config_;
   Arena arena_;

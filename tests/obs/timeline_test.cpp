@@ -75,7 +75,8 @@ TEST(Timeline, SubMicrosecondTimestampsSurviveConversion) {
   const int t = rec.add_track("t");
   // 1500 ns → 1.5 µs: division by 1000 must not truncate.
   rec.instant(t, "mid", 1'500);
-  const auto& events = rec.to_chrome_json().at("traceEvents").as_array();
+  const trace::JsonValue json = rec.to_chrome_json();
+  const auto& events = json.at("traceEvents").as_array();
   EXPECT_EQ(events.back().at("ts").as_double(), 1.5);
 }
 

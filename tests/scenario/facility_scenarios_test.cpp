@@ -5,9 +5,9 @@
 //      slowdown (and Jain fairness) over FIFO on the same cell.
 //   2. DETERMINISM: the facility sweep is byte-identical at 1 and N
 //      executor threads (per-cell RNG streams, no cross-cell state).
-//   3. DIFFERENTIAL: a single-tenant facility run over a chain topology
-//      reproduces the legacy path_hops simulator client-for-client — the
-//      facility machinery is a strict superset, not a fork.
+//   3. NORMALIZATION: a path_hops chain and the same preset topology with
+//      one default tenant describe the same world, so they run
+//      client-for-client identically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,27 +76,27 @@ TEST(FacilityScenarios, FairShareImprovesWorstTenantP99OverFifoAndRunsAreThreadC
       << "fair-share should improve Jain fairness";
 }
 
-// The chain differential: one tenant, no admission policy, topology
-// "aps_to_alcf" (a pure chain) must reproduce the legacy path_hops run
-// exactly — same clients, same timings, same hop counters, same event
-// count.  This is what lets every existing golden stay valid.
-TEST(FacilityScenarios, SingleTenantFacilityMatchesLegacyPathHopsExactly) {
-  simnet::WorkloadConfig legacy;
-  legacy.duration = units::Seconds::of(2.0);
-  legacy.concurrency = 2;
-  legacy.parallel_flows = 2;
-  legacy.transfer_size = units::Bytes::megabytes(64.0);
-  legacy.mode = simnet::SpawnMode::kSimultaneousBatches;
-  legacy.seed = 7;
-  legacy.path_hops = simnet::Topology(simnet::topology_preset("aps_to_alcf")).canonical_route();
+// The normalization pin: a path_hops chain, and the same preset topology
+// ("aps_to_alcf", a pure chain) with one declared all-defaults tenant and no
+// admission policy, normalize to the same world.  They must run exactly
+// alike — same clients, same timings, same hop counters, same event count.
+TEST(FacilityScenarios, PathHopsChainMatchesPresetTopologyWithOneDefaultTenant) {
+  simnet::WorkloadConfig chain;
+  chain.duration = units::Seconds::of(2.0);
+  chain.concurrency = 2;
+  chain.parallel_flows = 2;
+  chain.transfer_size = units::Bytes::megabytes(64.0);
+  chain.mode = simnet::SpawnMode::kSimultaneousBatches;
+  chain.seed = 7;
+  chain.path_hops = simnet::Topology(simnet::topology_preset("aps_to_alcf")).canonical_route();
 
-  simnet::WorkloadConfig facility = legacy;
-  facility.path_hops.clear();
-  facility.topology = "aps_to_alcf";
-  facility.tenants.push_back(simnet::TenantSpec{});  // all-defaults tenant
+  simnet::WorkloadConfig preset = chain;
+  preset.path_hops.clear();
+  preset.topology = "aps_to_alcf";
+  preset.tenants.push_back(simnet::TenantSpec{});  // all-defaults tenant
 
-  const simnet::ExperimentResult a = simnet::run_experiment(legacy);
-  const simnet::ExperimentResult b = simnet::run_experiment(facility);
+  const simnet::ExperimentResult a = simnet::run_experiment(chain);
+  const simnet::ExperimentResult b = simnet::run_experiment(preset);
 
   EXPECT_EQ(a.events_processed, b.events_processed);
   EXPECT_EQ(a.metrics.packets_dropped, b.metrics.packets_dropped);
@@ -124,7 +124,7 @@ TEST(FacilityScenarios, SingleTenantFacilityMatchesLegacyPathHopsExactly) {
     EXPECT_EQ(x.bytes, y.bytes) << "client " << i;
     EXPECT_EQ(x.flow_count, y.flow_count) << "client " << i;
     EXPECT_EQ(x.censored, y.censored) << "client " << i;
-    EXPECT_EQ(y.tenant, 0);  // single-tenant facility: everything is tenant 0
+    EXPECT_EQ(y.tenant, 0);  // one tenant: everything is tenant 0
   }
 }
 

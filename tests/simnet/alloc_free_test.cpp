@@ -156,8 +156,9 @@ TEST(AllocFree, DriveWithPhaseTimersEnabledIsAllocationFree) {
 }
 
 TEST(AllocFree, ScheduledModeDriveIsAlsoAllocationFree) {
-  // kScheduled spawns clients DURING drive(); those TcpFlow objects and
-  // their scoreboards must come from the arena, not the heap.
+  // kScheduled admits clients DURING drive() through a one-slot FIFO
+  // TransferScheduler; its queues, and the TcpFlow objects and scoreboards
+  // it spawns, must come from the arena, not the heap.
   WorkloadConfig config = small_config();
   config.mode = SpawnMode::kScheduled;
   Workload workload(config);

@@ -137,9 +137,9 @@ TEST(RunExperiment, SeedChangesJitterButNotScale) {
 
 TEST(RunExperiment, ScheduledSpawningSpreadsStarts) {
   const auto result = run_experiment(small_config(4, 2, SpawnMode::kScheduled));
-  // Clients within a second request slots at k + i/4; admission honors the
-  // reservation calendar, so actual starts never precede the slot and never
-  // precede the previous client's completion.
+  // Clients within a second request slots at k + i/4; FIFO admission with
+  // one slot means actual starts never precede the slot and never precede
+  // the previous client's completion.
   const auto& clients = result.metrics.clients;
   ASSERT_GE(clients.size(), 4u);
   EXPECT_NEAR(clients[1].requested_s - clients[0].requested_s, 0.25, 1e-9);
@@ -259,7 +259,8 @@ TEST(ArrivalProcess, PoissonRunIsDeterministicAndScheduledModeWorks) {
   const auto b = run_experiment(cfg);
   ASSERT_EQ(a.metrics.clients.size(), b.metrics.clients.size());
   EXPECT_EQ(a.events_processed, b.events_processed);
-  // Reservations still admit in slot order from the Poisson arrival times.
+  // One-slot FIFO admission still admits in arrival order from the Poisson
+  // arrival times.
   for (std::size_t i = 0; i < a.metrics.clients.size(); ++i) {
     EXPECT_GE(a.metrics.clients[i].start_s, a.metrics.clients[i].requested_s - 1e-9);
   }
