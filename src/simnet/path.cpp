@@ -103,13 +103,4 @@ LinkConfig reverse_link(const LinkConfig& forward) {
   return cfg;
 }
 
-std::vector<LinkConfig> reverse_hops(const std::vector<LinkConfig>& forward_hops) {
-  std::vector<LinkConfig> out;
-  out.reserve(forward_hops.size());
-  for (auto it = forward_hops.rbegin(); it != forward_hops.rend(); ++it) {
-    out.push_back(reverse_link(*it));
-  }
-  return out;
-}
-
 }  // namespace sss::simnet

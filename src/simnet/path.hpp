@@ -117,8 +117,5 @@ class Path {
 // delay, named "<name>-reverse", with a generous buffer so ACK loss never
 // originates on the return path (the paper's uncontended server side).
 [[nodiscard]] LinkConfig reverse_link(const LinkConfig& forward);
-// Hop configs for the ACK/return direction of `forward_hops`: the
-// reverse_link() of each hop, in reverse order.
-[[nodiscard]] std::vector<LinkConfig> reverse_hops(const std::vector<LinkConfig>& forward_hops);
 
 }  // namespace sss::simnet

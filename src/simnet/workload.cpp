@@ -766,19 +766,22 @@ ExperimentResult Workload::finish() {
     }
     // Per-declared-tenant scheduler-queue tracks — one "queued" span per
     // client that waited for admission, so policy head-of-line blocking is
-    // visible on the timeline.
-    std::vector<int> tenant_tracks(config_.tenants.size(), -1);
-    for (const ClientRecord& client : result.metrics.clients) {
-      if (config_.tenants.empty() || client.queue_wait_s() <= 1e-9) continue;
-      const std::size_t j = std::min<std::size_t>(client.tenant, config_.tenants.size() - 1);
-      if (tenant_tracks[j] < 0) {
-        const std::string& name = config_.tenants[j].name;
-        tenant_tracks[j] =
-            rec.add_track("sched " + (name.empty() ? "tenant" + std::to_string(j) : name));
+    // visible on the timeline. The tracks are keyed on declared tenants, so
+    // scheduled-mode timelines (one default tenant) get none.
+    if (!config_.tenants.empty()) {
+      std::vector<int> tenant_tracks(config_.tenants.size(), -1);
+      for (const ClientRecord& client : result.metrics.clients) {
+        if (client.queue_wait_s() <= 1e-9) continue;
+        const std::size_t j = std::min<std::size_t>(client.tenant, config_.tenants.size() - 1);
+        if (tenant_tracks[j] < 0) {
+          const std::string& name = config_.tenants[j].name;
+          tenant_tracks[j] =
+              rec.add_track("sched " + (name.empty() ? "tenant" + std::to_string(j) : name));
+        }
+        rec.complete_span(tenant_tracks[j], "queued",
+                          to_simtime(units::Seconds::of(client.requested_s)),
+                          to_simtime(units::Seconds::of(client.start_s)));
       }
-      rec.complete_span(tenant_tracks[j], "queued",
-                        to_simtime(units::Seconds::of(client.requested_s)),
-                        to_simtime(units::Seconds::of(client.start_s)));
     }
   }
   return result;

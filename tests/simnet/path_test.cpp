@@ -31,6 +31,14 @@ std::vector<LinkConfig> chain3(double edge_gbps, double wan_gbps, double ingest_
           make_link("ingest", ingest_gbps, 0.4, buffer_mb)};
 }
 
+// The ACK/return direction of `hops`: reverse_link() of each hop, in
+// reverse order.
+std::vector<LinkConfig> reverse_chain(const std::vector<LinkConfig>& hops) {
+  std::vector<LinkConfig> out;
+  for (auto it = hops.rbegin(); it != hops.rend(); ++it) out.push_back(reverse_link(*it));
+  return out;
+}
+
 TEST(Path, RejectsEmptyAndNullHops) {
   EXPECT_THROW(Path(std::vector<LinkConfig>{}), std::invalid_argument);
   EXPECT_THROW(Path(std::vector<Link*>{}), std::invalid_argument);
@@ -53,7 +61,7 @@ TEST(Path, BottleneckTieBreaksToFirstHop) {
 TEST(Path, FlowCompletesOverThreeHops) {
   Simulation sim;
   Path fwd(chain3(2.5, 2.5, 2.5));
-  Path rev(reverse_hops(chain3(2.5, 2.5, 2.5)));
+  Path rev(reverse_chain(chain3(2.5, 2.5, 2.5)));
   TcpFlow flow(1, units::Bytes::megabytes(10.0), TcpConfig{}, fwd, rev);
   flow.start(sim);
   sim.run();
@@ -74,7 +82,7 @@ TEST(Path, PacketConservationAtEveryHop) {
   // Tight mid-path buffer under 8 competing flows: real congestion, drops
   // at the WAN hop.
   Path fwd(chain3(2.5, 1.0, 2.5, 0.1));
-  Path rev(reverse_hops(chain3(2.5, 1.0, 2.5, 0.1)));
+  Path rev(reverse_chain(chain3(2.5, 1.0, 2.5, 0.1)));
   std::vector<std::unique_ptr<TcpFlow>> flows;
   for (std::uint32_t i = 0; i < 8; ++i) {
     flows.push_back(
@@ -140,7 +148,7 @@ TEST(Path, MidPathDropIsRecoveredBySender) {
                                         make_link("wan", 1.0, 7.5, 0.05),
                                         make_link("ingest", 25.0, 0.4, 50.0)};
   Path fwd(hops);
-  Path rev(reverse_hops(hops));
+  Path rev(reverse_chain(hops));
   std::vector<std::unique_ptr<TcpFlow>> flows;
   for (std::uint32_t i = 0; i < 6; ++i) {
     flows.push_back(
