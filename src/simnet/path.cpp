@@ -21,6 +21,7 @@ Path::Path(const std::vector<LinkConfig>& hops, units::Seconds utilization_bucke
 Path::Path(const std::vector<Link*>& hops, std::pmr::memory_resource* mem)
     : mem_(mem), owned_(mem), hops_(mem), relays_(mem), pending_(mem) {
   if (hops.empty()) throw std::invalid_argument("Path: need at least one hop");
+  hops_.reserve(hops.size());
   for (Link* link : hops) {
     if (link == nullptr) throw std::invalid_argument("Path: null hop");
     hops_.push_back(link);
