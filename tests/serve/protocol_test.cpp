@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 
 namespace sss::serve {
@@ -301,6 +304,152 @@ TEST(ProtocolTest, NonFiniteUtilizationBytesDecodeTransparently) {
     } else {
       EXPECT_EQ(decoded->operating_utilization, hostile);
     }
+  }
+}
+
+// --- exact wire bytes ------------------------------------------------------
+//
+// Hand-written from the layout in protocol.hpp, one literal per field, so an
+// encoder change that moves any byte fails here even when it still decodes.
+
+std::string hex(const std::string& bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+TEST(WireBytesTest, DecideRequestFrame) {
+  DecideRequest request;
+  request.facility = "aps";
+  request.transfer_size_bytes = 0x0102030405060708ull;
+  request.operating_utilization = 0.5;
+  request.path_hops = 3;
+  std::string wire;
+  append_decide_request(wire, request);
+  EXPECT_EQ(hex(wire),
+            "53535331" "0100" "0100" "30000000"              // SSS1 v1 type 1, 48 bytes
+            "617073" "000000000000000000000000000000000000000000"  // "aps" + 21 NULs
+            "0807060504030201"                             // transfer_size_bytes
+            "000000000000e03f"                             // 0.5
+            "03000000"                                     // path_hops
+            "00000000");                                   // reserved
+}
+
+TEST(WireBytesTest, DecideResponseFrame) {
+  DecideResponse response;
+  response.status = 0;
+  response.decision = WireDecision::kStream;
+  response.t_stream_s = 0.125;
+  response.t_stage_s = 0.25;
+  response.t_local_s = 1.5;
+  response.t_worst_transfer_s = 2.0;
+  response.sss = -0.0;
+  response.profile_generation = 0x1122334455667788ull;
+  response.operating_utilization = 0.5;
+  response.path_hops = 3;
+  response.flags = kFlagUtilizationClamped;
+  std::string wire;
+  append_decide_response(wire, response);
+  EXPECT_EQ(hex(wire),
+            "53535331" "0100" "0300" "48000000"  // SSS1 v1 type 3, 72 bytes
+            "00000000"                           // status
+            "01000000"                           // decision = stream
+            "000000000000c03f"                   // t_stream_s 0.125
+            "000000000000d03f"                   // t_stage_s 0.25
+            "000000000000f83f"                   // t_local_s 1.5
+            "0000000000000040"                   // t_worst_transfer_s 2.0
+            "0000000000000080"                   // sss -0.0
+            "8877665544332211"                   // profile_generation
+            "000000000000e03f"                   // operating_utilization 0.5
+            "03000000"                           // path_hops
+            "01000000");                         // flags
+}
+
+TEST(WireBytesTest, ErrorResponseFrame) {
+  std::string wire;
+  append_error_response(wire, ErrorCode::kUnknownFacility, "nope");
+  EXPECT_EQ(hex(wire),
+            "53535331" "0100" "0500" "08000000"  // SSS1 v1 type 5, 8 bytes
+            "06000000"                           // kUnknownFacility
+            "6e6f7065");                         // "nope"
+}
+
+TEST(WireBytesTest, StatsFrames) {
+  std::string request;
+  append_stats_request(request);
+  EXPECT_EQ(hex(request), "53535331" "0100" "0200" "00000000");
+  std::string response;
+  append_stats_response(response, "{}");
+  EXPECT_EQ(hex(response), "53535331" "0100" "0400" "02000000" "7b7d");
+}
+
+TEST(WireBytesTest, FramesAppendRatherThanReplace) {
+  std::string wire = "xy";
+  append_stats_request(wire);
+  append_error_response(wire, ErrorCode::kInternal, "");
+  EXPECT_EQ(hex(wire), "7879"
+                       "53535331" "0100" "0200" "00000000"
+                       "53535331" "0100" "0500" "04000000" "08000000");
+}
+
+// Seeded property: any DecideResponse survives encode -> decode bit for bit,
+// including NaN payloads (quiet and signalling), -0.0, +/-Inf, denormals
+// and the extreme generations.
+TEST(WireBytesTest, RandomDecideResponsesRoundTripBitExactly) {
+  const std::uint64_t special[] = {
+      0x7ff8000000000000ull,  // quiet NaN
+      0xfff8000000000123ull,  // negative quiet NaN with payload
+      0x7ff0000000000001ull,  // signalling NaN
+      0x7ff0000000000000ull,  // +Inf
+      0xfff0000000000000ull,  // -Inf
+      0x8000000000000000ull,  // -0.0
+      0x0000000000000001ull,  // smallest denormal
+      0x0000000000000000ull,  // +0.0
+  };
+  std::mt19937_64 rng(14);
+  auto draw_f64 = [&] {
+    const std::uint64_t r = rng();
+    return std::bit_cast<double>(r % 4 == 0 ? special[(r >> 2) % std::size(special)]
+                                            : rng());
+  };
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int i = 0; i < 4096; ++i) {
+    DecideResponse response;
+    response.status = static_cast<std::uint32_t>(rng());
+    response.decision = static_cast<WireDecision>(rng() % 3);
+    response.t_stream_s = draw_f64();
+    response.t_stage_s = draw_f64();
+    response.t_local_s = draw_f64();
+    response.t_worst_transfer_s = draw_f64();
+    response.sss = draw_f64();
+    const std::uint64_t g = rng();
+    response.profile_generation = g % 3 == 0 ? UINT64_MAX : (g % 3 == 1 ? 0 : rng());
+    response.operating_utilization = draw_f64();
+    response.path_hops = static_cast<std::uint32_t>(rng());
+    response.flags = static_cast<std::uint32_t>(rng());
+
+    std::string wire;
+    append_decide_response(wire, response);
+    ASSERT_EQ(wire.size(), kHeaderSize + kDecideResponseSize);
+    const auto decoded =
+        decode_decide_response(bytes_of(wire) + kHeaderSize, kDecideResponseSize);
+    ASSERT_TRUE(decoded.has_value()) << "case " << i;
+    EXPECT_EQ(decoded->status, response.status);
+    EXPECT_EQ(decoded->decision, response.decision);
+    EXPECT_EQ(bits(decoded->t_stream_s), bits(response.t_stream_s));
+    EXPECT_EQ(bits(decoded->t_stage_s), bits(response.t_stage_s));
+    EXPECT_EQ(bits(decoded->t_local_s), bits(response.t_local_s));
+    EXPECT_EQ(bits(decoded->t_worst_transfer_s), bits(response.t_worst_transfer_s));
+    EXPECT_EQ(bits(decoded->sss), bits(response.sss));
+    EXPECT_EQ(decoded->profile_generation, response.profile_generation);
+    EXPECT_EQ(bits(decoded->operating_utilization), bits(response.operating_utilization));
+    EXPECT_EQ(decoded->path_hops, response.path_hops);
+    EXPECT_EQ(decoded->flags, response.flags);
   }
 }
 
