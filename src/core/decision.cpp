@@ -22,9 +22,8 @@ ModelParameters with_path(ModelParameters params, const PathProfile& profile) {
   return params;
 }
 
-ModelParameters with_contended_path(ModelParameters params, const PathProfile& profile) {
-  params.bandwidth = profile.bottleneck_bandwidth;
-  const double hops = static_cast<double>(std::max<std::size_t>(profile.hop_count, 1));
+ModelParameters with_contended_path(ModelParameters params, std::size_t hop_count) {
+  const double hops = static_cast<double>(std::max<std::size_t>(hop_count, 1));
   const double eps = 1.0 / params.alpha - 1.0;  // per-hop overhead fraction
   params.alpha = 1.0 / (1.0 + hops * eps);
   return params;

@@ -40,15 +40,16 @@ struct PathProfile {
 // (alpha and theta are measurement-calibrated and left untouched).
 [[nodiscard]] ModelParameters with_path(ModelParameters params, const PathProfile& profile);
 
-// Like with_path, but treats the calibrated alpha as a PER-HOP efficiency
-// and composes it across the path: writing 1/alpha = 1 + eps (eps = the
-// per-hop overhead fraction), h hops in series cost 1/alpha_h = 1 + h*eps,
-// i.e. alpha_h = 1 / (1 + h*(1/alpha - 1)).  A single hop reproduces the
-// calibrated alpha exactly; longer paths degrade the effective rate and
-// move the local <-> remote decision boundary.  This is what lets a served
-// profile calibrated on one link answer requests for deeper paths.
+// Treats the calibrated alpha as a PER-HOP efficiency and composes it across
+// `hop_count` hops of the calibrated bandwidth: writing 1/alpha = 1 + eps
+// (eps = the per-hop overhead fraction), h hops in series cost
+// 1/alpha_h = 1 + h*eps, i.e. alpha_h = 1 / (1 + h*(1/alpha - 1)).  A single
+// hop (or 0) reproduces the calibrated alpha exactly; longer paths degrade
+// the effective rate and move the local <-> remote decision boundary.  This
+// is what lets a served profile calibrated on one link answer requests for
+// deeper paths.
 [[nodiscard]] ModelParameters with_contended_path(ModelParameters params,
-                                                  const PathProfile& profile);
+                                                  std::size_t hop_count);
 
 enum class ProcessingMode {
   kLocal,

@@ -50,17 +50,12 @@ DecideResponse decide(const ServiceSnapshot& snapshot, const DecideRequest& requ
 
   // path_hops prices the request's path depth into the profile: the
   // calibrated alpha is treated as per-hop efficiency and composed across
-  // the path (with_contended_path), so a 4-hop request sees a slower
-  // effective rate than the 1-hop calibration and the local <-> stream
-  // boundary moves accordingly.  0 (or 1) means "the calibrated path".
+  // that many hops of the calibrated bandwidth (with_contended_path), so a
+  // 4-hop request sees a slower effective rate than the 1-hop calibration
+  // and the local <-> stream boundary moves accordingly.  0 (or 1) means
+  // "the calibrated path".
   const std::uint32_t hops = std::max<std::uint32_t>(request.path_hops, 1);
-  if (hops > 1) {
-    const std::vector<simnet::LinkConfig> chain(
-        hops, simnet::LinkConfig{"hop", params.bandwidth,
-                                 units::Seconds::millis(8.0) / static_cast<double>(hops),
-                                 units::Bytes::megabytes(50.0)});
-    params = core::with_contended_path(params, core::profile_path(chain));
-  }
+  if (hops > 1) params = core::with_contended_path(params, hops);
 
   // The paper's central recommendation: judge feasibility on the measured
   // worst case, not the optimistic alpha-scaled time.  SSS(u) * S / Bw is

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -54,25 +55,22 @@ const char* to_string(WireDecision decision) {
 }
 
 // --- little-endian primitives ----------------------------------------------
+//
+// store() is the one encoder: explicit wire-order byte shifts, which
+// compilers merge into single stores on little-endian hosts.  Every frame is
+// written by growing the buffer once and storing each field at its fixed
+// offset.
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
+namespace {
+
+template <typename T>
+void store(char* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<char>(v >> (8 * i));
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
+void store(char* p, double v) { store(p, std::bit_cast<std::uint64_t>(v)); }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void put_f64(std::string& out, double v) { put_u64(out, std::bit_cast<std::uint64_t>(v)); }
+}  // namespace
 
 std::uint16_t get_u16(const unsigned char* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
@@ -94,59 +92,60 @@ double get_f64(const unsigned char* p) { return std::bit_cast<double>(get_u64(p)
 
 namespace {
 
-void append_header(std::string& out, MessageType type, std::uint32_t payload_length) {
-  put_u32(out, kMagic);
-  put_u16(out, kProtocolVersion);
-  put_u16(out, static_cast<std::uint16_t>(type));
-  put_u32(out, payload_length);
+// Grow `out` by one whole frame (payload zeroed), write its header, and
+// return the payload's first byte.
+char* begin_frame(std::string& out, MessageType type, std::size_t payload_length) {
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderSize + payload_length);
+  char* p = out.data() + at;
+  store(p, kMagic);
+  store(p + 4, kProtocolVersion);
+  store(p + 6, static_cast<std::uint16_t>(type));
+  store(p + 8, static_cast<std::uint32_t>(payload_length));
+  return p + kHeaderSize;
 }
 
 }  // namespace
 
 void append_decide_request(std::string& out, const DecideRequest& request) {
-  append_header(out, MessageType::kDecideRequest, kDecideRequestSize);
-  char name[kFacilityNameSize] = {};
-  const std::size_t n =
-      request.facility.size() < kFacilityNameSize - 1 ? request.facility.size()
-                                                      : kFacilityNameSize - 1;
-  std::memcpy(name, request.facility.data(), n);
-  out.append(name, kFacilityNameSize);
-  put_u64(out, request.transfer_size_bytes);
-  put_f64(out, request.operating_utilization);
-  put_u32(out, request.path_hops);
-  put_u32(out, 0);  // reserved
+  char* p = begin_frame(out, MessageType::kDecideRequest, kDecideRequestSize);
+  // The name field is NUL-padded and keeps at least one terminating NUL; the
+  // reserved u32 stays zero.
+  std::memcpy(p, request.facility.data(),
+              std::min(request.facility.size(), kFacilityNameSize - 1));
+  store(p + kFacilityNameSize, request.transfer_size_bytes);
+  store(p + kFacilityNameSize + 8, request.operating_utilization);
+  store(p + kFacilityNameSize + 16, request.path_hops);
 }
 
 void append_decide_response(std::string& out, const DecideResponse& response) {
-  append_header(out, MessageType::kDecideResponse, kDecideResponseSize);
-  put_u32(out, response.status);
-  put_u32(out, static_cast<std::uint32_t>(response.decision));
-  put_f64(out, response.t_stream_s);
-  put_f64(out, response.t_stage_s);
-  put_f64(out, response.t_local_s);
-  put_f64(out, response.t_worst_transfer_s);
-  put_f64(out, response.sss);
-  put_u64(out, response.profile_generation);
-  put_f64(out, response.operating_utilization);
-  put_u32(out, response.path_hops);
-  put_u32(out, response.flags);
+  char* p = begin_frame(out, MessageType::kDecideResponse, kDecideResponseSize);
+  store(p, response.status);
+  store(p + 4, static_cast<std::uint32_t>(response.decision));
+  store(p + 8, response.t_stream_s);
+  store(p + 16, response.t_stage_s);
+  store(p + 24, response.t_local_s);
+  store(p + 32, response.t_worst_transfer_s);
+  store(p + 40, response.sss);
+  store(p + 48, response.profile_generation);
+  store(p + 56, response.operating_utilization);
+  store(p + 64, response.path_hops);
+  store(p + 68, response.flags);
 }
 
 void append_stats_request(std::string& out) {
-  append_header(out, MessageType::kStatsRequest, 0);
+  begin_frame(out, MessageType::kStatsRequest, 0);
 }
 
 void append_stats_response(std::string& out, std::string_view json) {
-  append_header(out, MessageType::kStatsResponse,
-                static_cast<std::uint32_t>(json.size()));
-  out.append(json);
+  char* p = begin_frame(out, MessageType::kStatsResponse, json.size());
+  std::copy(json.begin(), json.end(), p);
 }
 
 void append_error_response(std::string& out, ErrorCode code, std::string_view message) {
-  append_header(out, MessageType::kErrorResponse,
-                static_cast<std::uint32_t>(4 + message.size()));
-  put_u32(out, static_cast<std::uint32_t>(code));
-  out.append(message);
+  char* p = begin_frame(out, MessageType::kErrorResponse, 4 + message.size());
+  store(p, static_cast<std::uint32_t>(code));
+  std::copy(message.begin(), message.end(), p + 4);
 }
 
 // --- decoding --------------------------------------------------------------

@@ -131,12 +131,8 @@ struct ErrorResponse {
   std::string message;
 };
 
-// --- little-endian primitives (exposed for tests/fuzzing) ------------------
+// --- little-endian field reads (exposed for tests/fuzzing) -----------------
 
-void put_u16(std::string& out, std::uint16_t v);
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-void put_f64(std::string& out, double v);
 [[nodiscard]] std::uint16_t get_u16(const unsigned char* p);
 [[nodiscard]] std::uint32_t get_u32(const unsigned char* p);
 [[nodiscard]] std::uint64_t get_u64(const unsigned char* p);
@@ -144,10 +140,10 @@ void put_f64(std::string& out, double v);
 
 // --- encoding --------------------------------------------------------------
 
-// Each append_* writes one complete frame (header + payload) onto `out`
-// (append, not replace — writers coalesce many frames into one buffer and
-// flush with a single write(2), which is what keeps the loopback hot path
-// at >100k frames/s on one core).
+// Each append_* writes one complete frame (header + payload) onto `out`:
+// it grows `out` once by the whole frame, then stores every field at its
+// fixed offset.  Append, not replace — writers coalesce many frames into
+// one buffer and flush it with a single write(2).
 void append_decide_request(std::string& out, const DecideRequest& request);
 void append_decide_response(std::string& out, const DecideResponse& response);
 void append_stats_request(std::string& out);

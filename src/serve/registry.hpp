@@ -9,11 +9,11 @@
 //     --> ServiceSnapshot         immutable, carries a generation number
 //     --> SnapshotRegistry        atomic shared_ptr swap on reload
 //
-// Workers load the current snapshot once per request (an atomic shared_ptr
-// load) and keep it alive for the duration of that request, so a reload
-// can never tear a half-updated profile under an in-flight decision: the
-// old snapshot stays valid until its last reader drops it, and the new one
-// is observed only as a whole.  The generation number increments on every
+// Workers load the current snapshot once per read burst (an atomic
+// shared_ptr load) and keep it alive while they answer every frame decoded
+// from that burst, so a reload can never tear a half-updated profile under
+// an in-flight decision: the old snapshot stays valid until its last reader
+// drops it, and the new one is observed only as a whole.  The generation number increments on every
 // successful swap and is echoed in every DecideResponse, which is how the
 // hot-reload tests (and the CI smoke) observe a reload landing without a
 // single lost request.

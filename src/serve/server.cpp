@@ -65,8 +65,7 @@ struct DecideServer::Worker {
       std::lock_guard<std::mutex> lock(inbox_mutex);
       inbox.push_back(fd);
     }
-    const std::uint64_t one = 1;
-    (void)!::write(wake_fd, &one, sizeof(one));
+    wake();
   }
 
   void wake() {
@@ -140,32 +139,24 @@ struct DecideServer::Worker {
     return true;
   }
 
+  // Answer a fatal protocol error; the connection closes after the flush.
+  void fail(Connection& conn, ErrorCode code) {
+    stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    append_error_response(conn.out, code, to_string(code));
+    conn.close_after_flush = true;
+  }
+
   // Decode + answer every complete frame currently buffered.  `snapshot`
   // is pinned by the caller for the whole batch, so one read burst sees
   // one consistent generation.
   void process_frames(Connection& conn, const ServiceSnapshot& snapshot) {
-    while (true) {
-      const std::optional<Frame> frame = conn.reader.next();
-      if (!frame.has_value()) break;
+    while (const std::optional<Frame> frame = conn.reader.next()) {
       const MessageHeader& header = frame->header;
-      if (header.version != kProtocolVersion) {
-        stats.requests.fetch_add(1, std::memory_order_relaxed);
-        stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        append_error_response(conn.out, ErrorCode::kUnsupportedVersion,
-                              to_string(ErrorCode::kUnsupportedVersion));
-        conn.close_after_flush = true;
-        return;
-      }
+      stats.requests.fetch_add(1, std::memory_order_relaxed);
+      if (header.version != kProtocolVersion) return fail(conn, ErrorCode::kUnsupportedVersion);
       switch (static_cast<MessageType>(header.type)) {
         case MessageType::kDecideRequest: {
-          stats.requests.fetch_add(1, std::memory_order_relaxed);
-          if (frame->payload_size != kDecideRequestSize) {
-            stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-            append_error_response(conn.out, ErrorCode::kBadLength,
-                                  to_string(ErrorCode::kBadLength));
-            conn.close_after_flush = true;
-            return;
-          }
+          if (frame->payload_size != kDecideRequestSize) return fail(conn, ErrorCode::kBadLength);
           const std::optional<DecideRequest> request =
               decode_decide_request(frame->payload, frame->payload_size);
           if (!request.has_value()) {
@@ -183,36 +174,19 @@ struct DecideServer::Worker {
           append_decide_response(conn.out, response);
           break;
         }
-        case MessageType::kStatsRequest: {
-          stats.requests.fetch_add(1, std::memory_order_relaxed);
-          if (frame->payload_size != 0) {
-            stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-            append_error_response(conn.out, ErrorCode::kBadLength,
-                                  to_string(ErrorCode::kBadLength));
-            conn.close_after_flush = true;
-            return;
-          }
+        case MessageType::kStatsRequest:
+          if (frame->payload_size != 0) return fail(conn, ErrorCode::kBadLength);
           stats.stats_requests.fetch_add(1, std::memory_order_relaxed);
           append_stats_response(conn.out, server->stats_json());
           break;
-        }
-        default: {
-          stats.requests.fetch_add(1, std::memory_order_relaxed);
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          append_error_response(conn.out, ErrorCode::kBadType,
-                                to_string(ErrorCode::kBadType));
-          conn.close_after_flush = true;
-          return;
-        }
+        default:
+          return fail(conn, ErrorCode::kBadType);
       }
     }
     // A structural violation (bad magic / oversized length) condemns the
     // stream: answer once, then close.
     if (conn.reader.error() != ErrorCode::kNone && !conn.close_after_flush) {
-      stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      append_error_response(conn.out, conn.reader.error(),
-                            to_string(conn.reader.error()));
-      conn.close_after_flush = true;
+      fail(conn, conn.reader.error());
     }
   }
 

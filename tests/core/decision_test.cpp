@@ -138,5 +138,19 @@ TEST(ProcessingModeNames, Render) {
   EXPECT_STREQ(to_string(ProcessingMode::kRemoteFileBased), "remote-file-based");
 }
 
+TEST(WithContendedPath, ComposesPerHopOverheadAndKeepsBandwidth) {
+  ModelParameters params;
+  params.alpha = 0.8;  // eps = 1/0.8 - 1 = 0.25 per hop
+  params.bandwidth = units::DataRate::gigabits_per_second(25.0);
+  for (const std::size_t hops : {std::size_t{0}, std::size_t{1}}) {
+    EXPECT_DOUBLE_EQ(with_contended_path(params, hops).alpha, 0.8) << hops;
+  }
+  EXPECT_DOUBLE_EQ(with_contended_path(params, 4).alpha, 0.5);   // 1 / (1 + 4 * 0.25)
+  EXPECT_DOUBLE_EQ(with_contended_path(params, 64).alpha, 1.0 / 17.0);
+  const ModelParameters deep = with_contended_path(params, 4);
+  EXPECT_EQ(deep.bandwidth.bps(), params.bandwidth.bps());
+  EXPECT_EQ(deep.theta, params.theta);
+}
+
 }  // namespace
 }  // namespace sss::core

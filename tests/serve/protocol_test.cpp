@@ -21,6 +21,13 @@ const unsigned char* bytes_of(const std::string& s) {
   return reinterpret_cast<const unsigned char*>(s.data());
 }
 
+// `bytes` little-endian bytes of `v`, for hand-built (often invalid) frames.
+std::string le(std::uint64_t v, int bytes) {
+  std::string out;
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  return out;
+}
+
 DecideRequest sample_request() {
   DecideRequest request;
   request.facility = "aps";
@@ -189,11 +196,10 @@ TEST(FrameReaderTest, TruncatedPayloadYieldsNoFrame) {
 }
 
 TEST(FrameReaderTest, OversizedLengthLatchesBadLength) {
-  std::string wire;
-  put_u32(wire, kMagic);
-  put_u16(wire, kProtocolVersion);
-  put_u16(wire, static_cast<std::uint16_t>(MessageType::kDecideRequest));
-  put_u32(wire, kMaxPayloadLength + 1);
+  const std::string wire =
+      le(kMagic, 4) + le(kProtocolVersion, 2) +
+      le(static_cast<std::uint16_t>(MessageType::kDecideRequest), 2) +
+      le(kMaxPayloadLength + 1, 4);
 
   FrameReader reader;
   reader.feed(wire.data(), wire.size());
@@ -220,11 +226,9 @@ TEST(FrameReaderTest, BadMagicLatchesBadMagic) {
 TEST(FrameReaderTest, VersionMismatchIsReadableNotLatched) {
   // The server must be able to READ a version-mismatched frame to answer it
   // with a clean kUnsupportedVersion error, so the reader yields it.
-  std::string wire;
-  put_u32(wire, kMagic);
-  put_u16(wire, kProtocolVersion + 1);
-  put_u16(wire, static_cast<std::uint16_t>(MessageType::kStatsRequest));
-  put_u32(wire, 0);
+  const std::string wire =
+      le(kMagic, 4) + le(kProtocolVersion + 1, 2) +
+      le(static_cast<std::uint16_t>(MessageType::kStatsRequest), 2) + le(0, 4);
 
   FrameReader reader;
   reader.feed(wire.data(), wire.size());
@@ -454,11 +458,8 @@ TEST(WireBytesTest, RandomDecideResponsesRoundTripBitExactly) {
 }
 
 TEST(ProtocolTest, LittleEndianPrimitivesRoundTrip) {
-  std::string out;
-  put_u16(out, 0xBEEF);
-  put_u32(out, 0xDEADBEEFu);
-  put_u64(out, 0x0123456789ABCDEFull);
-  put_f64(out, -2.5e-3);
+  const std::string out = le(0xBEEF, 2) + le(0xDEADBEEFu, 4) + le(0x0123456789ABCDEFull, 8) +
+                          le(std::bit_cast<std::uint64_t>(-2.5e-3), 8);
   const unsigned char* p = bytes_of(out);
   EXPECT_EQ(get_u16(p), 0xBEEF);
   EXPECT_EQ(get_u32(p + 2), 0xDEADBEEFu);

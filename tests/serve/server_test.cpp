@@ -7,12 +7,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <chrono>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/client.hpp"
@@ -23,6 +25,19 @@ namespace sss::serve {
 namespace {
 
 namespace fs = std::filesystem;
+
+// A hand-built SSS1 header: magic, version, type and payload length, each
+// little-endian.  Lets a test send headers the encoder never writes.
+std::string header(int version, std::uint16_t type, std::uint32_t length) {
+  std::string out;
+  for (const auto& [value, bytes] : {std::pair<std::uint64_t, int>{kMagic, 4},
+                                     {static_cast<std::uint64_t>(version), 2},
+                                     {type, 2},
+                                     {length, 4}}) {
+    for (int i = 0; i < bytes; ++i) out.push_back(static_cast<char>(value >> (8 * i)));
+  }
+  return out;
+}
 
 std::string report_text(const std::string& facility, double sss_at_operating) {
   trace::JsonValue report = trace::JsonValue::object();
@@ -109,11 +124,8 @@ TEST_F(ServerTest, VersionMismatchAnswersCleanErrorThenCloses) {
   DecideServer& server = start_server();
 
   const int fd = connect_tcp("127.0.0.1", server.port(), /*nonblocking=*/false);
-  std::string wire;
-  put_u32(wire, kMagic);
-  put_u16(wire, static_cast<std::uint16_t>(kProtocolVersion + 7));
-  put_u16(wire, static_cast<std::uint16_t>(MessageType::kStatsRequest));
-  put_u32(wire, 0);
+  const std::string wire =
+      header(kProtocolVersion + 7, static_cast<std::uint16_t>(MessageType::kStatsRequest), 0);
   send_all(fd, wire);
 
   FrameReader reader;
@@ -133,11 +145,9 @@ TEST_F(ServerTest, WrongPayloadLengthAnswersBadLengthThenCloses) {
   DecideServer& server = start_server();
 
   const int fd = connect_tcp("127.0.0.1", server.port(), /*nonblocking=*/false);
-  std::string wire;
-  put_u32(wire, kMagic);
-  put_u16(wire, kProtocolVersion);
-  put_u16(wire, static_cast<std::uint16_t>(MessageType::kDecideRequest));
-  put_u32(wire, 10);  // decide payloads are exactly kDecideRequestSize
+  // Decide payloads are exactly kDecideRequestSize.
+  std::string wire =
+      header(kProtocolVersion, static_cast<std::uint16_t>(MessageType::kDecideRequest), 10);
   wire.append(10, '\0');
   send_all(fd, wire);
 
@@ -156,11 +166,7 @@ TEST_F(ServerTest, UnknownMessageTypeAnswersBadTypeThenCloses) {
   DecideServer& server = start_server();
 
   const int fd = connect_tcp("127.0.0.1", server.port(), /*nonblocking=*/false);
-  std::string wire;
-  put_u32(wire, kMagic);
-  put_u16(wire, kProtocolVersion);
-  put_u16(wire, 99);
-  put_u32(wire, 0);
+  const std::string wire = header(kProtocolVersion, 99, 0);
   send_all(fd, wire);
 
   FrameReader reader;
