@@ -1,14 +1,24 @@
 // micro_substrates — google-benchmark microbenchmarks for the hot paths of
 // every substrate: event queue, packet link, full TCP transfers, the fluid
-// model, statistics (P2, checksum), and model evaluation.  These document
+// model, statistics (P2, checksum), model evaluation, and the serving layer
+// (decide, SSS1 encode, frame reassembly + decode).  These document
 // the simulator's capacity (events/second) that makes the full Table-2
 // sweep tractable.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/completion.hpp"
 #include "core/decision.hpp"
+#include "core/fitting.hpp"
 #include "detector/frame.hpp"
 #include "pipeline/spsc_queue.hpp"
+#include "serve/decide.hpp"
+#include "serve/protocol.hpp"
+#include "serve/registry.hpp"
 #include "simnet/fluid.hpp"
 #include "simnet/link.hpp"
 #include "simnet/workload.hpp"
@@ -227,6 +237,94 @@ void BM_ModelEvaluation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ModelEvaluation);
+
+// --- serving layer ---------------------------------------------------------
+
+// The pinned two-facility snapshot the serve benches answer from: the
+// aps/lcls pair calibrated from the demo trace, differing in operating point
+// and local compute.
+serve::ServiceSnapshot serve_snapshot() {
+  const std::vector<core::TransferRecord> trace = core::demo_transfer_trace();
+  std::vector<serve::FacilityProfile> profiles;
+  for (const char* facility : {"aps", "lcls"}) {
+    core::TraceCalibrationOptions options;
+    if (std::string(facility) == "lcls") {
+      options.operating_utilization = 0.5;
+      options.r_local = units::FlopsRate::teraflops(0.5);
+    }
+    profiles.push_back(serve::profile_from_report_json(
+        core::calibration_report_json(core::calibrate_transfer_trace(trace, options)),
+        facility));
+  }
+  return serve::ServiceSnapshot(1, std::move(profiles));
+}
+
+// A seeded request mix shaped like decide_open_loop's: sizes 64 MB - 8 GB
+// (log-uniform), path_hops 1-4, utilizations across and past the calibrated
+// range, about 1% unknown facilities.  1,024 entries (a power of two).
+std::vector<serve::DecideRequest> serve_mix() {
+  std::mt19937_64 rng(42);
+  auto unit = [&rng] { return static_cast<double>(rng() >> 11) * 0x1.0p-53; };
+  std::vector<serve::DecideRequest> mix(1024);
+  for (serve::DecideRequest& request : mix) {
+    const double pick = unit();
+    request.facility = pick < 0.01 ? "unknown-site" : (pick < 0.505 ? "aps" : "lcls");
+    request.transfer_size_bytes =
+        static_cast<std::uint64_t>(64e6 * std::exp(unit() * std::log(8e9 / 64e6)));
+    request.path_hops = 1 + static_cast<std::uint32_t>(rng() % 4);
+    request.operating_utilization = unit() < 0.1 ? 0.0 : 0.02 + 1.18 * unit();
+  }
+  return mix;
+}
+
+void BM_ServeDecide(benchmark::State& state) {
+  const serve::ServiceSnapshot snapshot = serve_snapshot();
+  const std::vector<serve::DecideRequest> mix = serve_mix();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::decide(snapshot, mix[i++ & (mix.size() - 1)]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeDecide);
+
+void BM_EncodeDecideResponse(benchmark::State& state) {
+  // One response frame per iteration into a buffer that keeps its capacity,
+  // as a worker's write buffer does.
+  const serve::ServiceSnapshot snapshot = serve_snapshot();
+  std::vector<serve::DecideResponse> responses;
+  for (const serve::DecideRequest& request : serve_mix()) {
+    responses.push_back(serve::decide(snapshot, request));
+  }
+  std::string out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    serve::append_decide_response(out, responses[i++ & (responses.size() - 1)]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EncodeDecideResponse);
+
+void BM_FrameReaderDecode(benchmark::State& state) {
+  // 1,024 request frames fed as one read burst, then reassembled and
+  // decoded frame by frame; items = frames.
+  std::string wire;
+  for (const serve::DecideRequest& request : serve_mix()) {
+    serve::append_decide_request(wire, request);
+  }
+  serve::FrameReader reader;
+  for (auto _ : state) {
+    reader.feed(wire.data(), wire.size());
+    while (const auto frame = reader.next()) {
+      benchmark::DoNotOptimize(serve::decode_decide_request(frame->payload, frame->payload_size));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_FrameReaderDecode);
 
 }  // namespace
 

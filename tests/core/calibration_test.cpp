@@ -129,8 +129,8 @@ TEST(EstimateAlpha, BoundedAndOrdered) {
 
 TEST(EstimateAlpha, EmptyResultThrows) {
   simnet::ExperimentResult empty;
-  EXPECT_THROW(estimate_alpha(empty), std::invalid_argument);
-  EXPECT_THROW(estimate_alpha_worst_case(empty), std::invalid_argument);
+  EXPECT_THROW((void)estimate_alpha(empty), std::invalid_argument);
+  EXPECT_THROW((void)estimate_alpha_worst_case(empty), std::invalid_argument);
 }
 
 TEST(Calibrate, AssemblesValidParameters) {

@@ -11,13 +11,13 @@ namespace {
 TEST(AnalyzeSustained, ValidatesInput) {
   SustainedWorkload w;
   w.window = units::Seconds::of(0.0);
-  EXPECT_THROW(analyze_sustained(w), std::invalid_argument);
+  EXPECT_THROW((void)analyze_sustained(w), std::invalid_argument);
   w.window = units::Seconds::of(1.0);
   w.mean_service = units::Seconds::of(-1.0);
-  EXPECT_THROW(analyze_sustained(w), std::invalid_argument);
+  EXPECT_THROW((void)analyze_sustained(w), std::invalid_argument);
   w.mean_service = units::Seconds::of(0.5);
   w.service_cv = -0.1;
-  EXPECT_THROW(analyze_sustained(w), std::invalid_argument);
+  EXPECT_THROW((void)analyze_sustained(w), std::invalid_argument);
 }
 
 TEST(AnalyzeSustained, StableLowUtilization) {
@@ -100,9 +100,9 @@ TEST(PipelinedServiceTime, SlowerStageDominates) {
 }
 
 TEST(MaxSustainableRate, ValidatesInput) {
-  EXPECT_THROW(max_sustainable_rate(units::Seconds::of(0.0), 0.5, units::Seconds::of(1.0)),
+  EXPECT_THROW((void)max_sustainable_rate(units::Seconds::of(0.0), 0.5, units::Seconds::of(1.0)),
                std::invalid_argument);
-  EXPECT_THROW(max_sustainable_rate(units::Seconds::of(1.0), 0.5, units::Seconds::of(0.0)),
+  EXPECT_THROW((void)max_sustainable_rate(units::Seconds::of(1.0), 0.5, units::Seconds::of(0.0)),
                std::invalid_argument);
 }
 

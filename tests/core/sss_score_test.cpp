@@ -40,13 +40,13 @@ TEST(StreamingSpeedScore, CaseStudyExtrapolations) {
 }
 
 TEST(StreamingSpeedScore, InputValidation) {
-  EXPECT_THROW(compute_sss(units::Seconds::of(-1.0), units::Bytes::gigabytes(1.0),
+  EXPECT_THROW((void)compute_sss(units::Seconds::of(-1.0), units::Bytes::gigabytes(1.0),
                            units::DataRate::gigabits_per_second(1.0)),
                std::invalid_argument);
-  EXPECT_THROW(compute_sss(units::Seconds::of(1.0), units::Bytes::of(0.0),
+  EXPECT_THROW((void)compute_sss(units::Seconds::of(1.0), units::Bytes::of(0.0),
                            units::DataRate::gigabits_per_second(1.0)),
                std::invalid_argument);
-  EXPECT_THROW(compute_sss(units::Seconds::of(1.0), units::Bytes::gigabytes(1.0),
+  EXPECT_THROW((void)compute_sss(units::Seconds::of(1.0), units::Bytes::gigabytes(1.0),
                            units::DataRate::bytes_per_second(0.0)),
                std::invalid_argument);
 }
@@ -74,8 +74,8 @@ TEST(RegimeClassification, CustomThresholdsAndValidation) {
   EXPECT_EQ(classify_regime(1.5, strict), CongestionRegime::kLow);
   EXPECT_EQ(classify_regime(3.0, strict), CongestionRegime::kModerate);
   EXPECT_EQ(classify_regime(4.0, strict), CongestionRegime::kSevere);
-  EXPECT_THROW(classify_regime(1.0, RegimeThresholds{0.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(classify_regime(1.0, RegimeThresholds{5.0, 5.0}), std::invalid_argument);
+  EXPECT_THROW((void)classify_regime(1.0, RegimeThresholds{0.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW((void)classify_regime(1.0, RegimeThresholds{5.0, 5.0}), std::invalid_argument);
 }
 
 TEST(RegimeNames, Render) {

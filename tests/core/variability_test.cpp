@@ -57,9 +57,9 @@ TEST(ParameterDistribution, LognormalIsPositiveAndClamped) {
 }
 
 TEST(ParameterDistribution, RejectsBadArguments) {
-  EXPECT_THROW(ParameterDistribution::uniform(1.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(ParameterDistribution::normal(0.5, -1.0, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(ParameterDistribution::lognormal(-1.0, 0.5, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)ParameterDistribution::uniform(1.0, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)ParameterDistribution::normal(0.5, -1.0, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)ParameterDistribution::lognormal(-1.0, 0.5, 0.0, 1.0), std::invalid_argument);
 }
 
 TEST(MonteCarlo, DegenerateDistributionsMatchDeterministicModel) {

@@ -49,7 +49,9 @@ TEST(FailureInjection, TinyDrainTimeoutProducesCensoredRecords) {
   EXPECT_TRUE(result.metrics.any_censored());
   // Censored end times sit at the deadline, not at fantasy values.
   for (const auto& c : result.metrics.clients) {
-    if (c.censored) EXPECT_NEAR(c.end_s, 1.5, 1e-6);
+    if (c.censored) {
+      EXPECT_NEAR(c.end_s, 1.5, 1e-6);
+    }
   }
 }
 

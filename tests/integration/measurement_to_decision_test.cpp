@@ -87,7 +87,9 @@ TEST_F(MeasurementToDecision, CalibrationProducesUsableParameters) {
   in.bandwidth = units::DataRate::gigabits_per_second(2.5);
 
   const core::CalibrationResult calibrated = core::calibrate(in);
-  const core::Evaluation ev = core::evaluate(core::DecisionInput{calibrated.params});
+  core::DecisionInput input;
+  input.params = calibrated.params;
+  const core::Evaluation ev = core::evaluate(input);
   EXPECT_GT(ev.gain_streaming, 0.0);
 
   // The whole thing renders into a report without throwing.

@@ -21,7 +21,9 @@ void expect_tiles(const std::vector<CellRange>& ranges, std::size_t total) {
   EXPECT_EQ(ranges.back().end, total);
   for (std::size_t i = 0; i < ranges.size(); ++i) {
     EXPECT_LT(ranges[i].begin, ranges[i].end);
-    if (i > 0) EXPECT_EQ(ranges[i].begin, ranges[i - 1].end);
+    if (i > 0) {
+      EXPECT_EQ(ranges[i].begin, ranges[i - 1].end);
+    }
   }
 }
 

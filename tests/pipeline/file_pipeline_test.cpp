@@ -32,9 +32,9 @@ TEST(FilePipeline, RejectsBadFileCount) {
   SystemClock clock;
   auto cfg = small_config();
   cfg.file_count = 0;
-  EXPECT_THROW(run_file_pipeline(cfg, clock), std::invalid_argument);
+  EXPECT_THROW((void)run_file_pipeline(cfg, clock), std::invalid_argument);
   cfg.file_count = cfg.scan.frame_count + 1;
-  EXPECT_THROW(run_file_pipeline(cfg, clock), std::invalid_argument);
+  EXPECT_THROW((void)run_file_pipeline(cfg, clock), std::invalid_argument);
 }
 
 TEST(FilePipeline, AllFramesArriveIntact) {

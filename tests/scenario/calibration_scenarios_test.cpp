@@ -4,9 +4,10 @@
 // trace_path binding reaching the scenario through --param, and the
 // calibrate CLI's JSON report pinned against the checked-in golden.
 //
-// If a change deliberately alters the demo trace or the fit, regenerate:
+// If a change deliberately alters the demo trace or the fit, regenerate with
+// these two commands (indented lines continue the command above them):
 //   calibrate --write-demo-trace tests/data/calibration_trace.csv
-//   calibrate --trace tests/data/calibration_trace.csv \
+//   calibrate --trace tests/data/calibration_trace.csv
 //             --report tests/data/calibration_report.golden.json
 // and update kGoldenRows below.
 #include <gtest/gtest.h>

@@ -6,7 +6,8 @@
 // determinism, the SweepExecutor's thread-count invariance, and the
 // scenario row formatting (what lands in the exported CSV).  If a change
 // deliberately alters simulation behaviour or formatting, regenerate with
-//   scenario_runner --run ablation_fluid_vs_packet --scale 0.1 --seed 42 \
+// this one command:
+//   scenario_runner --run ablation_fluid_vs_packet --scale 0.1 --seed 42
 //                   --csv-dir <dir>
 // and update kGoldenRows below.
 #include <gtest/gtest.h>

@@ -293,7 +293,7 @@ TEST(ShardedExecution, TwoShardMergeBitIdenticalToSingleHost) {
   const ScenarioOutput full = execute_scenario(*spec, ctx);
   std::vector<std::vector<std::string>> merged;
   for (int i = 0; i < 2; ++i) {
-    const ScenarioOutput shard = execute_scenario_shard(*spec, ctx, {i, 2});
+    const ScenarioOutput shard = execute_scenario_shard(*spec, ctx, {i, 2, std::nullopt});
     EXPECT_EQ(join(shard.header), join(full.header));
     merged.insert(merged.end(), shard.rows.begin(), shard.rows.end());
   }
@@ -308,7 +308,8 @@ TEST(ShardedExecution, AggregateScenariosRefuseToShard) {
   const ScenarioSpec* spec = ScenarioRegistry::global().find("fig3_cdf");
   ASSERT_NE(spec, nullptr);
   const ScenarioContext ctx = smoke_context();
-  EXPECT_THROW((void)execute_scenario_shard(*spec, ctx, {0, 2}), std::invalid_argument);
+  EXPECT_THROW((void)execute_scenario_shard(*spec, ctx, {0, 2, std::nullopt}),
+               std::invalid_argument);
 }
 
 }  // namespace

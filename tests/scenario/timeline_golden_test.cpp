@@ -10,11 +10,12 @@
 //      any drift in event order, float formatting, or track naming is a
 //      contract change and must be deliberate.
 //
-// Regenerate (only for a deliberate format/behaviour change) with:
-//   scenario_runner --run hop_bottleneck_sweep --scale 0.05 --seed 42 \
-//     --threads 1 --timeline tests/data/timeline_golden/hop_bottleneck_sweep.cell2.json \
+// Regenerate (only for a deliberate format/behaviour change) with these two
+// commands (indented lines continue the command above them):
+//   scenario_runner --run hop_bottleneck_sweep --scale 0.05 --seed 42
+//     --threads 1 --timeline tests/data/timeline_golden/hop_bottleneck_sweep.cell2.json
 //     --timeline-cell 2
-//   scenario_runner --run fig4_file_vs_stream \
+//   scenario_runner --run fig4_file_vs_stream
 //     --timeline tests/data/timeline_golden/fig4_file_vs_stream.json
 #include <gtest/gtest.h>
 

@@ -147,7 +147,9 @@ TEST(RunExperiment, ScheduledSpawningSpreadsStarts) {
   for (std::size_t i = 0; i < clients.size(); ++i) {
     EXPECT_GE(clients[i].start_s, clients[i].requested_s - 1e-9);
     EXPECT_GE(clients[i].queue_wait_s(), 0.0);
-    if (i > 0) EXPECT_GE(clients[i].start_s, clients[i - 1].end_s - 1e-9);
+    if (i > 0) {
+      EXPECT_GE(clients[i].start_s, clients[i - 1].end_s - 1e-9);
+    }
   }
 }
 

@@ -71,8 +71,8 @@ TEST(PfsModel, ZeroByteWorkloadsCostOnlyMetadata) {
 
 TEST(PfsModel, FileCountZeroThrows) {
   PfsModel pfs(simple_pfs());
-  EXPECT_THROW(pfs.write_time(0, units::Bytes::gigabytes(1.0)), std::invalid_argument);
-  EXPECT_THROW(pfs.read_time(0, units::Bytes::gigabytes(1.0)), std::invalid_argument);
+  EXPECT_THROW((void)pfs.write_time(0, units::Bytes::gigabytes(1.0)), std::invalid_argument);
+  EXPECT_THROW((void)pfs.read_time(0, units::Bytes::gigabytes(1.0)), std::invalid_argument);
 }
 
 TEST(PfsModel, BandwidthRampPenalizesSmallFiles) {
