@@ -21,8 +21,8 @@ class ScenarioRegistry {
   ScenarioRegistry(const ScenarioRegistry&) = delete;
   ScenarioRegistry& operator=(const ScenarioRegistry&) = delete;
 
-  // The process-wide registry used by scenario_runner and the thin bench
-  // drivers.  Tests may construct private registries instead.
+  // The process-wide registry used by scenario_runner.  Tests may construct
+  // private registries instead.
   static ScenarioRegistry& global();
 
   // Throws std::invalid_argument on an empty name, a spec without analyze,

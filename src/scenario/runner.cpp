@@ -410,17 +410,6 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
   return 0;
 }
 
-int run_named(const std::string& name) {
-  register_builtin_scenarios();
-  const ScenarioSpec* spec = ScenarioRegistry::global().find(name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s' (try scenario_runner --list)\n",
-                 name.c_str());
-    return 2;
-  }
-  return run_scenario(*spec, options_from_env());
-}
-
 ScenarioSpec spec_from_plan_file(const std::string& path) {
   register_builtin_scenarios();
   ExperimentPlan plan = load_plan_file(path);

@@ -4,9 +4,7 @@
 // fan out through the SweepExecutor, render/analyze into a ScenarioOutput)
 // used by tests; `execute_scenario_shard` runs one deterministic slice of
 // the grid (the multi-host path); `run_scenario` adds the console/CSV
-// presentation; `run_named` is the thin-driver entry every bench/example
-// main delegates to; and `main_from_args` implements the scenario_runner
-// CLI.
+// presentation; and `main_from_args` implements the scenario_runner CLI.
 #pragma once
 
 #include <optional>
@@ -111,10 +109,6 @@ struct RunnerOptions {
 
 // Run and present one scenario.  Returns a process exit code.
 int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options);
-
-// Look `name` up in the global registry (registering built-ins first) and
-// run it with env-derived options.  The per-bench thin drivers call this.
-int run_named(const std::string& name);
 
 // Build a runnable spec from a plan file: the plan is loaded from JSON and,
 // when its scenario name matches a registered spec, reattached to that

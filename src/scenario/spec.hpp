@@ -5,8 +5,8 @@
 // sweep axes, seed policy, output columns) that expands into concrete
 // RunPoints, plus the hooks that turn completed runs into output rows and
 // commentary.  Every bench and example in the repository is a ScenarioSpec
-// registered under a stable name; `scenario_runner --run <name>` (or a
-// thin per-bench driver) executes it through the SweepExecutor.
+// registered under a stable name; `scenario_runner --run <name>` executes
+// it through the SweepExecutor.
 //
 // Design rules:
 //   - the plan is pure DATA: it can be expanded, inspected, serialized to
