@@ -57,9 +57,7 @@ const char* to_string(WireDecision decision) {
 // --- little-endian primitives ----------------------------------------------
 //
 // store() is the one encoder: explicit wire-order byte shifts, which
-// compilers merge into single stores on little-endian hosts.  Every frame is
-// written by growing the buffer once and storing each field at its fixed
-// offset.
+// compilers merge into single stores on little-endian hosts.
 
 namespace {
 

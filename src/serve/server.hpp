@@ -14,9 +14,9 @@
 // (relaxed atomics, read by the stats endpoint).  Responses for all frames
 // decoded from one read batch are coalesced into one write(2), so the
 // syscalls are paid per burst, not per request.  Measured split on a 4-vCPU
-// Xeon (perfbench decide_open_loop, bursts of 128 frames): about 180 ns of
+// Xeon (perfbench decide_open_loop, bursts of 128 frames): about 190 ns of
 // server CPU per request, of which decide() is ~50 ns, frame reassembly and
-// request decode ~40 ns, response encode ~20 ns, and the remaining ~70 ns
+// request decode ~40 ns, response encode ~20 ns, and the remaining ~80 ns
 // the read/write/epoll syscalls and counters amortized over the burst.
 //
 // Hot reload: reload() re-scans the profile directory and atomically swaps
