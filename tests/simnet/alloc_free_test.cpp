@@ -174,5 +174,47 @@ TEST(AllocFree, ScheduledModeDriveIsAlsoAllocationFree) {
       << "scheduled-mode drive() reached the global heap after warmup";
 }
 
+TEST(AllocFree, FacilityDriveIsAllocationFree) {
+  // Three tenants share the dual_facility_fanout graph (6 edges, so 12
+  // live links with the reverse twins) under fair-share admission: every
+  // link can be busy at once, and the scheduler admits clients during
+  // drive().  The per-link dispatch state is sized in prepare(), so the
+  // warm drive() must still stay off the heap.
+  WorkloadConfig config = small_config();
+  config.topology = "dual_facility_fanout";
+  config.transfer_size = units::Bytes::megabytes(8.0);
+  config.scheduler.policy = SchedPolicy::kFairShare;
+  config.scheduler.slots = 2;
+  TenantSpec heavy;
+  heavy.src = "ins0";
+  heavy.dst = "fac_a";
+  heavy.concurrency = 2;
+  TenantSpec light = heavy;
+  light.src = "ins1";
+  light.transfer_size = units::Bytes::megabytes(2.0);
+  TenantSpec remote = light;
+  remote.src = "ins2";
+  remote.dst = "fac_b";
+  config.tenants = {heavy, light, remote};
+  Workload workload(config);
+  (void)workload.run();
+
+  workload.prepare();
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  workload.drive();
+  g_counting.store(false, std::memory_order_relaxed);
+
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
+      << "facility drive() reached the global heap after warmup";
+  const ExperimentResult result = workload.finish();
+  ASSERT_EQ(result.metrics.hops.size(), 6u);  // one per dual_facility_fanout edge
+  std::size_t waited = 0;
+  for (const ClientRecord& client : result.metrics.clients) {
+    waited += client.queue_wait_s() > 0.0 ? 1 : 0;
+  }
+  EXPECT_GT(waited, 0u) << "fair-share admission must queue some clients";
+}
+
 }  // namespace
 }  // namespace sss::simnet

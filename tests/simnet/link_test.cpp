@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace sss::simnet {
@@ -217,6 +219,132 @@ TEST(Link, ZeroBufferStillPassesOnePacketAtATime) {
   EXPECT_TRUE(link.transmit(sim, p, sink));
   sim.run();
   EXPECT_EQ(sink.deliveries.size(), 2u);
+}
+
+// Dispatch order across links and the event queue: deliveries of two links
+// and typed events that land on the same nanosecond dispatch in the order
+// their sequence numbers were reserved (at transmit() for a delivery, at
+// schedule_at() for an event), whichever structure holds them.
+TEST(Link, SameInstantDeliveriesAndEventsDispatchInReservationOrder) {
+  struct Log {
+    std::vector<std::pair<SimTime, std::string>> entries;
+  } log;
+  struct TaggedSink : PacketSink {
+    Log* log;
+    std::string tag;
+    TaggedSink(Log* l, std::string t) : log(l), tag(std::move(t)) {}
+    void on_packet(Simulation& sim, const Packet& packet) override {
+      log->entries.emplace_back(sim.now(), tag + "#" + std::to_string(packet.seq));
+    }
+  };
+  struct TaggedHandler : EventHandler {
+    Log* log;
+    explicit TaggedHandler(Log* l) : log(l) {}
+    void on_event(Simulation& sim, int kind, std::uint64_t, std::uint64_t) override {
+      log->entries.emplace_back(sim.now(), "ev" + std::to_string(kind));
+    }
+  };
+  // 1 Gbps, 1 ms: a 1250-byte packet arrives 1'010'000 ns after an idle
+  // transmit at t=0, the next back-to-back one 10 us later.
+  constexpr SimTime kFirst = 1'010'000;
+  constexpr SimTime kSecond = 1'020'000;
+  Simulation sim;
+  Link l1(test_link(1.0, 1.0)), l2(test_link(1.0, 1.0));
+  TaggedSink s1(&log, "l1"), s2(&log, "l2");
+  TaggedHandler handler(&log);
+  Packet p;
+  p.size_bytes = 1250;
+  p.seq = 0;
+  ASSERT_TRUE(l1.transmit(sim, p, s1));          // seq 0 @ kFirst
+  sim.schedule_at(kFirst, handler, 100);         // seq 1 @ kFirst
+  ASSERT_TRUE(l2.transmit(sim, p, s2));          // seq 2 @ kFirst
+  p.seq = 1;
+  ASSERT_TRUE(l1.transmit(sim, p, s1));          // seq 3 @ kSecond
+  sim.schedule_at(kSecond, handler, 101);        // seq 4 @ kSecond
+  ASSERT_TRUE(l2.transmit(sim, p, s2));          // seq 5 @ kSecond
+  sim.schedule_at(kFirst, handler, 102);         // seq 6 @ kFirst
+  EXPECT_EQ(sim.events_scheduled(), 7u);
+  EXPECT_EQ(sim.pending_events(), 5u) << "one per busy link plus three events";
+  sim.run();
+  const std::vector<std::pair<SimTime, std::string>> expected = {
+      {kFirst, "l1#0"},  {kFirst, "ev100"},  {kFirst, "l2#0"}, {kFirst, "ev102"},
+      {kSecond, "l1#1"}, {kSecond, "ev101"}, {kSecond, "l2#1"}};
+  EXPECT_EQ(log.entries, expected);
+  EXPECT_EQ(sim.events_processed(), 7u);
+  EXPECT_EQ(sim.queue_high_water(), 5u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// A sink may re-enter transmit() on the very link delivering to it.  With
+// the in-flight ring drained the re-entrant packet starts a fresh chain;
+// with packets still in flight it joins the existing chain behind them.
+// Either way a busy link counts as one pending event, except while its
+// sink runs.
+class ReentrantSink : public PacketSink {
+ public:
+  explicit ReentrantSink(Link& link) : link_(link) {}
+  std::vector<std::pair<SimTime, std::uint64_t>> deliveries;
+  std::vector<std::size_t> pending_in_sink;
+  std::vector<bool> chain_pending_in_sink;
+  void on_packet(Simulation& sim, const Packet& packet) override {
+    deliveries.emplace_back(sim.now(), packet.seq);
+    pending_in_sink.push_back(sim.pending_events());
+    chain_pending_in_sink.push_back(link_.delivery_pending());
+    if (packet.seq < 100) {
+      Packet echo = packet;
+      echo.seq = packet.seq + 100;
+      EXPECT_TRUE(link_.transmit(sim, echo, *this));
+    }
+  }
+
+ private:
+  Link& link_;
+};
+
+TEST(Link, SinkReentersTransmitOnDrainedRing) {
+  Simulation sim;
+  Link link(test_link(1.0, 1.0));
+  ReentrantSink sink(link);
+  Packet p;
+  p.size_bytes = 1250;
+  ASSERT_TRUE(link.transmit(sim, p, sink));
+  sim.run();
+  const std::vector<std::pair<SimTime, std::uint64_t>> expected = {
+      {1'010'000, 0}, {2'020'000, 100}};
+  EXPECT_EQ(sink.deliveries, expected);
+  EXPECT_EQ(sink.pending_in_sink, (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(sink.chain_pending_in_sink, (std::vector<bool>{false, false}));
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.events_scheduled(), 2u);
+  EXPECT_EQ(sim.queue_high_water(), 1u);
+  EXPECT_FALSE(link.delivery_pending());
+}
+
+TEST(Link, SinkReentersTransmitWithPacketsInFlight) {
+  Simulation sim;
+  Link link(test_link(1.0, 1.0));
+  ReentrantSink sink(link);
+  Packet p;
+  p.size_bytes = 1250;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    p.seq = i;
+    ASSERT_TRUE(link.transmit(sim, p, sink));
+  }
+  sim.run();
+  // Each original packet's echo is transmitted at its delivery instant,
+  // so it arrives one serialization + propagation later; the originals
+  // still in flight deliver first.
+  const std::vector<std::pair<SimTime, std::uint64_t>> expected = {
+      {1'010'000, 0},   {1'020'000, 1},   {1'030'000, 2},
+      {2'020'000, 100}, {2'030'000, 101}, {2'040'000, 102}};
+  EXPECT_EQ(sink.deliveries, expected);
+  EXPECT_EQ(sink.pending_in_sink, (std::vector<std::size_t>{0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(sink.chain_pending_in_sink,
+            (std::vector<bool>{true, true, true, true, true, false}));
+  EXPECT_EQ(sim.events_processed(), 6u);
+  EXPECT_EQ(sim.events_scheduled(), 6u);
+  EXPECT_EQ(sim.queue_high_water(), 1u);
+  EXPECT_FALSE(link.delivery_pending());
 }
 
 }  // namespace

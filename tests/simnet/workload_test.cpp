@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace sss::simnet {
 namespace {
@@ -318,6 +319,26 @@ TEST(MultiHopWorkload, HopCrossTrafficLandsOnItsHopOnly) {
             result.metrics.hops[0].packets_offered);
   EXPECT_GT(result.metrics.hops[1].packets_offered,
             result.metrics.hops[2].packets_offered);
+}
+
+// A deadline-censored multi-hop run: the drain timeout cuts the transfers
+// off mid-flight, so the batch horizon decides exactly where dispatch
+// stops.  The event count and final clock are pinned as numbers so any
+// change to dispatch order or to the stop rule shows up here.
+TEST(MultiHopWorkload, DeadlineCensoredRunStopsAtPinnedEventAndClock) {
+  WorkloadConfig cfg = small_config(2, 2, SpawnMode::kSimultaneousBatches);
+  cfg.path_hops = {cfg.link, cfg.link, cfg.link};
+  cfg.path_hops[1].capacity = units::DataRate::gigabits_per_second(1.0);
+  cfg.drain_timeout = units::Seconds::millis(50.0);
+  cfg.seed = 42;
+  const ExperimentResult result = run_experiment(cfg);
+  std::size_t censored = 0;
+  for (const ClientRecord& client : result.metrics.clients) censored += client.censored;
+  ASSERT_GT(censored, 0u) << "the drain timeout must censor some transfers";
+  EXPECT_EQ(result.events_processed, 122'381u);
+  // One event past the 2.05 s deadline, in nanoseconds.
+  EXPECT_EQ(std::llround(result.sim_duration_s * 1e9), 2'050'004'747);
+  EXPECT_EQ(result.queue_high_water, 14u);
 }
 
 }  // namespace
