@@ -47,9 +47,8 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(16384);
 
 void BM_EventQueueMixedHorizon(benchmark::State& state) {
-  // TCP-like mix: mostly packet-scale offsets that land in the calendar
-  // tier, a tail of RTT/RTO-scale offsets that spill to the far heap, popped
-  // in lockstep so the window keeps advancing (steady-state simulation).
+  // TCP-like mix of packet-scale offsets and a tail of RTT/RTO-scale ones,
+  // popped in lockstep at a steady 1024 pending events.
   struct Noop : simnet::EventHandler {
     void on_event(simnet::Simulation&, int, std::uint64_t, std::uint64_t) override {}
   } handler;

@@ -1,45 +1,26 @@
-// event_queue.hpp — the discrete-event scheduler.
+// event_queue.hpp — the control-plane event queue.
 //
-// A two-tier indexed scheduler keyed on (time, sequence).  The sequence
-// number makes ordering of simultaneous events deterministic (FIFO in
-// scheduling order), which in turn makes every experiment reproducible
-// bit-for-bit from its seed — a property the test suite relies on.  The
-// total order delivered by pop() is exactly the (time, seq) order a binary
-// heap would produce; only the data structure behind it changed.
+// A binary min-heap keyed on (time, sequence).  The sequence number makes
+// ordering of simultaneous events deterministic (FIFO in scheduling order),
+// which in turn makes every experiment reproducible bit-for-bit from its
+// seed — a property the test suite relies on.
 //
-// Tiers:
-//   near  — a calendar of kNumBuckets buckets, each kBucketWidthNs wide,
-//           covering the current time window of kWindowNs.  schedule() into
-//           the window is an O(1) bucket append; pop() drains the cursor
-//           bucket, which is sorted descending on first touch so the
-//           earliest event sits at back() and each subsequent pop is a
-//           move-out + pop_back.  A 64-bit occupancy bitmap skips empty
-//           buckets without scanning them.
-//   far   — a min-heap holding everything beyond the current window (RTO
-//           timers, client spawns seconds away).  When the window drains,
-//           the queue advances to the window of the earliest far event and
-//           migrates that window's events into the calendar.
+// Link deliveries, the bulk of a packet simulation's events, never enter
+// this queue: Simulation dispatches them from its own per-link heap (see
+// simnet/simulation.hpp).  What remains is the control plane — RTO timers,
+// flow starts, scheduler pumps, background arrivals — tens to hundreds of
+// pending events, where a plain heap is as fast as any calendar.
 //
-// Why: the hot path of the TCP simulator schedules tens of millions of
-// events per run.  A binary heap pays O(log n) comparator swaps of 48-byte
-// Events on every schedule AND every pop; the calendar pays an append and an
-// amortized short sort of temporally-local events.  See README "Performance"
-// for measured numbers.
-//
-// Reserved sequences: Link keeps one outstanding delivery event per link and
-// chains the next delivery when one fires (see simnet/link.hpp).  So that
-// chaining cannot perturb the (time, seq) total order, the link reserves the
-// sequence number at transmit time — exactly where the old per-packet
-// schedule() call sat — and later schedules with that reserved key via
-// schedule_reserved().  Event keys are therefore bit-identical to the
-// one-event-per-packet design while queue occupancy stays O(links).
+// Reserved sequences: both dispatch structures share this queue's sequence
+// counter.  A link claims its delivery's sequence number at transmit time
+// (reserve_seq), so deliveries and events form one (time, seq) total order,
+// bit-identical to scheduling one event per packet.
 //
 // Events target an EventHandler with an integer kind and two integer
 // arguments rather than a std::function: the hot path must not allocate.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory_resource>
 #include <stdexcept>
@@ -51,8 +32,8 @@ namespace sss::simnet {
 
 class Simulation;
 
-// Implemented by anything that receives scheduled events (links, flows,
-// workload orchestrators).
+// Implemented by anything that receives scheduled events (flows, workload
+// orchestrators, background traffic).
 class EventHandler {
  public:
   virtual ~EventHandler() = default;
@@ -70,83 +51,50 @@ struct Event {
 
 class EventQueue {
  public:
-  // Bucket and heap storage draw from `mem` — pass a per-cell Arena
-  // (simnet/arena.hpp) to keep queue growth off the global heap.
+  // Heap storage draws from `mem` — pass a per-cell Arena (simnet/arena.hpp)
+  // to keep queue growth off the global heap.
   explicit EventQueue(
-      std::pmr::memory_resource* mem = std::pmr::get_default_resource());
+      std::pmr::memory_resource* mem = std::pmr::get_default_resource())
+      : heap_(mem) {}
 
   void schedule(SimTime at, EventHandler& handler, int kind, std::uint64_t a = 0,
                 std::uint64_t b = 0) {
     if (at < 0) throw std::invalid_argument("EventQueue: negative event time");
-    insert(Event{at, next_seq_++, &handler, kind, a, b});
+    heap_.push_back(Event{at, next_seq_++, &handler, kind, a, b});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    if (heap_.size() > high_water_) high_water_ = heap_.size();
   }
 
-  // Claim the next sequence number without scheduling anything yet.  Pair
-  // with schedule_reserved() to defer the insertion (delivery chaining)
-  // while keeping the (time, seq) key the immediate schedule() would have
-  // had.
+  // Claim the next sequence number without scheduling anything: a link's
+  // delivery key (see Simulation).
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
-  void schedule_reserved(SimTime at, std::uint64_t seq, EventHandler& handler, int kind,
-                         std::uint64_t a = 0, std::uint64_t b = 0) {
-    if (at < 0) throw std::invalid_argument("EventQueue: negative event time");
-    if (seq >= next_seq_) {
-      throw std::logic_error("EventQueue: schedule_reserved with unclaimed seq");
-    }
-    insert(Event{at, seq, &handler, kind, a, b});
-  }
 
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  // Earliest scheduled time.  Precondition: !empty().  (Positions the
-  // cursor, hence non-const.)
-  [[nodiscard]] SimTime next_time() {
-    if (size_ == 0) throw std::logic_error("EventQueue::next_time on empty queue");
-    ensure_front();
-    return buckets_[cursor_].back().at;
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  // The earliest pending event.  Precondition: !empty().
+  [[nodiscard]] const Event& front() const { return heap_.front(); }
+  // Earliest scheduled time.  Precondition: !empty().
+  [[nodiscard]] SimTime next_time() const {
+    if (heap_.empty()) throw std::logic_error("EventQueue::next_time on empty queue");
+    return heap_.front().at;
   }
   // Pop the earliest event.  Precondition: !empty().
   [[nodiscard]] Event pop() {
-    if (size_ == 0) throw std::logic_error("EventQueue::pop on empty queue");
-    ensure_front();
-    std::pmr::vector<Event>& bucket = buckets_[cursor_];
-    Event e = std::move(bucket.back());
-    bucket.pop_back();
-    if (bucket.empty()) mark_empty(cursor_);
-    --size_;
+    if (heap_.empty()) throw std::logic_error("EventQueue::pop on empty queue");
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Event e = heap_.back();
+    heap_.pop_back();
     return e;
   }
   // Sequence numbers consumed so far (schedule() calls + reserve_seq()
   // claims) — the historical "events scheduled" figure.
   [[nodiscard]] std::uint64_t scheduled_total() const { return next_seq_; }
-  // Largest number of events ever resident at once.  The delivery-chaining
-  // design keeps this O(links + flows) instead of O(packets in flight);
-  // tests/simnet/queue_occupancy_test.cpp pins that bound.
+  // Largest number of events ever resident at once.
   [[nodiscard]] std::size_t high_water_mark() const { return high_water_; }
-  // True when the earliest pending event's (time, seq) key precedes
-  // (at, seq) — the test Link's batched drain uses to decide whether its
-  // next chained arrival may be processed inline without perturbing the
-  // global dispatch order.  Precondition: !empty().
-  [[nodiscard]] bool front_precedes(SimTime at, std::uint64_t seq) {
-    ensure_front();
-    const Event& front = buckets_[cursor_].back();
-    return front.at < at || (front.at == at && front.seq < seq);
-  }
 
  private:
-  // 1024 buckets x 16.4 us = a 16.8 ms near window: packet serialization
-  // and RTT-scale events land in the calendar; RTO timers and second-scale
-  // client spawns ride the far heap.  1024 buckets keeps queue construction
-  // cheap (one 24 KB header slab) — short simulations are constructed per
-  // sweep cell, so the empty-queue cost is itself on the hot path.
-  static constexpr int kBucketShift = 14;                       // 16384 ns wide
-  static constexpr int kBucketBits = 10;                        // 1024 buckets
-  static constexpr std::size_t kNumBuckets = std::size_t{1} << kBucketBits;
-  static constexpr int kWindowShift = kBucketShift + kBucketBits;
-  static constexpr std::size_t kBitmapWords = kNumBuckets / 64;
-
-  // Heap/sort comparator: x before y when x fires later (so sorted-descending
-  // vectors pop the earliest from the back, and the far heap's front is the
-  // earliest event).
+  // Heap comparator: x before y when x fires later, so the heap's front is
+  // the earliest (time, seq) key.
   struct Later {
     bool operator()(const Event& x, const Event& y) const {
       if (x.at != y.at) return x.at > y.at;
@@ -154,69 +102,7 @@ class EventQueue {
     }
   };
 
-  [[nodiscard]] static std::int64_t window_of(SimTime at) { return at >> kWindowShift; }
-  [[nodiscard]] static std::size_t bucket_of(SimTime at) {
-    return static_cast<std::size_t>(at >> kBucketShift) & (kNumBuckets - 1);
-  }
-
-  void insert(Event&& e) {
-    const std::int64_t w = window_of(e.at);
-    if (w < current_window_) rewind_window(e.at);
-    if (w > current_window_) {
-      far_.push_back(std::move(e));
-      std::push_heap(far_.begin(), far_.end(), Later{});
-    } else {
-      const std::size_t b = bucket_of(e.at);
-      std::pmr::vector<Event>& bucket = buckets_[b];
-      if (b == cursor_ && cursor_sorted_) {
-        // The cursor bucket is the one being drained: keep it sorted by
-        // inserting in place instead of dirtying it — re-sorting the whole
-        // bucket on the next pop dominated the old profile (millions of
-        // tiny std::sort calls per sweep).
-        const auto pos = std::upper_bound(bucket.begin(), bucket.end(), e, Later{});
-        bucket.insert(pos, std::move(e));
-      } else {
-        bucket.push_back(std::move(e));
-        if (b < cursor_) {
-          cursor_ = b;
-          cursor_sorted_ = false;
-        }
-      }
-      mark_occupied(b);
-    }
-    ++size_;
-    if (size_ > high_water_) high_water_ = size_;
-  }
-  // Move every calendar event to the far heap and rewind the window to
-  // contain `at` (only reachable by scheduling below the current window,
-  // which Simulation never does; raw-queue users like benches can).
-  void rewind_window(SimTime at);
-  // Advance cursor_ to the next occupied, sorted bucket; refill the calendar
-  // from the far heap when the window is drained.  Precondition: !empty().
-  // Fast path: between mutations the cursor bucket stays sorted and
-  // non-empty, so repeated calls (pop → front_precedes → pop ...) are two
-  // loads — every state change that could move the front either empties
-  // the bucket or clears cursor_sorted_.
-  void ensure_front() {
-    if (cursor_sorted_ && !buckets_[cursor_].empty()) return;
-    ensure_front_slow();
-  }
-  void ensure_front_slow();
-
-  void mark_occupied(std::size_t bucket) {
-    occupied_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-  }
-  void mark_empty(std::size_t bucket) {
-    occupied_[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
-  }
-
-  std::pmr::vector<std::pmr::vector<Event>> buckets_;
-  std::array<std::uint64_t, kBitmapWords> occupied_{};
-  std::pmr::vector<Event> far_;  // min-heap via std::push_heap/pop_heap + Later
-  std::int64_t current_window_ = 0;
-  std::size_t cursor_ = 0;
-  bool cursor_sorted_ = false;
-  std::size_t size_ = 0;
+  std::pmr::vector<Event> heap_;
   std::size_t high_water_ = 0;
   std::uint64_t next_seq_ = 0;
 };

@@ -8,10 +8,6 @@
 
 namespace sss::simnet {
 
-namespace {
-constexpr int kDeliverEvent = 1;
-}  // namespace
-
 std::size_t bottleneck_hop_index(const std::vector<LinkConfig>& hops) {
   if (hops.empty()) throw std::invalid_argument("bottleneck_hop_index: empty hop list");
   std::size_t slowest = 0;
@@ -98,45 +94,41 @@ bool Link::transmit(Simulation& sim, const Packet& packet, PacketSink& destinati
   }
   if (probe_ != nullptr) probe_sample(now);
 
-  // Reserve the delivery event's sequence number NOW (the old design
-  // scheduled the event here); the chained schedule below or in on_event
-  // reuses it, keeping the (time, seq) total order bit-identical while only
-  // one delivery event per link sits in the queue.
+  // Reserve the delivery's sequence number NOW, where one-event-per-packet
+  // scheduling would have claimed it: the key is final, however long the
+  // packet waits behind others in the ring.
   const SimTime arrival = busy_until_ + propagation_ns_;
   const std::uint64_t seq = sim.reserve_event_seq();
   keys_.push_back(ArrivalKey{arrival, seq});
   payloads_.push_back(Payload{packet, &destination});
   if (!delivery_pending_) {
     delivery_pending_ = true;
-    sim.schedule_reserved(arrival, seq, *this, kDeliverEvent);
+    sim.arm_link(*this, arrival, seq);
   }
   return true;
 }
 
-void Link::on_event(Simulation& sim, int kind, std::uint64_t /*a*/, std::uint64_t /*b*/) {
+void Link::deliver(Simulation& sim) {
   const obs::ScopedPhase phase(obs::Phase::kLinkDrain);
-  if (kind != kDeliverEvent) throw std::logic_error("Link: unexpected event kind");
-  if (keys_.empty()) throw std::logic_error("Link: delivery with empty in-flight queue");
-  // Batched drain: deliver the front packet, then keep delivering chained
-  // arrivals inline for as long as each one carries the globally-earliest
-  // (time, seq) key (and sits within the batch horizon) — a burst of
-  // back-to-back arrivals is processed in one dispatch instead of one
-  // queue round-trip each.  try_advance_for_batch advances the clock and
-  // the processed count, so dispatch order, timestamps, and event counts
-  // are exactly those of one-event-per-arrival dispatch.
+  // Deliver the front packet, then keep delivering for as long as the next
+  // one carries the globally-earliest (time, seq) key within the batch
+  // horizon — a burst of back-to-back arrivals in one dispatch.
+  // continue_drain advances the clock and the processed count, so dispatch
+  // order, timestamps, and event counts are those of one event per packet.
   for (;;) {
     (void)keys_.pop_front();
-    Payload entry = payloads_.pop_front();
-    const bool more = !keys_.empty();
-    // When the ring drained, clear the pending flag BEFORE the sink runs:
-    // a sink that re-enters transmit() must schedule a fresh chain.
-    if (!more) delivery_pending_ = false;
+    const Payload entry = payloads_.pop_front();
+    if (keys_.empty()) {
+      // Drained: leave the busy heap BEFORE the sink runs, so a sink that
+      // re-enters transmit() arms a fresh delivery.
+      delivery_pending_ = false;
+      sim.retire_link();
+      entry.sink->on_packet(sim, entry.packet);
+      return;
+    }
     entry.sink->on_packet(sim, entry.packet);
-    if (!more) return;  // drained; a re-entrant transmit() re-chained itself
     const ArrivalKey next = keys_.front();
-    if (sim.try_advance_for_batch(next.arrival, next.seq)) continue;
-    sim.schedule_reserved(next.arrival, next.seq, *this, kDeliverEvent);
-    return;
+    if (!sim.continue_drain(next.arrival, next.seq)) return;
   }
 }
 

@@ -4,17 +4,19 @@
 // starts transmission at max(t, busy_until) and the backlog
 // (busy_until - t) * capacity is the queue occupancy in bytes.  Because the
 // queue is FIFO and the propagation delay constant, deliveries complete in
-// enqueue order, so the link keeps exactly ONE outstanding delivery event:
-// when it fires, the front of the in-flight ring is delivered and the next
-// delivery is chained at its precomputed arrival time.  The global event
-// queue therefore holds O(links) delivery events instead of one per
-// in-flight packet — multi-hop topologies scale with hop count, not window
-// size — and this is what lets the packet-level TCP simulator run Table-2
-// scale sweeps (tens of millions of packets) in seconds.
+// enqueue order, so a busy link needs exactly ONE entry in the simulation's
+// busy-link heap, keyed on its front in-flight packet (see
+// simnet/simulation.hpp).  When it reaches the top, Simulation::step calls
+// deliver(), which hands the front packet to its sink and then keeps
+// delivering inline while the next packet is still globally earliest.
+// Pending state is therefore O(links), not one event per in-flight packet —
+// multi-hop topologies scale with hop count, not window size — and this is
+// what lets the packet-level TCP simulator run Table-2 scale sweeps (tens
+// of millions of packets) in seconds.
 //
 // Determinism: each accepted packet reserves its event sequence number at
-// transmit time (EventQueue::reserve_seq), so the chained delivery carries
-// the exact (time, seq) key the old one-event-per-packet design assigned —
+// transmit time (Simulation::reserve_event_seq), so every delivery carries
+// the exact (time, seq) key a one-event-per-packet design would assign —
 // the event total order, and thus every seed-pinned golden, is unchanged.
 //
 // Drop-tail semantics: a packet whose acceptance would push the backlog
@@ -87,7 +89,7 @@ struct LinkCounters {
   std::uint64_t bytes_dropped = 0;
 };
 
-class Link final : public EventHandler {
+class Link final {
  public:
   // `utilization_bucket` controls the granularity of the interface byte
   // counters (Fig. 2's x-axis is derived from these).  `mem` backs the
@@ -105,8 +107,6 @@ class Link final : public EventHandler {
   // real switch; senders learn via duplicate ACKs or RTO).
   bool transmit(Simulation& sim, const Packet& packet, PacketSink& destination);
 
-  void on_event(Simulation& sim, int kind, std::uint64_t a, std::uint64_t b) override;
-
   [[nodiscard]] const LinkConfig& config() const { return config_; }
   [[nodiscard]] const LinkCounters& counters() const { return counters_; }
   // Queue occupancy in bytes if a packet arrived at time `now`.
@@ -119,7 +119,7 @@ class Link final : public EventHandler {
   [[nodiscard]] double loss_rate() const;
   // Packets accepted but not yet delivered (wire + propagation).
   [[nodiscard]] std::size_t in_flight_count() const { return keys_.size(); }
-  // True while a chained delivery event is scheduled (at most one per link).
+  // True while packets are in flight (the link holds a busy-heap entry).
   [[nodiscard]] bool delivery_pending() const { return delivery_pending_; }
 
   // Attach a timeline probe: queue-depth / utilization counter samples on
@@ -130,9 +130,15 @@ class Link final : public EventHandler {
                     SimTime sample_interval);
 
  private:
-  // In-flight state, SoA: the chained-delivery decision (on_event's batch
-  // loop, the schedule_reserved handoff) touches only the 16-byte key ring;
-  // the packet payload and destination ride a parallel ring popped at
+  friend class Simulation;
+  // Deliver the front in-flight packet, and any that follow it inline.
+  // Simulation::step calls this when this link's key is the earliest
+  // pending one.
+  void deliver(Simulation& sim);
+
+  // In-flight state, SoA: the dispatch decision (deliver's drain loop, the
+  // busy-heap key) touches only the 16-byte key ring; the
+  // packet payload and destination ride a parallel ring popped at
   // delivery.  Both rings advance in lock-step (FIFO link).
   struct ArrivalKey {
     SimTime arrival = 0;    // precomputed delivery time

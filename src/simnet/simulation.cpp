@@ -1,16 +1,20 @@
 #include "simnet/simulation.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-#include <utility>
+
+#include "simnet/link.hpp"
 
 namespace sss::simnet {
 
-Simulation::Simulation(std::pmr::memory_resource* mem) : queue_(mem) {}
+Simulation::Simulation(std::pmr::memory_resource* mem) : queue_(mem), busy_(mem) {}
 
 void Simulation::schedule_at(SimTime at, EventHandler& handler, int kind, std::uint64_t a,
                              std::uint64_t b) {
   if (at < now_) throw std::invalid_argument("Simulation: cannot schedule in the past");
   queue_.schedule(at, handler, kind, a, b);
+  ++pending_;
+  note_pending();
 }
 
 void Simulation::schedule_in(SimTime delay, EventHandler& handler, int kind, std::uint64_t a,
@@ -18,44 +22,62 @@ void Simulation::schedule_in(SimTime delay, EventHandler& handler, int kind, std
   schedule_at(now_ + delay, handler, kind, a, b);
 }
 
-void Simulation::schedule_reserved(SimTime at, std::uint64_t seq, EventHandler& handler,
-                                   int kind, std::uint64_t a, std::uint64_t b) {
-  if (at < now_) throw std::invalid_argument("Simulation: cannot schedule in the past");
-  queue_.schedule_reserved(at, seq, handler, kind, a, b);
-}
-
-void Simulation::call_at(SimTime at, std::function<void(Simulation&)> fn) {
-  std::size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    pending_functions_[slot] = std::move(fn);
-  } else {
-    slot = pending_functions_.size();
-    pending_functions_.push_back(std::move(fn));
+void Simulation::arm_link(Link& link, SimTime at, std::uint64_t seq) {
+  // Sift up from a new leaf.  A link armed while another link's sink runs
+  // carries a later key than that link's heap-top entry (its arrival is at
+  // or after now, its seq fresher), so the delivering link stays on top.
+  std::size_t hole = busy_.size();
+  busy_.push_back(BusyLink{at, seq, &link});
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!before(at, seq, busy_[parent].at, busy_[parent].seq)) break;
+    busy_[hole] = busy_[parent];
+    hole = parent;
   }
-  schedule_at(at, function_dispatcher_, /*kind=*/0, /*a=*/slot);
+  busy_[hole] = BusyLink{at, seq, &link};
+  ++pending_;
+  note_pending();
 }
 
-void Simulation::FunctionDispatcher::on_event(Simulation& sim, int /*kind*/, std::uint64_t a,
-                                              std::uint64_t /*b*/) {
-  sim.dispatch_function(a);
+void Simulation::retire_link() {
+  const BusyLink last = busy_.back();
+  busy_.pop_back();
+  if (!busy_.empty()) sift_down(last.at, last.seq, last.link);
 }
 
-void Simulation::dispatch_function(std::uint64_t slot) {
-  // Move out first: the callable may schedule more functions and grow the
-  // vector, invalidating references.
-  std::function<void(Simulation&)> fn = std::move(pending_functions_[slot]);
-  pending_functions_[slot] = nullptr;
-  free_slots_.push_back(slot);
-  fn(*this);
+void Simulation::sift_down(SimTime at, std::uint64_t seq, Link* link) {
+  const std::size_t n = busy_.size();
+  std::size_t hole = 0;
+  for (;;) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= n) break;
+    if (child + 1 < n) {
+      child += before(busy_[child + 1].at, busy_[child + 1].seq, busy_[child].at,
+                      busy_[child].seq);
+    }
+    if (!before(busy_[child].at, busy_[child].seq, at, seq)) break;
+    busy_[hole] = busy_[child];
+    hole = child;
+  }
+  busy_[hole] = BusyLink{at, seq, link};
 }
 
 bool Simulation::step() {
+  if (!busy_.empty() &&
+      (queue_.empty() ||
+       before(busy_.front().at, busy_.front().seq, queue_.front().at, queue_.front().seq))) {
+    // The link stops counting as pending while its sink runs.
+    now_ = busy_.front().at;
+    ++processed_;
+    --pending_;
+    busy_.front().link->deliver(*this);
+    return true;
+  }
   if (queue_.empty()) return false;
-  Event e = queue_.pop();
+  const Event e = queue_.pop();
   now_ = e.at;
   ++processed_;
+  --pending_;
   e.handler->on_event(*this, e.kind, e.a, e.b);
   return true;
 }
@@ -65,12 +87,18 @@ void Simulation::run() {
   }
 }
 
+SimTime Simulation::next_time() const {
+  if (busy_.empty()) return queue_.next_time();
+  if (queue_.empty()) return busy_.front().at;
+  return std::min(busy_.front().at, queue_.front().at);
+}
+
 void Simulation::run_until(SimTime deadline) {
-  // Bound batched inline dispatch at the deadline so a link drain cannot
-  // process arrivals this loop would not have popped.
+  // Bound inline link drains at the deadline so a drain cannot deliver
+  // arrivals this loop would not have dispatched.
   const SimTime saved_horizon = batch_horizon_;
   batch_horizon_ = deadline;
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
+  while (!empty() && next_time() <= deadline) {
     step();
   }
   batch_horizon_ = saved_horizon;

@@ -309,8 +309,8 @@ struct ClientPlan {
 // scheduler), and maps completed flows back to their client records.
 //
 // An EventHandler so flow starts, arrivals and scheduler re-checks ride the
-// non-allocating typed event queue instead of call_at's std::function path;
-// flow objects and every table are drawn from the cell's memory resource.
+// non-allocating typed event queue; flow objects and every table are drawn
+// from the cell's memory resource.
 // (Named namespace, not anonymous: an anonymous-namespace member type
 // inside the externally-visible Workload::Cell trips -Wsubobject-linkage.)
 class Orchestrator : public FlowObserver, public EventHandler {
@@ -630,6 +630,9 @@ void Workload::prepare() {
     cell.rlinks.push_back(alloc.new_object<Link>(reverse_link(edge), units::Seconds::of(1.0),
                                                  mem_, /*record_series=*/false));
   }
+  // Every link may be busy at once: size the busy-link heap here, not in
+  // drive().
+  cell.sim.reserve_links(cell.links.size() + cell.rlinks.size());
 
   if (probe_.recorder != nullptr) {
     // Track order fixes the Perfetto row order: workload summary first,
@@ -728,9 +731,9 @@ void Workload::prepare() {
 void Workload::drive() {
   const obs::ScopedPhase obs_phase(obs::Phase::kDrive);
   Cell& cell = *cell_;
-  // Batched link drains may dispatch chained arrivals inline; capping them
-  // at the deadline keeps the stop point identical to the unbatched loop
-  // (which runs at most one event past the deadline).
+  // Link drains may deliver packets inline; capping them at the deadline
+  // keeps the stop point identical to one-event-per-step dispatch (which
+  // runs at most one event past the deadline).
   cell.sim.set_batch_horizon(cell.deadline);
   while (!cell.sim.empty() && cell.sim.now() <= cell.deadline) {
     cell.sim.step();

@@ -1,7 +1,8 @@
-// Tests for the event queue: ordering, FIFO tie-breaking, error paths, and
-// the two-tier scheduler specifics — bucket-boundary times, far-horizon
-// spill, window rewinds, reserved sequences, and a randomized differential
-// check against a reference binary heap.
+// Tests for the event queue: ordering, FIFO tie-breaking, error paths,
+// order across power-of-two time boundaries and far horizons, scheduling
+// below earlier-popped times, and a randomized differential check against a
+// reference binary heap.  (How link deliveries interleave with queued
+// events is pinned at the link level in link_test.cpp.)
 #include "simnet/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -94,10 +95,10 @@ TEST(EventQueue, ScheduledTotalCounts) {
   EXPECT_EQ(q.scheduled_total(), 2u);
 }
 
-// --- two-tier scheduler specifics ------------------------------------------
+// --- order across time scales ----------------------------------------------
 
-// Bucket width is 2^14 ns and the near window spans 2^24 ns; times straddling
-// those boundaries must still pop in global (time, seq) order.
+// Times straddling power-of-two boundaries must pop in global (time, seq)
+// order.
 TEST(EventQueue, BucketAndWindowBoundaryTimes) {
   constexpr SimTime kBucket = SimTime{1} << 14;
   constexpr SimTime kWindow = SimTime{1} << 24;
@@ -115,12 +116,12 @@ TEST(EventQueue, BucketAndWindowBoundaryTimes) {
   EXPECT_TRUE(q.empty());
 }
 
-// Events seconds away (RTO timers, client spawns) spill to the far heap and
-// migrate back when the near window drains.
+// Events seconds away (RTO timers, client spawns) interleave correctly with
+// near ones.
 TEST(EventQueue, FarHorizonSpillAndRefill) {
   EventQueue q;
   RecordingHandler h;
-  q.schedule(1'000'000'000, h, 2);  // ~60 windows out
+  q.schedule(1'000'000'000, h, 2);  // a second out
   q.schedule(100, h, 0);
   q.schedule(3'000'000'000, h, 3);
   q.schedule(200'000, h, 1);
@@ -140,13 +141,13 @@ TEST(EventQueue, SimultaneousFarEventsStayFifo) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(q.pop().kind, i);
 }
 
-// Scheduling below the current window (legal for raw-queue users such as the
-// microbench, though Simulation never does it) rewinds the window.
+// Scheduling below an already-popped time (legal for raw-queue users such as
+// the microbench, though Simulation never does it) still pops in order.
 TEST(EventQueue, RewindBelowCurrentWindow) {
   EventQueue q;
   RecordingHandler h;
   q.schedule(2'000'000'000, h, 1);
-  EXPECT_EQ(q.pop().kind, 1);  // advances the window to ~t=2e9
+  EXPECT_EQ(q.pop().kind, 1);
   q.schedule(5, h, 2);
   q.schedule(2'100'000'000, h, 3);
   q.schedule(7, h, 4);
@@ -156,8 +157,7 @@ TEST(EventQueue, RewindBelowCurrentWindow) {
   EXPECT_TRUE(q.empty());
 }
 
-// Interleaved schedule/pop with inserts landing in the partially-drained
-// cursor bucket.
+// Interleaved schedule/pop with inserts earlier than the remaining events.
 TEST(EventQueue, InterleavedScheduleAndPop) {
   EventQueue q;
   RecordingHandler h;
@@ -165,7 +165,7 @@ TEST(EventQueue, InterleavedScheduleAndPop) {
   q.schedule(30, h, 1);
   q.schedule(50, h, 2);
   EXPECT_EQ(q.pop().kind, 0);
-  q.schedule(20, h, 3);  // same bucket, earlier than remaining events
+  q.schedule(20, h, 3);  // earlier than the remaining events
   q.schedule(40, h, 4);
   EXPECT_EQ(q.pop().kind, 3);
   EXPECT_EQ(q.pop().kind, 1);
@@ -174,26 +174,6 @@ TEST(EventQueue, InterleavedScheduleAndPop) {
   EXPECT_EQ(q.pop().kind, 5);
   EXPECT_EQ(q.pop().kind, 2);
   EXPECT_TRUE(q.empty());
-}
-
-// A reserved sequence pins the tie-break to the reservation point: an event
-// scheduled later with a reserved seq pops before same-time events whose
-// seqs were claimed after the reservation.
-TEST(EventQueue, ReservedSeqPinsTieBreakToReservationPoint) {
-  EventQueue q;
-  RecordingHandler h;
-  const std::uint64_t reserved = q.reserve_seq();
-  q.schedule(100, h, 2);  // claims the NEXT seq
-  q.schedule_reserved(100, reserved, h, 1);
-  EXPECT_EQ(q.pop().kind, 1) << "reserved seq predates the direct schedule";
-  EXPECT_EQ(q.pop().kind, 2);
-  EXPECT_EQ(q.scheduled_total(), 2u);
-}
-
-TEST(EventQueue, ScheduleReservedRejectsUnclaimedSeq) {
-  EventQueue q;
-  RecordingHandler h;
-  EXPECT_THROW(q.schedule_reserved(1, 0, h, 0), std::logic_error);
 }
 
 TEST(EventQueue, HighWaterMarkTracksPeakOccupancy) {
@@ -236,15 +216,15 @@ TEST(EventQueue, MatchesReferenceHeapUnderRandomWorkload) {
       ASSERT_EQ(got.seq, expected.seq) << "step " << step;
       low_bound = got.at;
     } else {
-      // Mix of near-bucket, cross-bucket, and far-horizon offsets.
+      // Mix of packet-scale, RTT-scale, and RTO-scale offsets.
       const std::uint64_t r = rng() % 100;
       SimTime offset;
       if (r < 60) {
-        offset = static_cast<SimTime>(rng() % 20'000);          // same/near bucket
+        offset = static_cast<SimTime>(rng() % 20'000);
       } else if (r < 90) {
-        offset = static_cast<SimTime>(rng() % 2'000'000);       // across buckets
+        offset = static_cast<SimTime>(rng() % 2'000'000);
       } else {
-        offset = static_cast<SimTime>(rng() % 3'000'000'000);   // far horizon
+        offset = static_cast<SimTime>(rng() % 3'000'000'000);
       }
       const SimTime at = low_bound + offset;
       q.schedule(at, h, 0);

@@ -1,7 +1,7 @@
-// Pins the event-engine overhaul's occupancy guarantee: during a 4-hop
-// experiment the global event queue holds O(links + flows) events — one
-// chained delivery event per busy link, one lazy RTO timer per flow, and the
-// control-plane start events — NOT one event per in-flight packet.  Before
+// Pins the event engine's occupancy guarantee: during a 4-hop experiment
+// the simulation holds O(links + flows) pending events — one busy-heap
+// entry per busy link, one lazy RTO timer per flow, and the control-plane
+// start events — NOT one event per in-flight packet.  Before
 // delivery chaining the queue's high-water mark tracked the total window
 // (tens of thousands of packets across every hop of every path).
 #include <gtest/gtest.h>
@@ -40,8 +40,8 @@ TEST(QueueOccupancy, FourHopExperimentStaysLinksPlusFlows) {
   ASSERT_GT(result.queue_high_water, 0u);
 
   // O(links + flows): 8 links (4 forward + 4 reverse) can each hold one
-  // chained delivery event, each flow one RTO timer and one start event,
-  // plus a handful of orchestrator call_at events.  2 clients/s x 1 s x
+  // pending delivery, each flow one RTO timer and one start event, plus a
+  // handful of orchestrator events.  2 clients/s x 1 s x
   // 2 flows = 4 flows -> a generous constant bound, orders of magnitude
   // below the in-flight packet count.
   EXPECT_LE(result.queue_high_water, 64u);

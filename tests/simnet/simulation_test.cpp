@@ -1,10 +1,11 @@
-// Tests for the simulation kernel: clock advance, run modes, callable
+// Tests for the simulation kernel: clock advance, run modes, typed-event
 // scheduling, and reentrant scheduling from handlers.
 #include "simnet/simulation.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 namespace sss::simnet {
@@ -16,46 +17,65 @@ TEST(Simulation, ClockStartsAtZero) {
   EXPECT_DOUBLE_EQ(sim.now_seconds().seconds(), 0.0);
 }
 
-TEST(Simulation, CallAtAdvancesClock) {
-  Simulation sim;
+// Records the clock at every event it receives.
+struct ClockRecorder : EventHandler {
   std::vector<SimTime> seen;
-  sim.call_at(100, [&](Simulation& s) { seen.push_back(s.now()); });
-  sim.call_at(50, [&](Simulation& s) { seen.push_back(s.now()); });
+  void on_event(Simulation& sim, int, std::uint64_t, std::uint64_t) override {
+    seen.push_back(sim.now());
+  }
+};
+
+TEST(Simulation, ScheduleAtAdvancesClock) {
+  Simulation sim;
+  ClockRecorder rec;
+  sim.schedule_at(100, rec, 0);
+  sim.schedule_at(50, rec, 0);
   sim.run();
-  EXPECT_EQ(seen, (std::vector<SimTime>{50, 100}));
+  EXPECT_EQ(rec.seen, (std::vector<SimTime>{50, 100}));
   EXPECT_EQ(sim.now(), 100);
   EXPECT_EQ(sim.events_processed(), 2u);
 }
 
-TEST(Simulation, CallInIsRelative) {
+TEST(Simulation, ScheduleInIsRelative) {
+  // kind 1 schedules a kind-0 event 5 ns after itself.
+  struct Relay : ClockRecorder {
+    void on_event(Simulation& sim, int kind, std::uint64_t a, std::uint64_t b) override {
+      if (kind == 1) {
+        sim.schedule_in(5, *this, 0);
+      } else {
+        ClockRecorder::on_event(sim, kind, a, b);
+      }
+    }
+  } relay;
   Simulation sim;
-  SimTime fired_at = -1;
-  sim.call_at(10, [&](Simulation& s) {
-    s.call_in(5, [&](Simulation& inner) { fired_at = inner.now(); });
-  });
+  sim.schedule_at(10, relay, 1);
   sim.run();
-  EXPECT_EQ(fired_at, 15);
+  EXPECT_EQ(relay.seen, (std::vector<SimTime>{15}));
 }
 
 TEST(Simulation, CannotScheduleInThePast) {
+  struct PastScheduler : EventHandler {
+    bool checked = false;
+    void on_event(Simulation& sim, int, std::uint64_t, std::uint64_t) override {
+      EXPECT_THROW(sim.schedule_at(50, *this, 0), std::invalid_argument);
+      checked = true;
+    }
+  } handler;
   Simulation sim;
-  sim.call_at(100, [](Simulation& s) {
-    EXPECT_THROW(s.call_at(50, [](Simulation&) {}), std::invalid_argument);
-  });
+  sim.schedule_at(100, handler, 0);
   sim.run();
+  EXPECT_TRUE(handler.checked);
 }
 
 TEST(Simulation, RunUntilStopsAtDeadline) {
   Simulation sim;
-  std::vector<SimTime> seen;
-  for (SimTime t : {10, 20, 30, 40}) {
-    sim.call_at(t, [&](Simulation& s) { seen.push_back(s.now()); });
-  }
+  ClockRecorder rec;
+  for (SimTime t : {10, 20, 30, 40}) sim.schedule_at(t, rec, 0);
   sim.run_until(25);
-  EXPECT_EQ(seen, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(rec.seen, (std::vector<SimTime>{10, 20}));
   EXPECT_EQ(sim.now(), 25);  // clock lands on the deadline
   sim.run();
-  EXPECT_EQ(seen, (std::vector<SimTime>{10, 20, 30, 40}));
+  EXPECT_EQ(rec.seen, (std::vector<SimTime>{10, 20, 30, 40}));
 }
 
 TEST(Simulation, RunUntilAdvancesClockOnEmptyQueue) {
@@ -66,37 +86,27 @@ TEST(Simulation, RunUntilAdvancesClockOnEmptyQueue) {
 
 TEST(Simulation, StepReturnsFalseWhenDrained) {
   Simulation sim;
-  sim.call_at(1, [](Simulation&) {});
+  ClockRecorder rec;
+  sim.schedule_at(1, rec, 0);
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
 }
 
-TEST(Simulation, ReentrantSchedulingFromCallback) {
-  // A callback scheduling more callbacks (the function-slot vector grows
-  // while dispatching) must be safe.
-  Simulation sim;
-  int fired = 0;
-  std::function<void(Simulation&)> chain = [&](Simulation& s) {
-    ++fired;
-    if (fired < 100) s.call_in(1, chain);
-  };
-  sim.call_at(0, chain);
-  sim.run();
-  EXPECT_EQ(fired, 100);
-  EXPECT_EQ(sim.now(), 99);
-}
-
-TEST(Simulation, FunctionSlotsAreRecycled) {
-  Simulation sim;
-  // Schedule and run many one-shot callables; slot reuse keeps the pending
-  // vector small (regression guard against unbounded growth).
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      sim.call_at(sim.now() + i + 1, [](Simulation&) {});
+TEST(Simulation, ReentrantSchedulingFromHandler) {
+  // A handler scheduling its own next event from inside on_event must be
+  // safe.
+  struct Chain : EventHandler {
+    int fired = 0;
+    void on_event(Simulation& sim, int, std::uint64_t, std::uint64_t) override {
+      ++fired;
+      if (fired < 100) sim.schedule_in(1, *this, 0);
     }
-    sim.run();
-  }
-  EXPECT_EQ(sim.events_processed(), 1000u);
+  } chain;
+  Simulation sim;
+  sim.schedule_at(0, chain, 0);
+  sim.run();
+  EXPECT_EQ(chain.fired, 100);
+  EXPECT_EQ(sim.now(), 99);
 }
 
 TEST(Simulation, TypedEventsDispatchToHandler) {
