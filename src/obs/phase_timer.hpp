@@ -35,7 +35,7 @@ enum class Phase : int {
   kDrive,         // Workload::drive — the event loop
   kFinish,        // Workload::finish — metrics collection
   kTransmit,      // TcpFlow::maybe_send — window walk + packet sends
-  kLinkDrain,     // Link::on_event — batched delivery drains
+  kLinkDrain,     // Link::deliver — batched delivery drains
   kTcpProcess,    // TcpFlow::on_packet — data/ACK processing
 };
 inline constexpr int kPhaseCount = 6;

@@ -86,11 +86,14 @@ class Simulation {
     std::uint64_t seq;   // its reserved sequence number
     Link* link;
   };
-  // Bitwise, not short-circuit: heap comparisons are unpredictable, and
-  // this form compiles without branches.
+  // (at, seq) < (other_at, other_seq) as one 128-bit comparison (times are
+  // never negative): two instructions and no branch, where heap comparisons
+  // are unpredictable.
   [[nodiscard]] static bool before(SimTime at, std::uint64_t seq, SimTime other_at,
                                    std::uint64_t other_seq) {
-    return (at < other_at) | ((at == other_at) & (seq < other_seq));
+    using Key = unsigned __int128;
+    return ((Key(static_cast<std::uint64_t>(at)) << 64) | seq) <
+           ((Key(static_cast<std::uint64_t>(other_at)) << 64) | other_seq);
   }
 
   // An idle link went busy with its front delivery keyed (at, seq).

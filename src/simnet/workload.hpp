@@ -204,9 +204,10 @@ struct ExperimentResult {
   ExperimentMetrics metrics;
   double offered_load = 0.0;
   std::uint64_t events_processed = 0;
-  // Event-queue occupancy high-water mark: with per-link delivery chaining
-  // this stays O(links + flows) even when tens of thousands of packets are
-  // in flight (pinned by tests/simnet/queue_occupancy_test.cpp).
+  // High-water mark of pending events (Simulation::queue_high_water): with
+  // one busy-heap entry per link this stays O(links + flows) even when tens
+  // of thousands of packets are in flight (pinned by
+  // tests/simnet/queue_occupancy_test.cpp).
   std::uint64_t queue_high_water = 0;
   double sim_duration_s = 0.0;  // virtual time at drain
   // Retained arena capacity after the run (0 for the fluid substrate and

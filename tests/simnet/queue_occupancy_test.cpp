@@ -1,9 +1,9 @@
 // Pins the event engine's occupancy guarantee: during a 4-hop experiment
 // the simulation holds O(links + flows) pending events — one busy-heap
 // entry per busy link, one lazy RTO timer per flow, and the control-plane
-// start events — NOT one event per in-flight packet.  Before
-// delivery chaining the queue's high-water mark tracked the total window
-// (tens of thousands of packets across every hop of every path).
+// start events — NOT one event per in-flight packet, which would track the
+// total window (tens of thousands of packets across every hop of every
+// path).
 #include <gtest/gtest.h>
 
 #include "simnet/workload.hpp"
