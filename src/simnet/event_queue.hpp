@@ -8,8 +8,8 @@
 // Link deliveries, the bulk of a packet simulation's events, never enter
 // this queue: Simulation dispatches them from its own per-link heap (see
 // simnet/simulation.hpp).  What remains is the control plane — RTO timers,
-// flow starts, scheduler pumps, background arrivals — tens to hundreds of
-// pending events, where a plain heap is as fast as any calendar.
+// flow starts, scheduler pumps, background arrivals — a few percent of all
+// events, so a plain heap suffices.
 //
 // Reserved sequences: both dispatch structures share this queue's sequence
 // counter.  A link claims its delivery's sequence number at transmit time
