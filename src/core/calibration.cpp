@@ -59,20 +59,6 @@ CongestionProfile build_congestion_profile(
   return CongestionProfile(std::move(points));
 }
 
-double estimate_alpha(const simnet::ExperimentResult& result) {
-  const double mean = result.metrics.mean_client_fct_s();
-  if (mean <= 0.0) throw std::invalid_argument("estimate_alpha: no client records");
-  return std::min(1.0, result.t_theoretical_s() / mean);
-}
-
-double estimate_alpha_worst_case(const simnet::ExperimentResult& result) {
-  const double worst = result.t_worst_s();
-  if (worst <= 0.0) {
-    throw std::invalid_argument("estimate_alpha_worst_case: no client records");
-  }
-  return std::min(1.0, result.t_theoretical_s() / worst);
-}
-
 CalibrationResult calibrate(const CalibrationInputs& inputs) {
   if (inputs.sweep == nullptr || inputs.sweep->empty()) {
     throw std::invalid_argument("calibrate: a congestion sweep is required");

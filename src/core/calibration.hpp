@@ -79,14 +79,6 @@ class CongestionProfile {
 [[nodiscard]] CongestionProfile build_congestion_profile(
     const std::vector<simnet::ExperimentResult>& results);
 
-// alpha estimate from one uncongested experiment: theoretical transfer time
-// over the MEAN measured client time (efficiency of the happy path).
-[[nodiscard]] double estimate_alpha(const simnet::ExperimentResult& result);
-
-// Worst-case-oriented alpha: theoretical over the MAX measured client time.
-// This is the value a tail-driven design should plug into Eq. 10.
-[[nodiscard]] double estimate_alpha_worst_case(const simnet::ExperimentResult& result);
-
 // Assemble ModelParameters from measurement artifacts: a congestion sweep
 // (for alpha at the operating utilization), a staged-transfer calibration
 // (for the file-based theta), and explicit compute/workload figures.

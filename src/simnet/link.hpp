@@ -26,13 +26,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
 #include "simnet/ring_buffer.hpp"
 #include "simnet/simulation.hpp"
 #include "simnet/time.hpp"
-#include "stats/timeseries.hpp"
 #include "units/units.hpp"
 
 namespace sss::obs {
@@ -91,16 +91,11 @@ struct LinkCounters {
 
 class Link final {
  public:
-  // `utilization_bucket` controls the granularity of the interface byte
-  // counters (Fig. 2's x-axis is derived from these).  `mem` backs the
-  // in-flight rings and the byte series (pass a per-cell Arena to keep
-  // ring growth off the heap).  `record_series` disables the per-packet
-  // byte-series bookkeeping for directions whose utilization is never read
-  // (the workload's ACK/reverse path).
+  // Utilization is counted in fixed 1 s buckets, the paper's interface
+  // byte counters (Fig. 2's x-axis is derived from these).  `mem` backs the
+  // in-flight rings (pass a per-cell Arena to keep ring growth off the heap).
   explicit Link(LinkConfig config,
-                units::Seconds utilization_bucket = units::Seconds::of(1.0),
-                std::pmr::memory_resource* mem = std::pmr::get_default_resource(),
-                bool record_series = true);
+                std::pmr::memory_resource* mem = std::pmr::get_default_resource());
 
   // Offer a packet for transmission toward `destination`.  Returns false if
   // the drop-tail queue rejected it (the packet is silently lost, as on a
@@ -113,9 +108,9 @@ class Link final {
   [[nodiscard]] double backlog_bytes(SimTime now) const;
   // Fraction of capacity used over the busiest counting bucket.
   [[nodiscard]] double peak_utilization() const;
-  // Fraction of capacity used averaged over all buckets.
+  // Fraction of capacity used averaged over every bucket from 0 through the
+  // last one a packet started in, idle buckets included.
   [[nodiscard]] double mean_utilization() const;
-  [[nodiscard]] const stats::TimeSeries& bytes_series() const { return bytes_series_; }
   [[nodiscard]] double loss_rate() const;
   // Packets accepted but not yet delivered (wire + propagation).
   [[nodiscard]] std::size_t in_flight_count() const { return keys_.size(); }
@@ -163,8 +158,15 @@ class Link final {
   RingBuffer<ArrivalKey> keys_;
   RingBuffer<Payload> payloads_;
   bool delivery_pending_ = false;
-  bool record_series_;
-  stats::TimeSeries bytes_series_;
+
+  // 1 s utilization buckets, streamed: only the bucket being filled and the
+  // busiest one before it are kept; the run total is bytes_forwarded.
+  std::uint64_t bucket_ = 0;       // index of the bucket being filled
+  SimTime bucket_end_ = 0;         // first ns past it (0: none opened yet)
+  std::uint64_t bucket_bytes_ = 0;
+  std::uint64_t peak_bucket_bytes_ = 0;
+
+  void open_bucket(SimTime start);
 
   // Timeline probe (null = observability off).
   obs::TimelineRecorder* probe_ = nullptr;

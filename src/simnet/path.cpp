@@ -4,15 +4,14 @@
 
 namespace sss::simnet {
 
-Path::Path(const std::vector<LinkConfig>& hops, units::Seconds utilization_bucket,
-           std::pmr::memory_resource* mem, bool record_series)
+Path::Path(const std::vector<LinkConfig>& hops, std::pmr::memory_resource* mem)
     : mem_(mem), owned_(mem), hops_(mem), relays_(mem), pending_(mem) {
   if (hops.empty()) throw std::invalid_argument("Path: need at least one hop");
   owned_.reserve(hops.size());
   hops_.reserve(hops.size());
   std::pmr::polymorphic_allocator<> alloc(mem_);
   for (const LinkConfig& cfg : hops) {
-    owned_.push_back(alloc.new_object<Link>(cfg, utilization_bucket, mem_, record_series));
+    owned_.push_back(alloc.new_object<Link>(cfg, mem_));
     hops_.push_back(owned_.back());
   }
   init_route();

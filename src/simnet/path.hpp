@@ -38,13 +38,10 @@ class Path {
  public:
   // Owning: constructs one Link per hop config, in order.  Links, relays,
   // and pending rings are allocated from `mem` (pass a per-cell Arena to
-  // bump-allocate the whole topology; default heap otherwise).
-  // `record_series` is forwarded to every hop — the workload disables it on
-  // the ACK/reverse path, whose utilization is never read.
+  // bump-allocate the whole topology; default heap otherwise).  Each hop
+  // counts utilization in fixed 1 s buckets (see Link).
   explicit Path(const std::vector<LinkConfig>& hops,
-                units::Seconds utilization_bucket = units::Seconds::of(1.0),
-                std::pmr::memory_resource* mem = std::pmr::get_default_resource(),
-                bool record_series = true);
+                std::pmr::memory_resource* mem = std::pmr::get_default_resource());
   // Non-owning: route over existing links (e.g. a one-hop cross-traffic
   // path sharing a link with the main forward path).  Links must outlive
   // the Path.

@@ -622,13 +622,10 @@ void Workload::prepare() {
   cell.links.reserve(world.edges.size());
   cell.rlinks.reserve(world.edges.size());
   for (const LinkConfig& edge : world.edges) {
-    cell.links.push_back(alloc.new_object<Link>(edge, units::Seconds::of(1.0), mem_,
-                                                /*record_series=*/true));
+    cell.links.push_back(alloc.new_object<Link>(edge, mem_));
   }
   for (const LinkConfig& edge : world.edges) {
-    // The ACK direction's utilization is never read.
-    cell.rlinks.push_back(alloc.new_object<Link>(reverse_link(edge), units::Seconds::of(1.0),
-                                                 mem_, /*record_series=*/false));
+    cell.rlinks.push_back(alloc.new_object<Link>(reverse_link(edge), mem_));
   }
   // Every link may be busy at once: size the busy-link heap here, not in
   // drive().

@@ -7,40 +7,6 @@
 
 namespace sss::stats {
 
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  if (!(hi > lo)) throw std::invalid_argument("LinearHistogram requires hi > lo");
-  if (bins == 0) throw std::invalid_argument("LinearHistogram requires bins > 0");
-}
-
-void LinearHistogram::add(double x) { add(x, 1); }
-
-void LinearHistogram::add(double x, std::size_t weight) {
-  total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += weight;
-    return;
-  }
-  counts_[bin_index(x)] += weight;
-}
-
-double LinearHistogram::bin_lo(std::size_t bin) const {
-  return lo_ + static_cast<double>(bin) * width_;
-}
-
-double LinearHistogram::bin_hi(std::size_t bin) const {
-  return lo_ + static_cast<double>(bin + 1) * width_;
-}
-
-std::size_t LinearHistogram::bin_index(double x) const {
-  const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  return std::min(idx, counts_.size() - 1);
-}
-
 LogHistogram::LogHistogram(double lo, double hi, std::size_t bins_per_decade)
     : log_lo_(std::log10(lo)),
       log_width_(1.0 / static_cast<double>(bins_per_decade)),

@@ -1,8 +1,8 @@
-// histogram.hpp — fixed-width and logarithmic histograms.
+// histogram.hpp — logarithmic histogram.
 //
 // Log-spaced bins are the natural fit for flow-completion-time data whose
 // tail spans two orders of magnitude (0.16 s theoretical to >5 s congested,
-// Fig. 2a); linear bins serve utilization series and frame-size checks.
+// Fig. 2a).
 #pragma once
 
 #include <cstddef>
@@ -10,36 +10,6 @@
 #include <vector>
 
 namespace sss::stats {
-
-// Fixed-width histogram over [lo, hi); samples outside the range are counted
-// in underflow/overflow buckets rather than dropped, so totals always match.
-class LinearHistogram {
- public:
-  LinearHistogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  void add(double x, std::size_t weight);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  // Inclusive lower edge of bin i.
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-  // Index of the bin containing x, clamped into range.
-  [[nodiscard]] std::size_t bin_index(double x) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
-};
 
 // Logarithmic histogram: bins are geometric in [lo, hi), `bins_per_decade`
 // bins per factor of ten.

@@ -116,23 +116,6 @@ TEST(BuildCongestionProfile, FromRealSweep) {
   }
 }
 
-TEST(EstimateAlpha, BoundedAndOrdered) {
-  const auto result = tiny_experiment(1);
-  const double mean_alpha = estimate_alpha(result);
-  const double worst_alpha = estimate_alpha_worst_case(result);
-  EXPECT_GT(mean_alpha, 0.0);
-  EXPECT_LE(mean_alpha, 1.0);
-  EXPECT_GT(worst_alpha, 0.0);
-  // Worst case is never faster than the mean.
-  EXPECT_LE(worst_alpha, mean_alpha + 1e-12);
-}
-
-TEST(EstimateAlpha, EmptyResultThrows) {
-  simnet::ExperimentResult empty;
-  EXPECT_THROW((void)estimate_alpha(empty), std::invalid_argument);
-  EXPECT_THROW((void)estimate_alpha_worst_case(empty), std::invalid_argument);
-}
-
 TEST(Calibrate, AssemblesValidParameters) {
   std::vector<simnet::ExperimentResult> sweep;
   for (int c : {1, 3, 5, 7}) sweep.push_back(tiny_experiment(c));

@@ -19,6 +19,7 @@
 //     --timeline tests/data/timeline_golden/fig4_file_vs_stream.json
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,6 +27,7 @@
 #include "obs/timeline.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
+#include "trace/json.hpp"
 
 namespace sss::scenario {
 namespace {
@@ -87,6 +89,30 @@ TEST(TimelineGolden, HopSweepMatchesCommittedFixture) {
                 "/tests/data/timeline_golden/hop_bottleneck_sweep.cell2.json");
   ASSERT_FALSE(golden.empty());
   expect_same_bytes(record_hop_sweep(1), golden);
+}
+
+// The per-hop utilization counters are a fraction of link capacity: a
+// saturated hop reads about 1, never several times over (a bits-per-byte
+// slip would read ~8).
+TEST(TimelineGolden, HopSweepUtilizationCountersAreCapacityFractions) {
+  const std::string golden =
+      read_file(std::string(SSS_SOURCE_DIR) +
+                "/tests/data/timeline_golden/hop_bottleneck_sweep.cell2.json");
+  ASSERT_FALSE(golden.empty());
+  const std::string suffix = ":utilization";
+  std::size_t samples = 0;
+  double peak = 0.0;
+  const trace::JsonValue doc = trace::JsonValue::parse(golden);
+  for (const trace::JsonValue& event : doc.at("traceEvents").as_array()) {
+    const trace::JsonValue* name = event.find("name");  // "E" events have none
+    if (name == nullptr || !name->as_string().ends_with(suffix)) continue;
+    const double value = event.at("args").at("value").as_double();
+    EXPECT_LE(value, 1.5) << name->as_string() << " at ts " << event.at("ts").as_double();
+    peak = std::max(peak, value);
+    ++samples;
+  }
+  EXPECT_GT(samples, 0u);
+  EXPECT_GE(peak, 0.9) << "no hop ever reads saturated";
 }
 
 TEST(TimelineGolden, Fig4AnalyticTimelineMatchesCommittedFixture) {

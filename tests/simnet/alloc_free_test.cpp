@@ -6,10 +6,10 @@
 // cannot leak into other tests).  The zero-alloc window is drive(): the
 // prepare() phase may use transient std::vector helpers (arrival schedules,
 // hop lists), but once the world is built every event dispatch, packet
-// ring push, scoreboard update, time-series record, and scheduled-mode
-// client spawn must come from the cell's Arena — whose chunks are retained
-// across prepare() cycles, so a warm re-run re-traces the same bump
-// allocations without ever reaching the upstream heap.
+// ring push, scoreboard update, and scheduled-mode client spawn must come
+// from the cell's Arena — whose chunks are retained across prepare()
+// cycles, so a warm re-run re-traces the same bump allocations without ever
+// reaching the upstream heap.
 
 #include <atomic>
 #include <cstddef>

@@ -146,8 +146,63 @@ TEST(Link, UtilizationSeriesMeasuresLoad) {
     ASSERT_TRUE(link.transmit(sim, p, sink));
   }
   sim.run();
-  EXPECT_NEAR(link.bytes_series().total_in_bucket(0), 62.5e6, 1.0);
+  EXPECT_EQ(link.counters().bytes_forwarded, 62'500'000u);
+  EXPECT_NEAR(link.mean_utilization(), 0.5, 0.01);
   EXPECT_NEAR(link.peak_utilization(), 0.5, 0.01);
+}
+
+// Transmits one packet of `a` bytes at each scheduled instant.
+class TimedSender : public EventHandler {
+ public:
+  TimedSender(Link& link, PacketSink& sink) : link_(link), sink_(sink) {}
+  void send_at(Simulation& sim, SimTime at, std::uint32_t size_bytes) {
+    sim.schedule_at(at, *this, 0, size_bytes);
+  }
+  void on_event(Simulation& sim, int, std::uint64_t a, std::uint64_t) override {
+    Packet p;
+    p.size_bytes = static_cast<std::uint32_t>(a);
+    EXPECT_TRUE(link_.transmit(sim, p, sink_));
+  }
+
+ private:
+  Link& link_;
+  PacketSink& sink_;
+};
+
+// 8 Gbps is 1e9 bytes/s, so a bucket's utilization is its bytes / 1e9.
+constexpr double kBytesPerSecond = 1e9;
+
+TEST(Link, UtilizationBucketsSplitAtOneSecond) {
+  Simulation sim;
+  Link link(test_link(8.0, 0.0));
+  CollectingSink sink;
+  TimedSender sender(link, sink);
+  sender.send_at(sim, 999'999'000, 1);  // starts at 0.999999 s: bucket 0
+  sender.send_at(sim, kNanosPerSecond, 2);
+  sim.run();
+  EXPECT_DOUBLE_EQ(link.peak_utilization(), 2.0 / kBytesPerSecond);
+  EXPECT_DOUBLE_EQ(link.mean_utilization(), 3.0 / 2.0 / kBytesPerSecond);
+}
+
+TEST(Link, PeakAndMeanUtilizationOverBucketsWithIdleGap) {
+  // Bucket 0 holds 10 + 5 bytes, bucket 1 is idle but still counts in the
+  // mean, bucket 2 holds 30: peak 30, mean 45 / 3.
+  Simulation sim;
+  Link link(test_link(8.0, 0.0));
+  CollectingSink sink;
+  TimedSender sender(link, sink);
+  sender.send_at(sim, 0, 10);
+  sender.send_at(sim, 500'000'000, 5);
+  sender.send_at(sim, 2 * kNanosPerSecond, 30);
+  sim.run();
+  EXPECT_DOUBLE_EQ(link.peak_utilization(), 30.0 / kBytesPerSecond);
+  EXPECT_DOUBLE_EQ(link.mean_utilization(), 15.0 / kBytesPerSecond);
+}
+
+TEST(Link, IdleLinkReportsZeroUtilization) {
+  const Link link(test_link());
+  EXPECT_EQ(link.peak_utilization(), 0.0);
+  EXPECT_EQ(link.mean_utilization(), 0.0);
 }
 
 TEST(Link, LossRateReflectsDrops) {

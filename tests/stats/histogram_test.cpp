@@ -1,4 +1,4 @@
-// Tests for the linear and logarithmic histograms.
+// Tests for the logarithmic histogram.
 #include "stats/histogram.hpp"
 
 #include <gtest/gtest.h>
@@ -7,58 +7,6 @@
 
 namespace sss::stats {
 namespace {
-
-TEST(LinearHistogram, RejectsBadConstruction) {
-  EXPECT_THROW(LinearHistogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(2.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(LinearHistogram, BinsAndEdges) {
-  LinearHistogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(LinearHistogram, CountsLandInCorrectBins) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(0.0);
-  h.add(1.99);
-  h.add(2.0);
-  h.add(9.99);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(LinearHistogram, UnderflowOverflowCounted) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(10.0);  // hi edge is exclusive
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(LinearHistogram, WeightedAdd) {
-  LinearHistogram h(0.0, 10.0, 2);
-  h.add(1.0, 5);
-  EXPECT_EQ(h.count(0), 5u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(LinearHistogram, TotalsAlwaysBalance) {
-  LinearHistogram h(0.0, 1.0, 4);
-  for (int i = -10; i < 30; ++i) h.add(i * 0.05);
-  std::size_t in_bins = 0;
-  for (std::size_t b = 0; b < h.bin_count(); ++b) in_bins += h.count(b);
-  EXPECT_EQ(in_bins + h.underflow() + h.overflow(), h.total());
-}
 
 TEST(LogHistogram, RejectsBadConstruction) {
   EXPECT_THROW(LogHistogram(0.0, 10.0, 5), std::invalid_argument);
