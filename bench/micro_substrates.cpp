@@ -1,6 +1,6 @@
 // micro_substrates — google-benchmark microbenchmarks for the hot paths of
 // every substrate: event queue, packet link, full TCP transfers, the fluid
-// model, statistics (P2, checksum), model evaluation, and the serving layer
+// model, the frame checksum, model evaluation, and the serving layer
 // (decide, SSS1 encode, frame reassembly + decode).  These document
 // the simulator's capacity (events/second) that makes the full Table-2
 // sweep tractable.
@@ -15,7 +15,6 @@
 #include "core/decision.hpp"
 #include "core/fitting.hpp"
 #include "detector/frame.hpp"
-#include "pipeline/spsc_queue.hpp"
 #include "serve/decide.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -164,22 +163,6 @@ void BM_WorkloadExperiment(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadExperiment);
 
-void BM_WorkloadArena(benchmark::State& state) {
-  // Arena ablation: the same cell with every allocation routed to the
-  // global heap (arg 0) vs bump-allocated from the retained arena (arg 1).
-  // The gap is what per-cell arena allocation buys on the full hot path.
-  simnet::Workload workload(workload_bench_config(), /*use_arena=*/state.range(0) != 0);
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    workload.prepare();
-    workload.drive();
-    const auto result = workload.finish();
-    events += result.events_processed;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_WorkloadArena)->Arg(0)->Arg(1);
-
 void BM_FluidExperiment(benchmark::State& state) {
   for (auto _ : state) {
     simnet::WorkloadConfig cfg = simnet::WorkloadConfig::paper_table2(
@@ -188,31 +171,6 @@ void BM_FluidExperiment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FluidExperiment);
-
-void BM_SpscQueueThroughput(benchmark::State& state) {
-  pipeline::SpscQueue<std::uint64_t> queue(4096);
-  std::uint64_t value = 0;
-  for (auto _ : state) {
-    while (!queue.try_push(value)) {
-      benchmark::DoNotOptimize(queue.try_pop());
-    }
-    ++value;
-    benchmark::DoNotOptimize(queue.try_pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscQueueThroughput);
-
-void BM_P2QuantileAdd(benchmark::State& state) {
-  stats::P2Quantile p99(0.99);
-  stats::Random rng(7);
-  for (auto _ : state) {
-    p99.add(rng.lognormal(0.0, 1.0));
-  }
-  benchmark::DoNotOptimize(p99.value());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_P2QuantileAdd);
 
 void BM_FrameChecksum(benchmark::State& state) {
   const auto payload = detector::make_payload(detector::PayloadPattern::kNoise, 1, 0,

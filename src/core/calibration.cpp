@@ -59,31 +59,4 @@ CongestionProfile build_congestion_profile(
   return CongestionProfile(std::move(points));
 }
 
-CalibrationResult calibrate(const CalibrationInputs& inputs) {
-  if (inputs.sweep == nullptr || inputs.sweep->empty()) {
-    throw std::invalid_argument("calibrate: a congestion sweep is required");
-  }
-
-  CalibrationResult out;
-  out.profile = build_congestion_profile(*inputs.sweep);
-
-  // alpha at the operating point: efficiency implied by the worst-case
-  // inflation there (tail-driven, per the paper's argument).
-  const double sss = out.profile.sss_at(inputs.operating_utilization);
-  const double alpha = std::min(1.0, sss > 0.0 ? 1.0 / sss : 1.0);
-
-  out.params.s_unit = inputs.s_unit;
-  out.params.complexity = inputs.complexity;
-  out.params.r_local = inputs.r_local;
-  out.params.r_remote = inputs.r_remote;
-  out.params.bandwidth = inputs.bandwidth;
-  out.params.alpha = std::max(alpha, 1e-6);
-  out.params.theta = 1.0;  // streaming
-  out.params.validate();
-
-  out.predicted_worst_transfer = out.profile.worst_transfer_time(
-      inputs.s_unit, inputs.bandwidth, inputs.operating_utilization);
-  return out;
-}
-
 }  // namespace sss::core

@@ -8,7 +8,8 @@
 //
 //   sweep results --> CongestionProfile (utilization -> SSS curve)
 //                 --> worst-case transfer predictions for other unit sizes
-//                 --> alpha / theta estimates --> ModelParameters
+//
+// Fitting alpha / theta from measured transfer traces is core/fitting.hpp.
 //
 // The case study (Section 5) extrapolates exactly this way: measured SSS at
 // 64 % / 96 % utilization scales the 2 GB and 3 GB windows to 1.2 s and 6 s
@@ -17,10 +18,8 @@
 
 #include <vector>
 
-#include "core/params.hpp"
 #include "core/sss_score.hpp"
 #include "simnet/workload.hpp"
-#include "storage/staged_transfer.hpp"
 #include "units/units.hpp"
 
 namespace sss::core {
@@ -78,27 +77,5 @@ class CongestionProfile {
 // One profile point per experiment (keyed by offered load).
 [[nodiscard]] CongestionProfile build_congestion_profile(
     const std::vector<simnet::ExperimentResult>& results);
-
-// Assemble ModelParameters from measurement artifacts: a congestion sweep
-// (for alpha at the operating utilization), a staged-transfer calibration
-// (for the file-based theta), and explicit compute/workload figures.
-struct CalibrationInputs {
-  const std::vector<simnet::ExperimentResult>* sweep = nullptr;  // required
-  double operating_utilization = 0.5;
-  units::Bytes s_unit = units::Bytes::gigabytes(1.0);
-  units::Complexity complexity = units::Complexity::flop_per_byte(1.0);
-  units::FlopsRate r_local = units::FlopsRate::teraflops(1.0);
-  units::FlopsRate r_remote = units::FlopsRate::teraflops(10.0);
-  units::DataRate bandwidth = units::DataRate::gigabits_per_second(25.0);
-};
-
-struct CalibrationResult {
-  ModelParameters params;        // theta = 1 (streaming)
-  double theta_file = 1.0;       // from storage calibration when requested
-  CongestionProfile profile;
-  units::Seconds predicted_worst_transfer;  // at operating utilization
-};
-
-[[nodiscard]] CalibrationResult calibrate(const CalibrationInputs& inputs);
 
 }  // namespace sss::core

@@ -18,6 +18,4 @@ RemoteBreakdown remote_breakdown(const ModelParameters& p) {
   return RemoteBreakdown{t_transfer(p), t_io(p), t_remote(p)};
 }
 
-units::Seconds continuum_approximation(const PacketDelay& d) { return d.propagation; }
-
 }  // namespace sss::core

@@ -35,26 +35,4 @@ struct RemoteBreakdown {
 };
 [[nodiscard]] RemoteBreakdown remote_breakdown(const ModelParameters& p);
 
-// ---------------------------------------------------------------------------
-// Eq. 1 / Eq. 2: the Kurose-Ross per-packet delay decomposition and the
-// "computing continuum" simplification the paper critiques.  Kept as an
-// explicit optimistic baseline: the ablation bench shows how far
-// d_total ~ d_prop strays from measured completion times under congestion.
-// ---------------------------------------------------------------------------
-struct PacketDelay {
-  units::Seconds processing;    // d_proc
-  units::Seconds queuing;       // d_queue
-  units::Seconds transmission;  // d_trans
-  units::Seconds propagation;   // d_prop
-
-  // Eq. 1:  d_total = d_proc + d_queue + d_trans + d_prop
-  [[nodiscard]] units::Seconds total() const {
-    return processing + queuing + transmission + propagation;
-  }
-};
-
-// Eq. 2:  d_continuum ~ d_prop — valid only when queuing (and loss) is
-// exactly zero; see Section 3's critique.
-[[nodiscard]] units::Seconds continuum_approximation(const PacketDelay& d);
-
 }  // namespace sss::core

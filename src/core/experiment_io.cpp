@@ -1,6 +1,5 @@
 #include "core/experiment_io.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -33,8 +32,7 @@ double parse_double(const std::string& field, const char* context) {
 
 void write_text_file(const std::string& path, const std::string& text) {
   // Atomic (temp + rename): measurement artifacts must never be readable
-  // half-written — a truncated trace would throw on re-ingest anyway, but
-  // a truncated profile CSV could silently drop congestion points.
+  // half-written.
   trace::write_text_file_atomic(path, text);
 }
 
@@ -47,120 +45,6 @@ std::string read_text_file(const std::string& path) {
 }
 
 }  // namespace
-
-std::string client_log_to_csv(const std::vector<simnet::ClientRecord>& clients) {
-  std::ostringstream out;
-  trace::CsvWriter writer(out);
-  writer.write_header({"client_id", "requested_s", "start_s", "end_s", "bytes",
-                       "flow_count", "censored"});
-  for (const auto& c : clients) {
-    writer.write_row({std::to_string(c.client_id), fmt(c.requested_s), fmt(c.start_s),
-                      fmt(c.end_s), fmt(c.bytes), std::to_string(c.flow_count),
-                      c.censored ? "1" : "0"});
-  }
-  return out.str();
-}
-
-std::vector<simnet::ClientRecord> client_log_from_csv(const std::string& text) {
-  const trace::CsvTable table = trace::parse_csv(text);
-  const std::size_t id = table.column_index("client_id");
-  const std::size_t requested = table.column_index("requested_s");
-  const std::size_t start = table.column_index("start_s");
-  const std::size_t end = table.column_index("end_s");
-  const std::size_t bytes = table.column_index("bytes");
-  const std::size_t flows = table.column_index("flow_count");
-  const std::size_t censored = table.column_index("censored");
-
-  std::vector<simnet::ClientRecord> out;
-  out.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    if (row.size() != table.header.size()) {
-      throw std::runtime_error("experiment_io: ragged client-log row");
-    }
-    simnet::ClientRecord c;
-    c.client_id = static_cast<std::uint32_t>(parse_double(row[id], "client_id"));
-    c.requested_s = parse_double(row[requested], "requested_s");
-    c.start_s = parse_double(row[start], "start_s");
-    c.end_s = parse_double(row[end], "end_s");
-    c.bytes = parse_double(row[bytes], "bytes");
-    c.flow_count = static_cast<std::uint32_t>(parse_double(row[flows], "flow_count"));
-    c.censored = row[censored] == "1" || row[censored] == "true";
-    out.push_back(c);
-  }
-  return out;
-}
-
-void write_client_log(const std::string& path,
-                      const std::vector<simnet::ClientRecord>& clients) {
-  write_text_file(path, client_log_to_csv(clients));
-}
-
-std::vector<simnet::ClientRecord> read_client_log(const std::string& path) {
-  return client_log_from_csv(read_text_file(path));
-}
-
-std::string profile_to_csv(const CongestionProfile& profile) {
-  std::ostringstream out;
-  trace::CsvWriter writer(out);
-  writer.write_header({"utilization", "measured_utilization", "t_worst_s",
-                       "t_theoretical_s", "t_mean_s", "t_io_s", "sss", "concurrency",
-                       "parallel_flows", "loss_rate"});
-  for (const auto& p : profile.points()) {
-    writer.write_row({fmt(p.utilization), fmt(p.measured_utilization), fmt(p.t_worst_s),
-                      fmt(p.t_theoretical_s), fmt(p.t_mean_s), fmt(p.t_io_s), fmt(p.sss),
-                      std::to_string(p.concurrency), std::to_string(p.parallel_flows),
-                      fmt(p.loss_rate)});
-  }
-  return out.str();
-}
-
-CongestionProfile profile_from_csv(const std::string& text) {
-  const trace::CsvTable table = trace::parse_csv(text);
-  const std::size_t util = table.column_index("utilization");
-  const std::size_t measured = table.column_index("measured_utilization");
-  const std::size_t worst = table.column_index("t_worst_s");
-  const std::size_t theoretical = table.column_index("t_theoretical_s");
-  const std::size_t mean = table.column_index("t_mean_s");
-  // t_io_s arrived with the trace-calibration work; profiles persisted by
-  // earlier builds lack the column and were all pure streaming, so a
-  // missing column reads as 0 rather than invalidating old campaigns.
-  const bool has_io =
-      std::find(table.header.begin(), table.header.end(), "t_io_s") != table.header.end();
-  const std::size_t io = has_io ? table.column_index("t_io_s") : 0;
-  const std::size_t sss = table.column_index("sss");
-  const std::size_t conc = table.column_index("concurrency");
-  const std::size_t flows = table.column_index("parallel_flows");
-  const std::size_t loss = table.column_index("loss_rate");
-
-  std::vector<CongestionPoint> points;
-  points.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    if (row.size() != table.header.size()) {
-      throw std::runtime_error("experiment_io: ragged profile row");
-    }
-    CongestionPoint p;
-    p.utilization = parse_double(row[util], "utilization");
-    p.measured_utilization = parse_double(row[measured], "measured_utilization");
-    p.t_worst_s = parse_double(row[worst], "t_worst_s");
-    p.t_theoretical_s = parse_double(row[theoretical], "t_theoretical_s");
-    p.t_mean_s = parse_double(row[mean], "t_mean_s");
-    p.t_io_s = has_io ? parse_double(row[io], "t_io_s") : 0.0;
-    p.sss = parse_double(row[sss], "sss");
-    p.concurrency = static_cast<int>(parse_double(row[conc], "concurrency"));
-    p.parallel_flows = static_cast<int>(parse_double(row[flows], "parallel_flows"));
-    p.loss_rate = parse_double(row[loss], "loss_rate");
-    points.push_back(p);
-  }
-  return CongestionProfile(std::move(points));
-}
-
-void write_profile(const std::string& path, const CongestionProfile& profile) {
-  write_text_file(path, profile_to_csv(profile));
-}
-
-CongestionProfile read_profile(const std::string& path) {
-  return profile_from_csv(read_text_file(path));
-}
 
 std::string transfer_trace_to_csv(const std::vector<TransferRecord>& records) {
   std::ostringstream out;

@@ -3,39 +3,17 @@
 // The paper's methodology separates measurement (controlled congestion
 // experiments, possibly run overnight on the real path) from decision
 // (which a beamline operator makes later, repeatedly).  This module
-// persists the artifacts between those phases as plain CSV:
-//   - per-client flow-completion-time logs (the raw experiment output),
-//   - congestion profiles (utilization -> SSS curves),
-//   - per-transfer traces from external measurement campaigns (the
-//     trace-driven calibration input of core/fitting.hpp).
-// All round-trip exactly enough to reproduce every downstream decision.
+// persists the per-transfer traces of those measurement campaigns (the
+// trace-driven calibration input of core/fitting.hpp) as plain CSV, and
+// round-trips them exactly enough to reproduce every downstream decision.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "core/calibration.hpp"
 #include "core/fitting.hpp"
-#include "simnet/metrics.hpp"
 
 namespace sss::core {
-
-// --- client FCT logs -------------------------------------------------------
-
-// Write one row per client: id, requested/start/end timestamps, bytes,
-// flow count, censored flag.
-void write_client_log(const std::string& path,
-                      const std::vector<simnet::ClientRecord>& clients);
-
-// Read a client log written by write_client_log.  Throws on missing
-// columns or malformed numbers.
-[[nodiscard]] std::vector<simnet::ClientRecord> read_client_log(const std::string& path);
-
-// --- congestion profiles ----------------------------------------------------
-
-void write_profile(const std::string& path, const CongestionProfile& profile);
-
-[[nodiscard]] CongestionProfile read_profile(const std::string& path);
 
 // --- per-transfer traces (trace-driven calibration) -------------------------
 
@@ -53,10 +31,6 @@ void write_transfer_trace(const std::string& path,
 // --- in-memory CSV variants (used by tests and by callers that embed the
 // CSV in other artifacts) ----------------------------------------------------
 
-[[nodiscard]] std::string client_log_to_csv(const std::vector<simnet::ClientRecord>& clients);
-[[nodiscard]] std::vector<simnet::ClientRecord> client_log_from_csv(const std::string& text);
-[[nodiscard]] std::string profile_to_csv(const CongestionProfile& profile);
-[[nodiscard]] CongestionProfile profile_from_csv(const std::string& text);
 [[nodiscard]] std::string transfer_trace_to_csv(const std::vector<TransferRecord>& records);
 [[nodiscard]] std::vector<TransferRecord> transfer_trace_from_csv(const std::string& text);
 

@@ -42,13 +42,6 @@ std::vector<SweepPoint> sweep_r(const ModelParameters& base, double lo, double h
   });
 }
 
-std::vector<SweepPoint> sweep_bandwidth_gbps(const ModelParameters& base, double lo, double hi,
-                                             int steps) {
-  return sweep(base, lo, hi, steps, [](ModelParameters& p, double x) {
-    p.bandwidth = units::DataRate::gigabits_per_second(x);
-  });
-}
-
 std::optional<double> critical_alpha(const ModelParameters& p) {
   p.validate();
   const double headroom = t_local(p).seconds() - t_remote(p).seconds();
@@ -68,15 +61,6 @@ std::optional<double> critical_r(const ModelParameters& p) {
   const double budget = t_local(p).seconds() - p.theta * t_transfer(p).seconds();
   if (budget <= 0.0) return std::nullopt;
   return p.work().flop() / (p.r_local.flop_per_s() * budget);
-}
-
-std::optional<units::FlopsRate> required_remote_rate(const ModelParameters& p,
-                                                     units::Seconds deadline,
-                                                     units::Seconds transfer_time) {
-  p.validate();
-  const double budget_s = deadline.seconds() - transfer_time.seconds();
-  if (budget_s <= 0.0) return std::nullopt;
-  return p.work() / units::Seconds::of(budget_s);
 }
 
 }  // namespace sss::core

@@ -48,9 +48,6 @@ struct SweepPoint {
 // Sweeps r by scaling R_remote (R_local fixed).
 [[nodiscard]] std::vector<SweepPoint> sweep_r(const ModelParameters& base, double lo,
                                               double hi, int steps);
-// Sweeps bandwidth in Gbps.
-[[nodiscard]] std::vector<SweepPoint> sweep_bandwidth_gbps(const ModelParameters& base,
-                                                           double lo, double hi, int steps);
 
 // Minimum transfer efficiency for streaming to beat local; nullopt when
 // remote compute alone is already slower than local.
@@ -61,11 +58,5 @@ struct SweepPoint {
 // Minimum remote/local speed ratio for remote to beat local; nullopt when
 // the transfer alone (theta * T_transfer) exceeds T_local.
 [[nodiscard]] std::optional<double> critical_r(const ModelParameters& p);
-
-// Remote rate needed to complete the unit's work within `deadline` after
-// `transfer_time` has elapsed; nullopt when the transfer alone exceeds the
-// deadline.
-[[nodiscard]] std::optional<units::FlopsRate> required_remote_rate(
-    const ModelParameters& p, units::Seconds deadline, units::Seconds transfer_time);
 
 }  // namespace sss::core

@@ -2,65 +2,6 @@
 
 namespace sss::detector {
 
-FacilityProfile lhc() {
-  FacilityProfile p;
-  p.name = "LHC";
-  p.description =
-      "Large Hadron Collider: 40 MHz collisions, 40 TB/s raw, two-tier "
-      "trigger reduces to ~1 GB/s for permanent storage";
-  p.raw_rate = units::DataRate::terabytes_per_second(40.0);
-  p.reduced_rate = units::DataRate::gigabytes_per_second(1.0);
-  return p;
-}
-
-FacilityProfile lcls2_2023() {
-  FacilityProfile p;
-  p.name = "LCLS-II (2023)";
-  p.description =
-      "Linac Coherent Light Source II: 200 GB/s detectors, Data Reduction "
-      "Pipeline cuts volume by an order of magnitude";
-  p.raw_rate = units::DataRate::gigabytes_per_second(200.0);
-  p.reduced_rate = units::DataRate::gigabytes_per_second(20.0);
-  return p;
-}
-
-FacilityProfile lcls2_2029() {
-  FacilityProfile p;
-  p.name = "LCLS-II (2029)";
-  p.description = "LCLS-II upgrade trajectory: >1 TB/s with 10x DRP reduction";
-  p.raw_rate = units::DataRate::terabytes_per_second(1.0);
-  p.reduced_rate = units::DataRate::gigabytes_per_second(100.0);
-  return p;
-}
-
-FacilityProfile aps() {
-  FacilityProfile p;
-  p.name = "APS";
-  p.description =
-      "Advanced Photon Source: detectors up to 480 Gb/s; streaming "
-      "tomographic reconstruction to ALCF at 10s of GB/s";
-  p.raw_rate = units::DataRate::gigabits_per_second(480.0);
-  // Streaming reconstruction demonstrations run at 10s of GB/s.
-  p.reduced_rate = units::DataRate::gigabytes_per_second(20.0);
-  return p;
-}
-
-FacilityProfile frib_deleria() {
-  FacilityProfile p;
-  p.name = "FRIB/DELERIA";
-  p.description =
-      "Facility for Rare Isotope Beams via DELERIA: 40 Gbps gamma-ray "
-      "detector streams (targeting 100 Gbps), 97.5% reduction to a "
-      "240 MB/s event stream";
-  p.raw_rate = units::DataRate::gigabits_per_second(40.0);
-  p.reduced_rate = units::DataRate::megabytes_per_second(240.0);
-  return p;
-}
-
-std::vector<FacilityProfile> all_facilities() {
-  return {lhc(), lcls2_2023(), lcls2_2029(), aps(), frib_deleria()};
-}
-
 WorkflowProfile coherent_scattering() {
   WorkflowProfile w;
   w.name = "Coherent Scattering (XPCS, XSVS)";

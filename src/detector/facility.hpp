@@ -1,13 +1,11 @@
-// facility.hpp — facility and workflow presets from the paper.
+// facility.hpp — workflow presets from the paper.
 //
-// Every number here is transcribed from the paper (Sections 1, 2.2, 4.2 and
-// Table 3) so case studies and benches reference a single source of truth:
-//   - LHC: 40 TB/s raw, two-tier trigger to ~1 GB/s storage;
-//   - LCLS-II: 200 GB/s (2023) to >1 TB/s (2029), 10x DRP reduction,
-//     Table 3 workflows (Coherent Scattering 2 GB/s + 34 TF, Liquid
+// Every number here is transcribed from the paper (Sections 2.2, 4.2 and
+// Table 3) so case studies reference a single source of truth:
+//   - LCLS-II Table 3 workflows (Coherent Scattering 2 GB/s + 34 TF, Liquid
 //     Scattering 4 GB/s + 20 TF);
-//   - APS: 480 Gb/s detectors; the Fig. 4 scan (1,440 frames of 2048 x 2048
-//     2-byte pixels, ~12.6 GB);
+//   - the APS Fig. 4 scan (1,440 frames of 2048 x 2048 2-byte pixels,
+//     ~12.6 GB);
 //   - FRIB/DELERIA: 40 Gbps streaming (targeting 100 Gbps), 240 MB/s event
 //     stream over ~100 analysis processes (~2 MB/s each), 97.5 % reduction.
 #pragma once
@@ -19,19 +17,6 @@
 #include "units/units.hpp"
 
 namespace sss::detector {
-
-struct FacilityProfile {
-  std::string name;
-  std::string description;
-  // Peak raw data generation rate at the instrument.
-  units::DataRate raw_rate;
-  // Rate after on-site reduction (triggers/DRP), i.e. what must move to HPC.
-  units::DataRate reduced_rate;
-  // Reduction factor raw/reduced (informational).
-  [[nodiscard]] double reduction_factor() const {
-    return reduced_rate.bps() > 0.0 ? raw_rate.bps() / reduced_rate.bps() : 0.0;
-  }
-};
 
 // A named analysis workflow (Table 3 rows): sustained throughput the
 // facility must move and the compute the offline analysis needs per second
@@ -50,14 +35,6 @@ struct WorkflowProfile {
                                             throughput.bps());
   }
 };
-
-// --- facilities (Section 2.2) ---
-[[nodiscard]] FacilityProfile lhc();
-[[nodiscard]] FacilityProfile lcls2_2023();
-[[nodiscard]] FacilityProfile lcls2_2029();
-[[nodiscard]] FacilityProfile aps();
-[[nodiscard]] FacilityProfile frib_deleria();
-[[nodiscard]] std::vector<FacilityProfile> all_facilities();
 
 // --- Table 3 workflows ---
 [[nodiscard]] WorkflowProfile coherent_scattering();  // XPCS/XSVS: 2 GB/s, 34 TF

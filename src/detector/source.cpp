@@ -9,11 +9,6 @@ FrameSource::FrameSource(ScanWorkload scan, PayloadPattern pattern, std::uint64_
   scan_.validate();
 }
 
-std::optional<FrameDescriptor> FrameSource::next_descriptor() {
-  if (exhausted()) return std::nullopt;
-  return descriptor_at(cursor_++);
-}
-
 std::optional<Frame> FrameSource::next_frame() {
   if (exhausted()) return std::nullopt;
   return frame_at(cursor_++);

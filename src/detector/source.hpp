@@ -1,9 +1,8 @@
 // source.hpp — frame source.
 //
 // Produces the frames of a ScanWorkload in order, attaching deterministic
-// payloads.  Two consumption styles:
-//   - descriptor iteration for analytical models (no allocation),
-//   - payload materialization for the threaded pipelines (real bytes).
+// payloads (real bytes for the threaded pipelines).  Descriptors and frames
+// are also available by index without advancing the cursor.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +17,6 @@ class FrameSource {
   FrameSource(ScanWorkload scan, PayloadPattern pattern = PayloadPattern::kGradient,
               std::uint64_t seed = 42);
 
-  // Next frame descriptor, or nullopt when the scan is exhausted.
-  [[nodiscard]] std::optional<FrameDescriptor> next_descriptor();
   // Next full frame (descriptor + payload), or nullopt when exhausted.
   [[nodiscard]] std::optional<Frame> next_frame();
 

@@ -10,22 +10,11 @@ FrameChannel::FrameChannel(const ChannelConfig& config, Clock& clock)
 bool FrameChannel::send(detector::Frame frame) {
   const units::Bytes size = units::Bytes::of(static_cast<double>(frame.size_bytes()));
   bucket_.acquire(size);
-  const bool ok = queue_.push(std::move(frame));
-  if (ok) {
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.frames_sent;
-    stats_.bytes_sent += static_cast<std::uint64_t>(size.bytes());
-  }
-  return ok;
+  return queue_.push(std::move(frame));
 }
 
 std::optional<detector::Frame> FrameChannel::recv() { return queue_.pop(); }
 
 void FrameChannel::close() { queue_.close(); }
-
-ChannelStats FrameChannel::stats() const {
-  std::lock_guard lock(stats_mutex_);
-  return stats_;
-}
 
 }  // namespace sss::pipeline

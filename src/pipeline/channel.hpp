@@ -6,7 +6,7 @@
 // exactly how a socket with a bounded send buffer behaves to the producer.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 
 #include "detector/frame.hpp"
@@ -25,11 +25,6 @@ struct ChannelConfig {
   std::size_t queue_frames = 64;
 };
 
-struct ChannelStats {
-  std::uint64_t frames_sent = 0;
-  std::uint64_t bytes_sent = 0;
-};
-
 class FrameChannel {
  public:
   FrameChannel(const ChannelConfig& config, Clock& clock);
@@ -41,15 +36,12 @@ class FrameChannel {
   // Signal end-of-stream (sender side).
   void close();
 
-  [[nodiscard]] ChannelStats stats() const;
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
 
  private:
   ChannelConfig config_;
   TokenBucket bucket_;
   BoundedQueue<detector::Frame> queue_;
-  mutable std::mutex stats_mutex_;
-  ChannelStats stats_;
 };
 
 }  // namespace sss::pipeline

@@ -46,18 +46,4 @@ void TokenBucket::acquire(units::Bytes amount) {
   }
 }
 
-bool TokenBucket::try_acquire(units::Bytes amount) {
-  std::lock_guard lock(mutex_);
-  refill_locked();
-  if (tokens_ < amount.bytes()) return false;
-  tokens_ -= amount.bytes();
-  return true;
-}
-
-double TokenBucket::available() {
-  std::lock_guard lock(mutex_);
-  refill_locked();
-  return tokens_;
-}
-
 }  // namespace sss::pipeline

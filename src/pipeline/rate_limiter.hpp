@@ -23,13 +23,8 @@ class TokenBucket {
   // simply waits for the bucket to refill in installments.
   void acquire(units::Bytes amount);
 
-  // Non-blocking variant; false when insufficient tokens right now.
-  [[nodiscard]] bool try_acquire(units::Bytes amount);
-
   [[nodiscard]] units::DataRate rate() const { return rate_; }
   [[nodiscard]] units::Bytes burst() const { return burst_; }
-  // Tokens available at this instant (refilled lazily).
-  [[nodiscard]] double available();
 
  private:
   units::DataRate rate_;

@@ -49,24 +49,23 @@ void require_single_link(const simnet::WorkloadConfig& config, const std::string
 
 struct ParamBinding {
   std::string_view key;
-  std::string_view doc;
   void (*apply)(simnet::WorkloadConfig&, const std::string& kv, const std::string& value);
 };
 
 const ParamBinding kBindings[] = {
-    {"concurrency", "an integer >= 1",
+    {"concurrency",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const int v = require_int(kv, value, "an integer >= 1");
        if (v < 1) bad_value(kv, "an integer >= 1");
        config.concurrency = v;
      }},
-    {"parallel_flows", "an integer >= 1",
+    {"parallel_flows",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const int v = require_int(kv, value, "an integer >= 1");
        if (v < 1) bad_value(kv, "an integer >= 1");
        config.parallel_flows = v;
      }},
-    {"duration_s", "a duration > 0",
+    {"duration_s",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a duration > 0");
        if (!(v > 0.0)) bad_value(kv, "a duration > 0");
@@ -80,152 +79,153 @@ const ParamBinding kBindings[] = {
        }
        config.duration = units::Seconds::of(v);
      }},
-    {"transfer_size_mb", "a size > 0 (MB)",
+    {"transfer_size_mb",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a size > 0 (MB)");
        if (!(v > 0.0)) bad_value(kv, "a size > 0 (MB)");
        config.transfer_size = units::Bytes::megabytes(v);
      }},
-    {"transfer_size_bytes", "a size > 0 (bytes)",
+    {"transfer_size_bytes",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a size > 0 (bytes)");
        if (!(v > 0.0)) bad_value(kv, "a size > 0 (bytes)");
        config.transfer_size = units::Bytes::of(v);
      }},
-    {"link_gbps", "a rate > 0 (Gbps)",
+    {"link_gbps",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        require_single_link(config, kv, "link_gbps");
        const double v = require_double(kv, value, "a rate > 0 (Gbps)");
        if (!(v > 0.0)) bad_value(kv, "a rate > 0 (Gbps)");
        config.link.capacity = units::DataRate::gigabits_per_second(v);
      }},
-    {"rtt_ms", "an RTT > 0 (ms)",
+    {"rtt_ms",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        require_single_link(config, kv, "rtt_ms");
        const double v = require_double(kv, value, "an RTT > 0 (ms)");
        if (!(v > 0.0)) bad_value(kv, "an RTT > 0 (ms)");
        config.link.propagation_delay = units::Seconds::millis(v / 2.0);
      }},
-    {"buffer_mb", "a buffer >= 0 (MB)",
+    {"buffer_mb",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        require_single_link(config, kv, "buffer_mb");
        const double v = require_double(kv, value, "a buffer >= 0 (MB)");
        if (v < 0.0) bad_value(kv, "a buffer >= 0 (MB)");
        config.link.buffer = units::Bytes::megabytes(v);
      }},
-    {"buffer_bytes", "a buffer >= 0 (bytes)",
+    {"buffer_bytes",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        require_single_link(config, kv, "buffer_bytes");
        const double v = require_double(kv, value, "a buffer >= 0 (bytes)");
        if (v < 0.0) bad_value(kv, "a buffer >= 0 (bytes)");
        config.link.buffer = units::Bytes::of(v);
      }},
-    {"link_name", "an interface name",
+    {"link_name",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        require_single_link(config, kv, "link_name");
        if (value.empty()) bad_value(kv, "an interface name");
        config.link.name = value;
      }},
-    {"background_load", "a load >= 0",
+    {"background_load",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a load >= 0");
        if (v < 0.0) bad_value(kv, "a load >= 0");
        config.background_load = v;
      }},
-    {"background_mean_mb", "a size > 0 (MB)",
+    {"background_mean_mb",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a size > 0 (MB)");
        if (!(v > 0.0)) bad_value(kv, "a size > 0 (MB)");
        config.background_mean_flow_size = units::Bytes::megabytes(v);
      }},
-    {"background_shape", "a shape >= 0 (<= 1 = exponential)",
+    {"background_shape",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a shape >= 0 (<= 1 = exponential)");
        if (v < 0.0) bad_value(kv, "a shape >= 0 (<= 1 = exponential)");
        config.background_pareto_shape = v;
      }},
-    {"trace_path", "a per-transfer trace CSV path ('' = built-in demo trace)",
+    {"trace_path",
      [](simnet::WorkloadConfig& config, const std::string&, const std::string& value) {
        config.calibration.trace_path = value;
      }},
-    {"fit_operating_util", "a utilization > 0",
+    {"fit_operating_util",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a utilization > 0");
        if (!(v > 0.0)) bad_value(kv, "a utilization > 0");
        config.calibration.operating_util = v;
      }},
-    {"fit_true_alpha", "an efficiency in (0, 1]",
+    {"fit_true_alpha",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "an efficiency in (0, 1]");
        if (!(v > 0.0) || v > 1.0) bad_value(kv, "an efficiency in (0, 1]");
        config.calibration.true_alpha = v;
      }},
-    {"fit_true_theta", "an overhead coefficient >= 1",
+    {"fit_true_theta",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "an overhead coefficient >= 1");
        if (!(v >= 1.0)) bad_value(kv, "an overhead coefficient >= 1");
        config.calibration.true_theta = v;
      }},
-    {"fit_congestion_slope", "a slope >= 0",
+    {"fit_congestion_slope",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a slope >= 0");
        if (v < 0.0) bad_value(kv, "a slope >= 0");
        config.calibration.congestion_slope = v;
      }},
-    {"zipf_skew", "a Zipf exponent >= 0 (0 = uniform popularity)",
+    {"zipf_skew",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a Zipf exponent >= 0 (0 = uniform popularity)");
        if (v < 0.0) bad_value(kv, "a Zipf exponent >= 0 (0 = uniform popularity)");
        config.storage.zipf_skew = v;
      }},
-    {"topology", "a topology preset name ('' = single link / path_hops)",
+    {"topology",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        if (!value.empty()) {
          try {
            (void)simnet::topology_preset(value);
-         } catch (const std::invalid_argument&) {
-           bad_value(kv, "a topology preset name (see topology_preset_names())");
+         } catch (const std::invalid_argument& e) {
+           // The preset catalog's message lists the valid names.
+           throw std::invalid_argument("--param " + kv + ": " + e.what());
          }
        }
        config.topology = value;
      }},
-    {"sched_policy", "none|fifo|fair|edf|backoff",
+    {"sched_policy",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const auto policy = simnet::sched_policy_from_string(value);
        if (!policy.has_value()) bad_value(kv, "none|fifo|fair|edf|backoff");
        config.scheduler.policy = *policy;
      }},
-    {"sched_slots", "an integer >= 1 (concurrent admitted transfers)",
+    {"sched_slots",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const int v = require_int(kv, value, "an integer >= 1 (concurrent admitted transfers)");
        if (v < 1) bad_value(kv, "an integer >= 1 (concurrent admitted transfers)");
        config.scheduler.slots = v;
      }},
-    {"sched_deadline_s", "a relative deadline > 0 (s)",
+    {"sched_deadline_s",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a relative deadline > 0 (s)");
        if (!(v > 0.0)) bad_value(kv, "a relative deadline > 0 (s)");
        config.scheduler.deadline_s = v;
      }},
-    {"sched_burst_window_s", "a window > 0 (s)",
+    {"sched_burst_window_s",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a window > 0 (s)");
        if (!(v > 0.0)) bad_value(kv, "a window > 0 (s)");
        config.scheduler.burst_window_s = v;
      }},
-    {"sched_burst_limit", "an integer >= 1 (admissions per window)",
+    {"sched_burst_limit",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const int v = require_int(kv, value, "an integer >= 1 (admissions per window)");
        if (v < 1) bad_value(kv, "an integer >= 1 (admissions per window)");
        config.scheduler.burst_limit = v;
      }},
-    {"sched_backoff_s", "a spacing >= 0 (s)",
+    {"sched_backoff_s",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        const double v = require_double(kv, value, "a spacing >= 0 (s)");
        if (v < 0.0) bad_value(kv, "a spacing >= 0 (s)");
        config.scheduler.backoff_s = v;
      }},
-    {"mode", "simultaneous|scheduled",
+    {"mode",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        if (value == "simultaneous") {
          config.mode = simnet::SpawnMode::kSimultaneousBatches;
@@ -235,7 +235,7 @@ const ParamBinding kBindings[] = {
          bad_value(kv, "simultaneous|scheduled");
        }
      }},
-    {"arrivals", "batch|deterministic|poisson",
+    {"arrivals",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
        if (value == "batch") {
          config.arrivals = simnet::ArrivalProcess::kPerSecondBatch;
@@ -438,32 +438,6 @@ void apply_param_overrides(std::vector<RunPoint>& runs,
       if (apply_run_override(run, kv)) run.reseed = false;
     }
   }
-}
-
-const std::vector<ParamBindingInfo>& param_binding_catalog() {
-  static const std::vector<ParamBindingInfo> catalog = [] {
-    std::vector<ParamBindingInfo> out;
-    for (const ParamBinding& binding : kBindings) {
-      out.push_back({binding.key, binding.doc});
-    }
-    out.push_back({"hop<k>_gbps", "a rate > 0 (Gbps), k < path hop count"});
-    out.push_back({"storm<j>_hop", "a hop index >= 0"});
-    out.push_back({"storm<j>_load", "a load >= 0"});
-    out.push_back({"storm<j>_start_s", "a time >= 0 (s)"});
-    out.push_back({"storm<j>_until_s", "a time >= 0 (s)"});
-    out.push_back({"storm<j>_mean_mb", "a size > 0 (MB)"});
-    out.push_back({"storm<j>_shape", "a shape >= 0 (<= 1 = exponential)"});
-    out.push_back({"tenant<j>_name", "a tenant display name"});
-    out.push_back({"tenant<j>_src", "a topology node name ('' = canonical source)"});
-    out.push_back({"tenant<j>_dst", "a topology node name ('' = canonical sink)"});
-    out.push_back({"tenant<j>_concurrency", "an integer >= 0 (0 = inherit)"});
-    out.push_back({"tenant<j>_size_mb", "a size >= 0 (MB, 0 = inherit)"});
-    out.push_back({"tenant<j>_deadline_s", "a deadline >= 0 (s, 0 = inherit)"});
-    out.push_back({"substrate", "packet|fluid"});
-    out.push_back({"seed", "an unsigned integer (pins the run seed)"});
-    return out;
-  }();
-  return catalog;
 }
 
 }  // namespace sss::scenario

@@ -89,14 +89,4 @@ bool apply_run_override(RunPoint& run, const std::string& override_kv);
 void apply_param_overrides(std::vector<RunPoint>& runs,
                            const std::vector<std::string>& overrides);
 
-// One row of the binding catalog, for docs and tests.
-struct ParamBindingInfo {
-  std::string_view key;  // "concurrency", "hop<k>_gbps", "storm<j>_load", ...
-  std::string_view doc;  // expected value, e.g. "an integer >= 1"
-};
-
-// The full catalog (exact keys plus the hop/storm index patterns), in
-// documentation order.
-[[nodiscard]] const std::vector<ParamBindingInfo>& param_binding_catalog();
-
 }  // namespace sss::scenario

@@ -79,14 +79,6 @@ ParamAxis ParamAxis::linspace(std::string key, double from, double to, int count
   return axis;
 }
 
-ParamAxis ParamAxis::logspace(std::string key, double from, double to, int count,
-                              std::string label_prefix, std::string label_suffix) {
-  ParamAxis axis = linspace(std::move(key), from, to, count, std::move(label_prefix),
-                            std::move(label_suffix));
-  axis.kind = Kind::kLogspace;
-  return axis;
-}
-
 ParamAxis ParamAxis::tuples(std::string name, std::vector<AxisPoint> points) {
   ParamAxis axis;
   axis.kind = Kind::kTuples;
@@ -380,13 +372,6 @@ const std::map<std::string, MetricFn, std::less<>>& metric_catalog() {
 }
 
 }  // namespace
-
-std::vector<std::string> plan_metric_names() {
-  std::vector<std::string> names;
-  names.reserve(metric_catalog().size());
-  for (const auto& [name, fn] : metric_catalog()) names.push_back(name);
-  return names;
-}
 
 void render_plan_output(const OutputSpec& spec, const std::vector<RunPoint>& runs,
                         const std::vector<simnet::ExperimentResult>& results,
@@ -915,10 +900,6 @@ ExperimentPlan ExperimentPlan::from_json(const trace::JsonValue& json) {
     plan.output = output_from_json(*output);
   }
   return plan;
-}
-
-ExperimentPlan ExperimentPlan::from_json_text(std::string_view text) {
-  return from_json(trace::JsonValue::parse(text));
 }
 
 // --- plan-file composition ("include") -------------------------------------

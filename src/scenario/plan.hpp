@@ -79,9 +79,6 @@ struct ParamAxis {
   [[nodiscard]] static ParamAxis linspace(std::string key, double from, double to,
                                           int count, std::string label_prefix = "",
                                           std::string label_suffix = "");
-  [[nodiscard]] static ParamAxis logspace(std::string key, double from, double to,
-                                          int count, std::string label_prefix = "",
-                                          std::string label_suffix = "");
   [[nodiscard]] static ParamAxis tuples(std::string name, std::vector<AxisPoint> points);
 
   // Concrete points, in grid order.  Throws std::invalid_argument on an
@@ -92,7 +89,7 @@ struct ParamAxis {
 };
 
 // One output column: a CSV header bound to a named derived metric from the
-// plan metric catalog (plan_metric_names()).
+// plan metric catalog (render_plan_output rejects unknown names).
 struct OutputColumn {
   std::string header;
   std::string metric;
@@ -143,7 +140,6 @@ struct ExperimentPlan {
   [[nodiscard]] trace::JsonValue to_json() const;
   [[nodiscard]] std::string to_json_text() const { return to_json().dump(2) + "\n"; }
   [[nodiscard]] static ExperimentPlan from_json(const trace::JsonValue& json);
-  [[nodiscard]] static ExperimentPlan from_json_text(std::string_view text);
 
   friend bool operator==(const ExperimentPlan&, const ExperimentPlan&) = default;
 };
@@ -174,9 +170,6 @@ struct ExperimentPlan {
 void render_plan_output(const OutputSpec& spec, const std::vector<RunPoint>& runs,
                         const std::vector<simnet::ExperimentResult>& results,
                         ScenarioOutput& output);
-
-// Names in the derived-metric catalog, sorted (for --help/tests).
-[[nodiscard]] std::vector<std::string> plan_metric_names();
 
 // Contiguous [begin, end) slice of `total` grid cells owned by shard
 // `index` of `count`: balanced block partition, deterministic, exhaustive.

@@ -48,13 +48,6 @@ const ScenarioSpec* ScenarioRegistry::find(const std::string& name) const {
   return it == specs_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [name, spec] : specs_) out.push_back(name);
-  return out;
-}
-
 std::vector<const ScenarioSpec*> ScenarioRegistry::all() const {
   std::vector<const ScenarioSpec*> out;
   out.reserve(specs_.size());

@@ -33,8 +33,7 @@ class ScenarioRegistry {
   [[nodiscard]] bool contains(const std::string& name) const { return find(name) != nullptr; }
   [[nodiscard]] std::size_t size() const { return specs_.size(); }
 
-  // Names in sorted order (the --list order).
-  [[nodiscard]] std::vector<std::string> names() const;
+  // Specs in name order (the --list order).
   [[nodiscard]] std::vector<const ScenarioSpec*> all() const;
 
  private:

@@ -30,30 +30,6 @@ const char* to_string(ErrorCode code) {
   return "unknown error";
 }
 
-bool is_fatal(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kBadMagic:
-    case ErrorCode::kUnsupportedVersion:
-    case ErrorCode::kBadType:
-    case ErrorCode::kBadLength:
-      return true;
-    default:
-      return false;
-  }
-}
-
-const char* to_string(WireDecision decision) {
-  switch (decision) {
-    case WireDecision::kLocal:
-      return "local";
-    case WireDecision::kStream:
-      return "stream";
-    case WireDecision::kStage:
-      return "stage";
-  }
-  return "unknown";
-}
-
 // --- little-endian primitives ----------------------------------------------
 //
 // store() is the one encoder: explicit wire-order byte shifts, which

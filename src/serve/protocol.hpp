@@ -69,6 +69,8 @@ enum class MessageType : std::uint16_t {
   kErrorResponse = 5,
 };
 
+// After a "fatal" code the stream framing can no longer be trusted: the
+// server answers with an ErrorResponse and then closes the connection.
 enum class ErrorCode : std::uint32_t {
   kNone = 0,
   kBadMagic = 1,           // fatal: cannot trust the stream framing
@@ -83,10 +85,6 @@ enum class ErrorCode : std::uint32_t {
 
 [[nodiscard]] const char* to_string(ErrorCode code);
 
-// True for errors after which the stream framing can no longer be trusted;
-// the server answers with an ErrorResponse and then closes the connection.
-[[nodiscard]] bool is_fatal(ErrorCode code);
-
 struct MessageHeader {
   std::uint32_t magic = kMagic;
   std::uint16_t version = kProtocolVersion;
@@ -100,8 +98,6 @@ enum class WireDecision : std::uint32_t {
   kStream = 1,
   kStage = 2,
 };
-
-[[nodiscard]] const char* to_string(WireDecision decision);
 
 struct DecideRequest {
   std::string facility;                  // <= kFacilityNameSize - 1 bytes

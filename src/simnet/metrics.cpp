@@ -76,20 +76,4 @@ double ExperimentMetrics::mean_client_fct_s() const {
   return sum / static_cast<double>(clients.size());
 }
 
-std::vector<double> ExperimentMetrics::client_fct_samples() const {
-  std::vector<double> out;
-  out.reserve(clients.size());
-  for (const auto& c : clients) out.push_back(c.fct_s());
-  return out;
-}
-
-stats::EmpiricalCdf ExperimentMetrics::client_fct_cdf() const {
-  return stats::EmpiricalCdf(client_fct_samples());
-}
-
-bool ExperimentMetrics::any_censored() const {
-  return std::any_of(clients.begin(), clients.end(),
-                     [](const ClientRecord& c) { return c.censored; });
-}
-
 }  // namespace sss::simnet

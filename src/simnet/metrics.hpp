@@ -3,7 +3,7 @@
 // Mirrors what the paper's orchestrator collects (Section 4): network-level
 // counters from the link and application-level transfer-time logs per
 // client.  The maximum client completion time within an experiment is the
-// paper's worst-case heuristic (T_worst); quantile helpers feed Fig. 3.
+// paper's worst-case heuristic (T_worst).
 #pragma once
 
 #include <cstdint>
@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "simnet/link.hpp"
-#include "stats/cdf.hpp"
-#include "stats/percentile.hpp"
 #include "units/units.hpp"
 
 namespace sss::simnet {
@@ -111,9 +109,6 @@ struct ExperimentMetrics {
   // T_worst: maximum client transfer time (Section 4.1).  0 when empty.
   [[nodiscard]] double max_client_fct_s() const;
   [[nodiscard]] double mean_client_fct_s() const;
-  [[nodiscard]] std::vector<double> client_fct_samples() const;
-  [[nodiscard]] stats::EmpiricalCdf client_fct_cdf() const;
-  [[nodiscard]] bool any_censored() const;
 };
 
 }  // namespace sss::simnet

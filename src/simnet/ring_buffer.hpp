@@ -12,7 +12,7 @@
 // the arena instead of hitting the heap.  Default: the global heap.
 //
 // Not thread-safe; for the cross-thread frame channel see
-// pipeline/spsc_queue.hpp.
+// pipeline/channel.hpp.
 #pragma once
 
 #include <cstddef>

@@ -17,11 +17,6 @@ void Simulation::schedule_at(SimTime at, EventHandler& handler, int kind, std::u
   note_pending();
 }
 
-void Simulation::schedule_in(SimTime delay, EventHandler& handler, int kind, std::uint64_t a,
-                             std::uint64_t b) {
-  schedule_at(now_ + delay, handler, kind, a, b);
-}
-
 void Simulation::arm_link(Link& link, SimTime at, std::uint64_t seq) {
   // Sift up from a new leaf.  A link armed while another link's sink runs
   // carries a later key than that link's heap-top entry (its arrival is at

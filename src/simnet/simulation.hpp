@@ -43,8 +43,6 @@ class Simulation {
 
   void schedule_at(SimTime at, EventHandler& handler, int kind, std::uint64_t a = 0,
                    std::uint64_t b = 0);
-  void schedule_in(SimTime delay, EventHandler& handler, int kind, std::uint64_t a = 0,
-                   std::uint64_t b = 0);
 
   // Claim the sequence number of a link delivery at transmit time, exactly
   // where a per-packet schedule_at would have claimed it.

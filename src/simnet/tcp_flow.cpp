@@ -285,7 +285,6 @@ void TcpFlow::handle_rto(Simulation& sim) {
 
 void TcpFlow::sample_rtt(SimTime sample) {
   if (sample <= 0) return;
-  rtt_stats_.add(static_cast<double>(sample) / 1e9);
   if (min_rtt_ == 0 || sample < min_rtt_) min_rtt_ = sample;
 
   // HyStart: leave slow start when queuing delay builds, before the buffer

@@ -35,7 +35,6 @@
 #include "simnet/link.hpp"
 #include "simnet/path.hpp"
 #include "simnet/simulation.hpp"
-#include "stats/summary.hpp"
 #include "units/units.hpp"
 
 namespace sss::obs {
@@ -107,8 +106,11 @@ class TcpFlow final : public PacketSink, public EventHandler {
   [[nodiscard]] std::uint64_t rto_count() const { return rto_events_; }
   [[nodiscard]] double cwnd() const { return cwnd_; }
   [[nodiscard]] double ssthresh() const { return ssthresh_; }
-  [[nodiscard]] const stats::Summary& rtt_samples() const { return rtt_stats_; }
-  // Smoothed RTT estimate; initial_rto-derived before the first sample.
+  // Smallest RTT sample and the smoothed (RFC 6298) RTT; 0 before the first sample.
+  [[nodiscard]] units::Seconds min_rtt() const { return to_seconds(min_rtt_); }
+  [[nodiscard]] units::Seconds smoothed_rtt() const { return to_seconds(srtt_); }
+  // Current retransmission timeout; initial_rto-derived before the first
+  // RTT sample.
   [[nodiscard]] units::Seconds current_rto() const { return to_seconds(rto_); }
 
   // Attach a timeline probe: congestion-phase spans (slow-start / steady /
@@ -190,7 +192,6 @@ class TcpFlow final : public PacketSink, public EventHandler {
   SimTime end_time_ = 0;
   std::uint64_t retransmits_ = 0;
   std::uint64_t rto_events_ = 0;
-  stats::Summary rtt_stats_;
 
   // --- timeline probe (null = off) ---
   obs::TimelineRecorder* probe_ = nullptr;

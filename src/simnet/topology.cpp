@@ -163,14 +163,6 @@ std::vector<LinkConfig> Topology::canonical_route() const {
   return route(config_.source, config_.sink);
 }
 
-const LinkConfig& Topology::link(const std::string& hop_name) const {
-  for (const TopologyLink& l : config_.links) {
-    if (l.link.name == hop_name) return l.link;
-  }
-  throw std::invalid_argument("Topology '" + config_.name + "': unknown link '" + hop_name +
-                              "'");
-}
-
 TopologyConfig topology_preset(const std::string& name) {
   if (name == "aps_to_alcf") {
     // The paper's Table-2 path resolved into hops: a 40 GbE detector-side
@@ -274,8 +266,12 @@ TopologyConfig topology_preset(const std::string& name) {
     };
     return cfg;
   }
-  throw std::invalid_argument("unknown topology preset '" + name +
-                              "' (see topology_preset_names())");
+  std::string known;
+  for (const std::string& preset : topology_preset_names()) {
+    known += (known.empty() ? "" : ", ") + preset;
+  }
+  throw std::invalid_argument("unknown topology preset '" + name + "'; expected one of: " +
+                              known);
 }
 
 std::vector<std::string> topology_preset_names() {

@@ -83,15 +83,13 @@ class Topology {
   // The canonical source -> sink route.
   [[nodiscard]] std::vector<LinkConfig> canonical_route() const;
 
-  // The hop LinkConfig registered under `hop_name`; throws if unknown.
-  [[nodiscard]] const LinkConfig& link(const std::string& hop_name) const;
-
  private:
   TopologyConfig config_;
 };
 
 // Preset catalog.  `topology_preset` throws std::invalid_argument for an
-// unknown name; `topology_preset_names` lists the catalog in sorted order.
+// unknown name, listing the valid ones; `topology_preset_names` lists the
+// catalog in sorted order.
 [[nodiscard]] TopologyConfig topology_preset(const std::string& name);
 [[nodiscard]] std::vector<std::string> topology_preset_names();
 

@@ -588,15 +588,12 @@ struct Workload::Cell {
   }
 };
 
-Workload::Workload(WorkloadConfig config, bool use_arena)
-    : config_(std::move(config)),
-      mem_(use_arena ? static_cast<std::pmr::memory_resource*>(&arena_)
-                     : std::pmr::get_default_resource()) {
+Workload::Workload(WorkloadConfig config) : config_(std::move(config)) {
   config_.validate();
 }
 
 Workload::~Workload() {
-  if (cell_ != nullptr) std::pmr::polymorphic_allocator<>(mem_).delete_object(cell_);
+  if (cell_ != nullptr) std::pmr::polymorphic_allocator<>(&arena_).delete_object(cell_);
 }
 
 // Build the normalized world: one live Link per edge (plus reverse ACK
@@ -606,7 +603,7 @@ Workload::~Workload() {
 // has an admission policy.
 void Workload::prepare() {
   const obs::ScopedPhase obs_phase(obs::Phase::kPrepare);
-  std::pmr::polymorphic_allocator<> alloc(mem_);
+  std::pmr::polymorphic_allocator<> alloc(&arena_);
   if (cell_ != nullptr) {
     // Destructors must run while the arena memory is still valid; the
     // wholesale release is the reset() below.
@@ -615,17 +612,17 @@ void Workload::prepare() {
     arena_.reset();
   }
 
-  cell_ = alloc.new_object<Cell>(config_, mem_);
+  cell_ = alloc.new_object<Cell>(config_, &arena_);
   Cell& cell = *cell_;
   const World world = normalize(config_);
 
   cell.links.reserve(world.edges.size());
   cell.rlinks.reserve(world.edges.size());
   for (const LinkConfig& edge : world.edges) {
-    cell.links.push_back(alloc.new_object<Link>(edge, mem_));
+    cell.links.push_back(alloc.new_object<Link>(edge, &arena_));
   }
   for (const LinkConfig& edge : world.edges) {
-    cell.rlinks.push_back(alloc.new_object<Link>(reverse_link(edge), mem_));
+    cell.rlinks.push_back(alloc.new_object<Link>(reverse_link(edge), &arena_));
   }
   // Every link may be busy at once: size the busy-link heap here, not in
   // drive().
@@ -656,10 +653,10 @@ void Workload::prepare() {
 
   if (world.admission.policy != SchedPolicy::kNone) {
     cell.scheduler =
-        alloc.new_object<TransferScheduler>(world.admission, world.tenants.size(), mem_);
+        alloc.new_object<TransferScheduler>(world.admission, world.tenants.size(), &arena_);
   }
   cell.orchestrator =
-      alloc.new_object<detail::Orchestrator>(config_, cell.rng, mem_, probe_.recorder);
+      alloc.new_object<detail::Orchestrator>(config_, cell.rng, &arena_, probe_.recorder);
 
   // Merge the tenants' arrival processes into one plan, in arrival-time
   // order; ties keep tenant-index order (stable sort), so the schedule is

@@ -251,9 +251,7 @@ struct TimelineProbe {
 // cell across repetitions.
 class Workload {
  public:
-  // `use_arena = false` routes every allocation to the global heap instead
-  // (the ablation baseline measured by BM_WorkloadArena in the benches).
-  explicit Workload(WorkloadConfig config, bool use_arena = true);
+  explicit Workload(WorkloadConfig config);
   ~Workload();
   Workload(const Workload&) = delete;
   Workload& operator=(const Workload&) = delete;
@@ -276,10 +274,9 @@ class Workload {
 
   WorkloadConfig config_;
   Arena arena_;
-  std::pmr::memory_resource* mem_;
   TimelineProbe probe_;
   int probe_workload_track_ = 0;  // "workload" summary track, set by prepare()
-  Cell* cell_ = nullptr;  // allocated from mem_; rebuilt by prepare()
+  Cell* cell_ = nullptr;  // allocated from arena_; rebuilt by prepare()
 };
 
 // Run one experiment cell.  Deterministic for a given config (including

@@ -27,11 +27,6 @@ double EmpiricalCdf::quantile(double q) const {
   return sorted_[std::min(idx, sorted_.size() - 1)];
 }
 
-double EmpiricalCdf::min() const {
-  if (sorted_.empty()) throw std::invalid_argument("min of empty CDF");
-  return sorted_.front();
-}
-
 double EmpiricalCdf::max() const {
   if (sorted_.empty()) throw std::invalid_argument("max of empty CDF");
   return sorted_.back();
@@ -47,18 +42,6 @@ double EmpiricalCdf::tail_ratio(double hi, double lo) const {
   const double denom = quantile(lo);
   if (denom == 0.0) return 0.0;
   return quantile(hi) / denom;
-}
-
-std::vector<std::pair<double, double>> EmpiricalCdf::curve(std::size_t points) const {
-  if (points < 2) throw std::invalid_argument("curve requires at least 2 points");
-  std::vector<std::pair<double, double>> out;
-  out.reserve(points);
-  if (sorted_.empty()) return out;
-  for (std::size_t i = 0; i < points; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(points - 1);
-    out.emplace_back(quantile(q), q);
-  }
-  return out;
 }
 
 }  // namespace sss::stats

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace sss::stats {
@@ -26,17 +25,12 @@ class EmpiricalCdf {
 
   [[nodiscard]] std::size_t size() const { return sorted_.size(); }
   [[nodiscard]] bool empty() const { return sorted_.empty(); }
-  [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   [[nodiscard]] double mean() const;
 
   // Ratio of quantile(hi) to quantile(lo); e.g. tail_ratio(0.99, 0.5) is the
   // P99-to-median inflation the paper argues should drive design decisions.
   [[nodiscard]] double tail_ratio(double hi, double lo) const;
-
-  // Evenly spaced (value, cumulative probability) points for plotting or CSV
-  // output; `points` >= 2.
-  [[nodiscard]] std::vector<std::pair<double, double>> curve(std::size_t points) const;
 
   [[nodiscard]] const std::vector<double>& sorted() const { return sorted_; }
 

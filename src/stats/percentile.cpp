@@ -43,87 +43,4 @@ double QuantileSet::max() const {
   return sorted_.back();
 }
 
-P2Quantile::P2Quantile(double q) : q_(q) {
-  if (q <= 0.0 || q >= 1.0) throw std::invalid_argument("P2Quantile requires 0 < q < 1");
-}
-
-void P2Quantile::initialize() {
-  std::sort(heights_.begin(), heights_.begin() + 5);
-  for (int i = 0; i < 5; ++i) positions_[i] = i + 1;
-  desired_ = {1.0, 1.0 + 2.0 * q_, 1.0 + 4.0 * q_, 3.0 + 2.0 * q_, 5.0};
-  increments_ = {0.0, q_ / 2.0, q_, (1.0 + q_) / 2.0, 1.0};
-}
-
-double P2Quantile::parabolic(int i, double d) const {
-  const double qi = heights_[i];
-  const double np = positions_[i + 1] - positions_[i];
-  const double nm = positions_[i] - positions_[i - 1];
-  const double n_span = positions_[i + 1] - positions_[i - 1];
-  return qi + d / n_span *
-                  ((nm + d) * (heights_[i + 1] - qi) / np +
-                   (np - d) * (qi - heights_[i - 1]) / nm);
-}
-
-double P2Quantile::linear(int i, double d) const {
-  const int j = i + static_cast<int>(d);
-  return heights_[i] + d * (heights_[j] - heights_[i]) /
-                           (positions_[j] - positions_[i]);
-}
-
-void P2Quantile::add(double x) {
-  if (count_ < 5) {
-    heights_[count_] = x;
-    ++count_;
-    if (count_ == 5) initialize();
-    return;
-  }
-  ++count_;
-
-  int k = 0;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    for (int i = 0; i < 4; ++i) {
-      if (x < heights_[i + 1]) {
-        k = i;
-        break;
-      }
-    }
-  }
-
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const bool move_right = d >= 1.0 && positions_[i + 1] - positions_[i] > 1.0;
-    const bool move_left = d <= -1.0 && positions_[i - 1] - positions_[i] < -1.0;
-    if (move_right || move_left) {
-      const double step = move_right ? 1.0 : -1.0;
-      double candidate = parabolic(i, step);
-      if (heights_[i - 1] < candidate && candidate < heights_[i + 1]) {
-        heights_[i] = candidate;
-      } else {
-        heights_[i] = linear(i, step);
-      }
-      positions_[i] += step;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Fall back to exact quantile on the few stored samples.
-    std::array<double, 5> copy = heights_;
-    std::sort(copy.begin(), copy.begin() + count_);
-    return quantile_sorted(std::span<const double>(copy.data(), count_), q_);
-  }
-  return heights_[2];
-}
-
 }  // namespace sss::stats

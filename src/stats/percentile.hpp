@@ -2,14 +2,10 @@
 //
 // The paper's central argument is that *tail* latency (P90/P99, worst case)
 // must drive streaming-feasibility decisions, so quantile extraction is a
-// first-class facility here:
-//   - exact order-statistics quantiles over a stored sample (used when the
-//     full FCT log fits in memory, which it does for all paper-scale runs);
-//   - the P² (Jain & Chlamtac 1985) streaming estimator for online tracking
-//     with O(1) memory, used by long-running monitors.
+// first-class facility here: exact order-statistics quantiles over a stored
+// sample (the full FCT log fits in memory for all paper-scale runs).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -38,32 +34,6 @@ class QuantileSet {
 
  private:
   std::vector<double> sorted_;
-};
-
-// P² streaming quantile estimator: tracks one quantile with five markers.
-// Error is typically < 1% of the true quantile for unimodal distributions;
-// tests bound it against exact quantiles.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double x);
-  // Current estimate; exact until five samples have been seen.
-  [[nodiscard]] double value() const;
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double target_quantile() const { return q_; }
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  std::array<double, 5> heights_{};
-  std::array<double, 5> positions_{};
-  std::array<double, 5> desired_{};
-  std::array<double, 5> increments_{};
-
-  void initialize();
-  [[nodiscard]] double parabolic(int i, double d) const;
-  [[nodiscard]] double linear(int i, double d) const;
 };
 
 }  // namespace sss::stats

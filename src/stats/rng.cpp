@@ -44,12 +44,6 @@ void Xoshiro256::jump() {
   s_ = acc;
 }
 
-Xoshiro256 Xoshiro256::split(unsigned n) const {
-  Xoshiro256 child = *this;
-  for (unsigned i = 0; i <= n; ++i) child.jump();
-  return child;
-}
-
 double Random::uniform() {
   // 53 random mantissa bits -> uniform in [0, 1).
   return static_cast<double>(engine_.next() >> 11) * 0x1.0p-53;
@@ -101,8 +95,6 @@ double Random::pareto(double x_m, double shape) {
   } while (u <= 0.0);
   return x_m / std::pow(u, 1.0 / shape);
 }
-
-bool Random::chance(double p) { return uniform() < p; }
 
 std::vector<std::uint64_t> derive_stream_seeds(std::uint64_t base_seed, std::size_t count) {
   std::vector<std::uint64_t> seeds;

@@ -53,9 +53,6 @@ class Xoshiro256 {
   // for parallel components from one seed.
   void jump();
 
-  // Convenience: an independent stream `n` jumps away from this state.
-  [[nodiscard]] Xoshiro256 split(unsigned n = 1) const;
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };
@@ -75,7 +72,6 @@ class Xoshiro256 {
 class Random {
  public:
   explicit Random(std::uint64_t seed = 42) : engine_(seed) {}
-  explicit Random(Xoshiro256 engine) : engine_(engine) {}
 
   // Uniform double in [0, 1).
   double uniform();
@@ -93,12 +89,6 @@ class Random {
   // Pareto with scale x_m > 0 and shape a > 0 (heavy tails for congestion
   // perturbations).
   double pareto(double x_m, double shape);
-  // Bernoulli trial.
-  bool chance(double p);
-
-  Xoshiro256& engine() { return engine_; }
-  // Derive an independent child stream (deterministic given parent state).
-  [[nodiscard]] Random split(unsigned n = 1) const { return Random(engine_.split(n)); }
 
  private:
   Xoshiro256 engine_;

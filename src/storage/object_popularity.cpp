@@ -64,20 +64,4 @@ std::vector<std::uint64_t> zipf_partition(std::uint64_t items, std::uint64_t bin
   return out;
 }
 
-ZipfSampler::ZipfSampler(std::uint64_t n, double s) : cdf_(zipf_weights(n, s)) {
-  double running = 0.0;
-  for (double& c : cdf_) {
-    running += c;
-    c = running;
-  }
-  cdf_.back() = 1.0;  // guard against accumulated rounding
-}
-
-std::uint64_t ZipfSampler::sample(double u) const {
-  if (u < 0.0) u = 0.0;
-  if (u >= 1.0) return cdf_.size() - 1;
-  const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin());
-}
-
 }  // namespace sss::storage

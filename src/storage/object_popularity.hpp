@@ -8,12 +8,10 @@
 // historical uniform split bit-for-bit, larger s concentrates frames into
 // the first files (one elephant plus a long tail of mice), which shifts
 // the aggregation-wait and per-file-overhead balance the Fig. 4 family
-// measures.  ZipfSampler additionally supports request-stream generators
-// that need to DRAW object ranks (inverse-CDF over the same weights).
+// measures.
 //
 // Everything here is deterministic: weights and partitions are pure
-// functions, and sampling is driven by a caller-supplied uniform variate
-// so seed policy stays with the caller's RNG.
+// functions.
 #pragma once
 
 #include <cstdint>
@@ -35,19 +33,5 @@ namespace sss::storage {
 // conserved exactly.
 [[nodiscard]] std::vector<std::uint64_t> zipf_partition(std::uint64_t items,
                                                         std::uint64_t bins, double s);
-
-// Inverse-CDF sampler over zipf_weights(n, s).  sample(u) maps a uniform
-// variate u in [0, 1) to an object rank in [0, n): monotone in u, rank 0
-// is the most popular object.
-class ZipfSampler {
- public:
-  ZipfSampler(std::uint64_t n, double s);
-
-  [[nodiscard]] std::uint64_t object_count() const { return cdf_.size(); }
-  [[nodiscard]] std::uint64_t sample(double u) const;
-
- private:
-  std::vector<double> cdf_;  // inclusive prefix sums; back() == 1.0
-};
 
 }  // namespace sss::storage

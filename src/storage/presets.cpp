@@ -28,18 +28,6 @@ PfsConfig alcf_eagle_lustre() {
   return cfg;
 }
 
-PfsConfig local_nvme() {
-  PfsConfig cfg;
-  cfg.name = "local NVMe scratch";
-  cfg.metadata_latency = units::Seconds::micros(30.0);
-  cfg.open_close_latency = units::Seconds::micros(20.0);
-  cfg.write_bandwidth = units::DataRate::gigabytes_per_second(5.0);
-  cfg.read_bandwidth = units::DataRate::gigabytes_per_second(7.0);
-  cfg.metadata_parallelism = 4;
-  cfg.bandwidth_ramp = units::Bytes::megabytes(1.0);
-  return cfg;
-}
-
 void WanConfig::validate() const {
   if (!bandwidth.is_positive()) throw std::invalid_argument("WanConfig: bandwidth must be > 0");
   if (session_startup.seconds() < 0.0) {
@@ -51,52 +39,10 @@ void WanConfig::validate() const {
   if (!(efficiency > 0.0) || efficiency > 1.0) {
     throw std::invalid_argument("WanConfig: efficiency must be in (0, 1]");
   }
-  for (const WanHop& hop : hops) {
-    if (!hop.bandwidth.is_positive()) {
-      throw std::invalid_argument("WanConfig: hop '" + hop.name + "' bandwidth must be > 0");
-    }
-    if (!(hop.efficiency > 0.0) || hop.efficiency > 1.0) {
-      throw std::invalid_argument("WanConfig: hop '" + hop.name +
-                                  "' efficiency must be in (0, 1]");
-    }
-    if (hop.latency.seconds() < 0.0) {
-      throw std::invalid_argument("WanConfig: hop '" + hop.name + "' latency must be >= 0");
-    }
-  }
 }
 
-units::DataRate WanConfig::effective_bandwidth() const {
-  if (hops.empty()) return bandwidth * efficiency;
-  units::DataRate slowest = hops.front().bandwidth * hops.front().efficiency;
-  for (const WanHop& hop : hops) {
-    const units::DataRate effective = hop.bandwidth * hop.efficiency;
-    if (effective.bps() < slowest.bps()) slowest = effective;
-  }
-  return slowest;
-}
-
-units::Seconds WanConfig::path_latency() const {
-  units::Seconds total = units::Seconds::of(0.0);
-  for (const WanHop& hop : hops) total += hop.latency;
-  return total;
-}
+units::DataRate WanConfig::effective_bandwidth() const { return bandwidth * efficiency; }
 
 WanConfig aps_to_alcf_wan() { return WanConfig{}; }
-
-WanConfig aps_to_alcf_wan_hops() {
-  WanConfig cfg;
-  cfg.hops = {
-      WanHop{"aps-dtn-nic", units::DataRate::gigabits_per_second(40.0), 0.95,
-             units::Seconds::millis(0.25)},
-      WanHop{"esnet-wan", units::DataRate::gigabits_per_second(25.0), 0.9,
-             units::Seconds::millis(7.5)},
-      WanHop{"alcf-ingest", units::DataRate::gigabits_per_second(40.0), 0.95,
-             units::Seconds::millis(0.25)},
-  };
-  // The bottleneck hop reproduces the single-figure preset's effective
-  // bandwidth (25 Gbps x 0.9), so Fig. 4 results carry over; only the
-  // per-file path latency is new.
-  return cfg;
-}
 
 }  // namespace sss::storage

@@ -10,9 +10,6 @@
 // EXPERIMENTS.md discusses the calibration.
 #pragma once
 
-#include <string>
-#include <vector>
-
 #include "storage/pfs_model.hpp"
 #include "units/units.hpp"
 
@@ -24,18 +21,6 @@ namespace sss::storage {
 // ALCF Eagle (Lustre): community FS; metadata round trips are the
 // documented pain point for many-small-file workloads.
 [[nodiscard]] PfsConfig alcf_eagle_lustre();
-
-// A local NVMe scratch tier (used by examples exploring local processing).
-[[nodiscard]] PfsConfig local_nvme();
-
-// One hop of a staged-transfer path (DTN uplink, WAN backbone, HPC
-// ingest, ...): its line rate, wire efficiency, and one-way latency.
-struct WanHop {
-  std::string name = "wan";
-  units::DataRate bandwidth = units::DataRate::gigabits_per_second(25.0);
-  double efficiency = 0.9;
-  units::Seconds latency = units::Seconds::millis(8.0);  // one way
-};
 
 // WAN path parameters for staged (file-based) transfers APS -> ALCF.
 struct WanConfig {
@@ -52,24 +37,11 @@ struct WanConfig {
   units::Seconds per_file_overhead = units::Seconds::of(1.0);
   // Effective wire efficiency for bulk data (protocol + encryption).
   double efficiency = 0.9;
-  // Optional multi-hop resolution of the path.  When non-empty, the
-  // transfer is charged per-hop: the effective bandwidth is the slowest
-  // hop's (bandwidth x efficiency) and every file additionally pays the
-  // summed one-way hop latency before it is fully landed.  Empty keeps the
-  // legacy single-figure charging exactly.
-  std::vector<WanHop> hops;
 
   void validate() const;
   [[nodiscard]] units::DataRate effective_bandwidth() const;
-  // Summed one-way latency across hops (zero for the single-figure model,
-  // where latency is already folded into per_file_overhead).
-  [[nodiscard]] units::Seconds path_latency() const;
 };
 
 [[nodiscard]] WanConfig aps_to_alcf_wan();
-
-// The APS -> ALCF WAN resolved into hops (matching the aps_to_alcf
-// topology preset): DTN NIC, ESnet share, ALCF ingest.
-[[nodiscard]] WanConfig aps_to_alcf_wan_hops();
 
 }  // namespace sss::storage

@@ -80,13 +80,8 @@ StagedTimeline simulate_staged(const StagedTransferConfig& config,
     ev.transfer_start_s = std::max(transfer_avail, file_ready);
     const double cost =
         config.wan.per_file_overhead.seconds() + dest_create_s + ev.bytes / rate;
-    // Multi-hop WAN paths additionally charge the summed one-way hop
-    // latency: a file is not landed until its last byte has crossed every
-    // hop.  The latency pipelines — the next file starts serializing as
-    // soon as this one leaves the sender, not after it lands.  Zero for
-    // the legacy single-figure model.
-    ev.landed_at_s = ev.transfer_start_s + cost + config.wan.path_latency().seconds();
-    transfer_avail = ev.transfer_start_s + cost;
+    ev.landed_at_s = ev.transfer_start_s + cost;
+    transfer_avail = ev.landed_at_s;
   }
   timeline.transfer_done_s =
       timeline.files.empty() ? transfer_avail : timeline.files.back().landed_at_s;
@@ -102,16 +97,6 @@ StagedTimeline simulate_staged(const StagedTransferConfig& config,
     timeline.total_s = timeline.transfer_done_s;
   }
   return timeline;
-}
-
-double estimate_theta(const StagedTransferConfig& config, const detector::ScanWorkload& scan,
-                      std::uint64_t file_count) {
-  detector::ScanWorkload instant = scan;
-  // Near-instant generation: frames are all available up front, leaving
-  // only staging/transfer/read overheads in the completion time.
-  instant.frame_interval = units::Seconds::nanos(1.0);
-  const StagedTimeline t = simulate_staged(config, instant, file_count);
-  return t.theta();
 }
 
 }  // namespace sss::storage

@@ -65,8 +65,7 @@ struct StagedTimeline {
 
   // I/O overhead coefficient theta (Eq. 7) of this run:
   // (T_IO + T_transfer) / T_transfer with T_IO = total - T_transfer.
-  // Includes any aggregation waits that generation pacing causes; use
-  // estimate_theta() for a generation-free calibration.
+  // Includes any aggregation waits that generation pacing causes.
   [[nodiscard]] double theta() const {
     return pure_wan_transfer_s > 0.0 ? total_s / pure_wan_transfer_s : 0.0;
   }
@@ -77,13 +76,5 @@ struct StagedTimeline {
 [[nodiscard]] StagedTimeline simulate_staged(const StagedTransferConfig& config,
                                              const detector::ScanWorkload& scan,
                                              std::uint64_t file_count);
-
-// Calibrate theta without the generation confound: re-runs the timeline
-// with near-instant generation so only staging, per-file, WAN and read
-// overheads remain (Section 3.1's theta, measured as Section 4.2 does by
-// comparing against pure transfer time).
-[[nodiscard]] double estimate_theta(const StagedTransferConfig& config,
-                                    const detector::ScanWorkload& scan,
-                                    std::uint64_t file_count);
 
 }  // namespace sss::storage

@@ -27,7 +27,6 @@ StreamTimeline simulate_stream(const StreamTransferConfig& config,
   timeline.generation_done_s = scan.generation_time().seconds();
   timeline.pure_wan_transfer_s =
       (scan.total_bytes() / config.effective_bandwidth()).seconds();
-  timeline.frame_lag_s.reserve(scan.frame_count);
 
   const double frame_tx_s =
       scan.frame_size.bytes() / config.effective_bandwidth().bps() +
@@ -41,34 +40,12 @@ StreamTimeline simulate_stream(const StreamTransferConfig& config,
   for (std::uint64_t i = 0; i < scan.frame_count; ++i) {
     const double ready = scan.frame_ready_at(i).seconds();
     send_avail = std::max(send_avail, ready) + frame_tx_s;
-    const double landed = send_avail + prop_s;
-    timeline.frame_lag_s.push_back(landed - ready);
-    last_landed = landed;
+    last_landed = send_avail + prop_s;
   }
 
   timeline.transfer_done_s = last_landed;
   timeline.total_s = last_landed;
   return timeline;
-}
-
-double StreamTimeline::max_frame_lag_s() const {
-  double worst = 0.0;
-  for (double lag : frame_lag_s) worst = std::max(worst, lag);
-  return worst;
-}
-
-double StreamTimeline::mean_frame_lag_s() const {
-  if (frame_lag_s.empty()) return 0.0;
-  double sum = 0.0;
-  for (double lag : frame_lag_s) sum += lag;
-  return sum / static_cast<double>(frame_lag_s.size());
-}
-
-double StreamTimeline::overlap_fraction() const {
-  if (pure_wan_transfer_s <= 0.0) return 0.0;
-  const double exposed = total_s - generation_done_s;
-  const double hidden = pure_wan_transfer_s - std::max(exposed, 0.0);
-  return std::clamp(hidden / pure_wan_transfer_s, 0.0, 1.0);
 }
 
 }  // namespace sss::storage

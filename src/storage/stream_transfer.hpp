@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "detector/frame.hpp"
 #include "units/units.hpp"
@@ -37,15 +36,6 @@ struct StreamTimeline {
   double transfer_done_s = 0.0;  // last frame landed remotely
   double total_s = 0.0;
   double pure_wan_transfer_s = 0.0;  // S / (alpha * Bw), Eq. 5
-  // Per-frame lag: landed - generated.  The feedback latency an
-  // experiment-steering loop would see for each frame.
-  std::vector<double> frame_lag_s;
-
-  [[nodiscard]] double max_frame_lag_s() const;
-  [[nodiscard]] double mean_frame_lag_s() const;
-  // Fraction of the pure transfer time hidden under generation:
-  // 1 - (total - generation) / pure transfer, clamped to [0, 1].
-  [[nodiscard]] double overlap_fraction() const;
   // Streaming theta analog: total / pure transfer (>= 1; ~1 when
   // transfer-bound, > 1 when generation-bound).
   [[nodiscard]] double theta() const {

@@ -9,20 +9,6 @@
 
 namespace sss::trace {
 
-CsvWriter::CsvWriter(const std::string& path)
-    : out_(new std::ofstream(path)), owns_stream_(true) {
-  if (!static_cast<std::ofstream*>(out_)->is_open()) {
-    delete out_;
-    throw std::runtime_error("CsvWriter: cannot open " + path);
-  }
-}
-
-CsvWriter::CsvWriter(std::ostream& out) : out_(&out), owns_stream_(false) {}
-
-CsvWriter::~CsvWriter() {
-  if (owns_stream_) delete out_;
-}
-
 std::string CsvWriter::escape(std::string_view field) {
   const bool needs_quotes =
       field.find_first_of(",\"\n\r") != std::string_view::npos;
@@ -38,10 +24,10 @@ std::string CsvWriter::escape(std::string_view field) {
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) *out_ << ',';
-    *out_ << escape(fields[i]);
+    if (i) out_ << ',';
+    out_ << escape(fields[i]);
   }
-  *out_ << '\n';
+  out_ << '\n';
   ++rows_;
 }
 

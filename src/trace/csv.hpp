@@ -16,12 +16,8 @@ namespace sss::trace {
 
 class CsvWriter {
  public:
-  // Writes to an owned file.  Throws std::runtime_error when the file cannot
-  // be opened.
-  explicit CsvWriter(const std::string& path);
   // Writes to a caller-owned stream (kept alive by the caller).
-  explicit CsvWriter(std::ostream& out);
-  ~CsvWriter();
+  explicit CsvWriter(std::ostream& out) : out_(out) {}
 
   CsvWriter(const CsvWriter&) = delete;
   CsvWriter& operator=(const CsvWriter&) = delete;
@@ -36,8 +32,7 @@ class CsvWriter {
   [[nodiscard]] static std::string escape(std::string_view field);
 
  private:
-  std::ostream* out_;
-  bool owns_stream_;
+  std::ostream& out_;
   std::size_t rows_ = 0;
 };
 

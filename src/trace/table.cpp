@@ -23,12 +23,6 @@ std::string ConsoleTable::num(double v, int precision) {
   return buf;
 }
 
-std::string ConsoleTable::pct(double fraction, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%%", decimals, fraction * 100.0);
-  return buf;
-}
-
 std::string ConsoleTable::render() const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();

@@ -20,8 +20,6 @@ class ConsoleTable {
   // Format a double with `precision` significant digits (default rendering
   // used by all benches).
   [[nodiscard]] static std::string num(double v, int precision = 4);
-  // Format as a percentage, e.g. 0.97 -> "97.0%".
-  [[nodiscard]] static std::string pct(double fraction, int decimals = 1);
 
   // Render with a separator line under the header.
   [[nodiscard]] std::string render() const;

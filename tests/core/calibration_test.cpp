@@ -116,35 +116,5 @@ TEST(BuildCongestionProfile, FromRealSweep) {
   }
 }
 
-TEST(Calibrate, AssemblesValidParameters) {
-  std::vector<simnet::ExperimentResult> sweep;
-  for (int c : {1, 3, 5, 7}) sweep.push_back(tiny_experiment(c));
-
-  CalibrationInputs in;
-  in.sweep = &sweep;
-  in.operating_utilization = 0.64;
-  in.s_unit = units::Bytes::gigabytes(2.0);
-  in.complexity = units::Complexity::flop_per_byte(17000.0);
-  in.r_local = units::FlopsRate::teraflops(5.0);
-  in.r_remote = units::FlopsRate::teraflops(50.0);
-  in.bandwidth = units::DataRate::gigabits_per_second(25.0);
-
-  const CalibrationResult out = calibrate(in);
-  EXPECT_NO_THROW(out.params.validate());
-  EXPECT_DOUBLE_EQ(out.params.theta, 1.0);
-  EXPECT_GT(out.params.alpha, 0.0);
-  EXPECT_LE(out.params.alpha, 1.0);
-  EXPECT_GT(out.predicted_worst_transfer.seconds(), 0.0);
-  EXPECT_FALSE(out.profile.empty());
-}
-
-TEST(Calibrate, RequiresSweep) {
-  CalibrationInputs in;
-  EXPECT_THROW(calibrate(in), std::invalid_argument);
-  std::vector<simnet::ExperimentResult> empty;
-  in.sweep = &empty;
-  EXPECT_THROW(calibrate(in), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace sss::core

@@ -82,26 +82,5 @@ TEST(Completion, PaperTheoreticalTransferExample) {
   EXPECT_NEAR(t_transfer(p).seconds(), 0.16, 1e-12);
 }
 
-TEST(PacketDelay, Eq1SumsComponents) {
-  PacketDelay d;
-  d.processing = units::Seconds::micros(10.0);
-  d.queuing = units::Seconds::millis(3.0);
-  d.transmission = units::Seconds::micros(500.0);
-  d.propagation = units::Seconds::millis(8.0);
-  EXPECT_NEAR(d.total().ms(), 0.01 + 3.0 + 0.5 + 8.0, 1e-9);
-}
-
-TEST(PacketDelay, Eq2ContinuumDropsEverythingButPropagation) {
-  PacketDelay d;
-  d.processing = units::Seconds::millis(1.0);
-  d.queuing = units::Seconds::of(5.0);  // severe congestion...
-  d.transmission = units::Seconds::millis(1.0);
-  d.propagation = units::Seconds::millis(8.0);
-  // ...which the continuum simplification blithely ignores — the gap the
-  // paper's Section 3 critique (and our ablation bench) quantifies.
-  EXPECT_DOUBLE_EQ(continuum_approximation(d).ms(), 8.0);
-  EXPECT_GT(d.total().seconds(), continuum_approximation(d).seconds() * 100.0);
-}
-
 }  // namespace
 }  // namespace sss::core

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "detector/facility.hpp"
 
 namespace sss::core {
@@ -85,6 +87,7 @@ TEST(TierAnalysis, CoherentScatteringMatchesCaseStudy) {
   // Tier 1 (<1 s): the 1.2 s worst-case transfer alone blows the deadline.
   EXPECT_FALSE(tiers[0].streaming_feasible);
   EXPECT_DOUBLE_EQ(tiers[0].streaming_compute_budget.seconds(), 0.0);
+  EXPECT_TRUE(std::isinf(tiers[0].required_remote_rate.flop_per_s()));
 
   // Tier 2 (<10 s): 8.8 s of compute budget, needs 34 TF / 8.8 s ~ 3.9
   // TFLOPS of remote compute.

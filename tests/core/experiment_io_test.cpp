@@ -1,139 +1,12 @@
-// Tests for measurement-artifact persistence (CSV round trips).
+// Tests for transfer-trace persistence (CSV round trips).
 #include "core/experiment_io.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
-#include "simnet/workload.hpp"
-
 namespace sss::core {
 namespace {
-
-std::vector<simnet::ClientRecord> sample_clients() {
-  std::vector<simnet::ClientRecord> clients;
-  for (int i = 0; i < 5; ++i) {
-    simnet::ClientRecord c;
-    c.client_id = static_cast<std::uint32_t>(i);
-    c.requested_s = i * 0.25;
-    c.start_s = i * 0.25 + 0.01;
-    c.end_s = c.start_s + 0.33 + i * 0.001;
-    c.bytes = 0.5e9;
-    c.flow_count = 4;
-    c.censored = (i == 4);
-    clients.push_back(c);
-  }
-  return clients;
-}
-
-TEST(ClientLogIo, RoundTripsExactly) {
-  const auto original = sample_clients();
-  const std::string csv = client_log_to_csv(original);
-  const auto restored = client_log_from_csv(csv);
-  ASSERT_EQ(restored.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(restored[i].client_id, original[i].client_id);
-    EXPECT_DOUBLE_EQ(restored[i].requested_s, original[i].requested_s);
-    EXPECT_DOUBLE_EQ(restored[i].start_s, original[i].start_s);
-    EXPECT_DOUBLE_EQ(restored[i].end_s, original[i].end_s);
-    EXPECT_DOUBLE_EQ(restored[i].bytes, original[i].bytes);
-    EXPECT_EQ(restored[i].flow_count, original[i].flow_count);
-    EXPECT_EQ(restored[i].censored, original[i].censored);
-    EXPECT_DOUBLE_EQ(restored[i].fct_s(), original[i].fct_s());
-  }
-}
-
-TEST(ClientLogIo, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/sss_client_log.csv";
-  write_client_log(path, sample_clients());
-  const auto restored = read_client_log(path);
-  EXPECT_EQ(restored.size(), 5u);
-  EXPECT_TRUE(restored.back().censored);
-  std::remove(path.c_str());
-}
-
-TEST(ClientLogIo, MissingColumnThrows) {
-  EXPECT_THROW(client_log_from_csv("client_id,start_s\n1,2\n"), std::out_of_range);
-}
-
-TEST(ClientLogIo, MalformedNumberThrows) {
-  const std::string csv =
-      "client_id,requested_s,start_s,end_s,bytes,flow_count,censored\n"
-      "1,abc,0.1,0.2,100,2,0\n";
-  EXPECT_THROW(client_log_from_csv(csv), std::runtime_error);
-}
-
-TEST(ClientLogIo, EmptyLogRoundTrips) {
-  const auto restored = client_log_from_csv(client_log_to_csv({}));
-  EXPECT_TRUE(restored.empty());
-}
-
-CongestionProfile sample_profile() {
-  std::vector<CongestionPoint> points;
-  for (double u : {0.16, 0.64, 0.96}) {
-    CongestionPoint p;
-    p.utilization = u;
-    p.measured_utilization = u * 0.98;
-    p.t_theoretical_s = 0.16;
-    p.t_worst_s = 0.16 * (1.0 + u * 10.0);
-    p.t_mean_s = p.t_worst_s * 0.6;
-    p.t_io_s = u * 0.05;
-    p.sss = p.t_worst_s / p.t_theoretical_s;
-    p.concurrency = static_cast<int>(u * 8);
-    p.parallel_flows = 4;
-    p.loss_rate = u > 0.9 ? 0.01 : 0.0;
-    points.push_back(p);
-  }
-  return CongestionProfile(std::move(points));
-}
-
-TEST(ProfileIo, RoundTripsExactly) {
-  const CongestionProfile original = sample_profile();
-  const CongestionProfile restored = profile_from_csv(profile_to_csv(original));
-  ASSERT_EQ(restored.points().size(), original.points().size());
-  for (std::size_t i = 0; i < original.points().size(); ++i) {
-    const auto& a = original.points()[i];
-    const auto& b = restored.points()[i];
-    EXPECT_DOUBLE_EQ(b.utilization, a.utilization);
-    EXPECT_DOUBLE_EQ(b.sss, a.sss);
-    EXPECT_DOUBLE_EQ(b.t_worst_s, a.t_worst_s);
-    EXPECT_DOUBLE_EQ(b.t_io_s, a.t_io_s);
-    EXPECT_EQ(b.concurrency, a.concurrency);
-    EXPECT_DOUBLE_EQ(b.loss_rate, a.loss_rate);
-  }
-  // Interpolation behaviour is preserved, which is what decisions consume.
-  for (double u : {0.2, 0.5, 0.8, 1.0}) {
-    EXPECT_DOUBLE_EQ(restored.sss_at(u), original.sss_at(u));
-  }
-}
-
-TEST(ProfileIo, LegacyProfileWithoutIoColumnReadsAsPureStreaming) {
-  // Profiles persisted before the t_io_s column existed were all pure
-  // streaming; they must stay readable, with the overhead defaulting to 0.
-  const std::string legacy =
-      "utilization,measured_utilization,t_worst_s,t_theoretical_s,t_mean_s,sss,"
-      "concurrency,parallel_flows,loss_rate\n"
-      "0.5,0.49,0.8,0.16,0.5,5,4,2,0\n";
-  const CongestionProfile profile = profile_from_csv(legacy);
-  ASSERT_EQ(profile.points().size(), 1u);
-  EXPECT_DOUBLE_EQ(profile.points()[0].t_io_s, 0.0);
-  EXPECT_DOUBLE_EQ(profile.points()[0].sss, 5.0);
-}
-
-TEST(ProfileIo, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/sss_profile.csv";
-  write_profile(path, sample_profile());
-  const CongestionProfile restored = read_profile(path);
-  EXPECT_EQ(restored.points().size(), 3u);
-  std::remove(path.c_str());
-}
-
-TEST(ProfileIo, MissingFileThrows) {
-  EXPECT_THROW(read_profile("/nonexistent-dir-xyz/p.csv"), std::runtime_error);
-  EXPECT_THROW(read_client_log("/nonexistent-dir-xyz/c.csv"), std::runtime_error);
-}
-
-// --- per-transfer traces ---------------------------------------------------
 
 std::vector<TransferRecord> sample_trace() {
   std::vector<TransferRecord> records;
@@ -219,28 +92,6 @@ TEST(TransferTraceIo, MissingColumnThrows) {
 
 TEST(TransferTraceIo, EmptyTraceRoundTrips) {
   EXPECT_TRUE(transfer_trace_from_csv(transfer_trace_to_csv({})).empty());
-}
-
-TEST(ProfileIo, MeasureOnceDecideLater) {
-  // End-to-end: run a small sweep, persist the profile, reload it in a
-  // "separate session", and verify the decision inputs are identical.
-  std::vector<simnet::ExperimentResult> sweep;
-  for (int c : {1, 4}) {
-    simnet::WorkloadConfig cfg;
-    cfg.duration = units::Seconds::of(1.0);
-    cfg.concurrency = c;
-    cfg.parallel_flows = 2;
-    cfg.transfer_size = units::Bytes::megabytes(30.0);
-    cfg.link.capacity = units::DataRate::gigabits_per_second(2.5);
-    cfg.mode = simnet::SpawnMode::kSimultaneousBatches;
-    sweep.push_back(simnet::run_experiment(cfg));
-  }
-  const CongestionProfile measured = build_congestion_profile(sweep);
-  const CongestionProfile reloaded = profile_from_csv(profile_to_csv(measured));
-  const units::Bytes unit = units::Bytes::megabytes(20.0);
-  const units::DataRate link = units::DataRate::gigabits_per_second(2.5);
-  EXPECT_DOUBLE_EQ(reloaded.worst_transfer_time(unit, link, 0.5).seconds(),
-                   measured.worst_transfer_time(unit, link, 0.5).seconds());
 }
 
 }  // namespace

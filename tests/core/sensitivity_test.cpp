@@ -55,7 +55,9 @@ TEST(SweepR, GainIncreasesWithRemoteSpeed) {
 }
 
 TEST(SweepBandwidth, GainIncreasesWithBandwidth) {
-  const auto pts = sweep_bandwidth_gbps(base_params(), 1.0, 100.0, 8);
+  const auto pts = sweep(base_params(), 1.0, 100.0, 8, [](ModelParameters& p, double x) {
+    p.bandwidth = units::DataRate::gigabits_per_second(x);
+  });
   for (std::size_t i = 1; i < pts.size(); ++i) {
     EXPECT_GT(pts[i].gain, pts[i - 1].gain);
   }
@@ -113,21 +115,6 @@ TEST(CriticalR, NoneWhenTransferAloneExceedsLocal) {
   // Make the link hopeless: 0.1 Gbps for 2 GB -> transfer ~ 200 s >> T_local.
   p.bandwidth = units::DataRate::gigabits_per_second(0.1);
   EXPECT_FALSE(critical_r(p).has_value());
-}
-
-TEST(RequiredRemoteRate, CaseStudyNumbers) {
-  // Tier 2, coherent scattering: 10 s deadline, 1.2 s worst transfer ->
-  // 8.8 s budget -> 34 TF / 8.8 s ~ 3.86 TFLOPS.
-  const auto rate = required_remote_rate(base_params(), units::Seconds::of(10.0),
-                                         units::Seconds::of(1.2));
-  ASSERT_TRUE(rate.has_value());
-  EXPECT_NEAR(rate->tflops(), 34.0 / 8.8, 1e-6);
-}
-
-TEST(RequiredRemoteRate, NoneWhenTransferBlowsDeadline) {
-  const auto rate = required_remote_rate(base_params(), units::Seconds::of(1.0),
-                                         units::Seconds::of(1.2));
-  EXPECT_FALSE(rate.has_value());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests that facility presets transcribe the paper's numbers faithfully.
+// Tests that the workflow presets transcribe the paper's numbers faithfully.
 #include "detector/facility.hpp"
 
 #include <gtest/gtest.h>
@@ -6,44 +6,14 @@
 namespace sss::detector {
 namespace {
 
-TEST(Facilities, LhcNumbers) {
-  const FacilityProfile p = lhc();
-  EXPECT_DOUBLE_EQ(p.raw_rate.tbit_per_s() / 8.0 * 8.0, p.raw_rate.tbit_per_s());
-  EXPECT_DOUBLE_EQ(p.raw_rate.bps(), 40e12);        // 40 TB/s
-  EXPECT_DOUBLE_EQ(p.reduced_rate.bps(), 1e9);      // ~1 GB/s to storage
-  EXPECT_NEAR(p.reduction_factor(), 40000.0, 1.0);  // aggressive triggers
-}
-
-TEST(Facilities, Lcls2Numbers) {
-  EXPECT_DOUBLE_EQ(lcls2_2023().raw_rate.bps(), 200e9);   // 200 GB/s in 2023
-  EXPECT_DOUBLE_EQ(lcls2_2029().raw_rate.bps(), 1e12);    // 1 TB/s by 2029
-  // DRP reduces "by an order of magnitude".
-  EXPECT_NEAR(lcls2_2023().reduction_factor(), 10.0, 1e-9);
-  EXPECT_NEAR(lcls2_2029().reduction_factor(), 10.0, 1e-9);
-}
-
-TEST(Facilities, ApsNumbers) {
-  EXPECT_DOUBLE_EQ(aps().raw_rate.gbit_per_s(), 480.0);  // 480 Gb/s detectors
-}
-
 TEST(Facilities, FribDeleriaNumbers) {
-  const FacilityProfile p = frib_deleria();
-  EXPECT_DOUBLE_EQ(p.raw_rate.gbit_per_s(), 40.0);
-  EXPECT_DOUBLE_EQ(p.reduced_rate.mbps(), 240.0);
   const DeleriaProfile d = deleria_profile();
+  EXPECT_DOUBLE_EQ(d.input_rate.gbit_per_s(), 40.0);
+  EXPECT_DOUBLE_EQ(d.event_stream.mbps(), 240.0);
   EXPECT_EQ(d.process_count, 100);
   // ~2 MB/s per compute process (Section 2.2.4).
   EXPECT_NEAR(d.per_process_rate().mbps(), 2.4, 0.5);
   EXPECT_DOUBLE_EQ(d.reduction, 0.975);
-}
-
-TEST(Facilities, AllFacilitiesEnumerated) {
-  const auto all = all_facilities();
-  EXPECT_EQ(all.size(), 5u);
-  for (const auto& f : all) {
-    EXPECT_FALSE(f.name.empty());
-    EXPECT_TRUE(f.raw_rate.is_positive());
-  }
 }
 
 TEST(Table3Workflows, CoherentScattering) {

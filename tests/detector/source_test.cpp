@@ -17,10 +17,10 @@ ScanWorkload small_scan() {
 TEST(FrameSource, IteratesAllFramesInOrder) {
   FrameSource src(small_scan());
   std::uint64_t expected = 0;
-  while (auto d = src.next_descriptor()) {
-    EXPECT_EQ(d->index, expected);
-    EXPECT_DOUBLE_EQ(d->size.bytes(), 4096.0);
-    EXPECT_DOUBLE_EQ(d->generated_at.seconds(), 0.5 * (expected + 1));
+  while (auto f = src.next_frame()) {
+    EXPECT_EQ(f->descriptor.index, expected);
+    EXPECT_DOUBLE_EQ(f->descriptor.size.bytes(), 4096.0);
+    EXPECT_DOUBLE_EQ(f->descriptor.generated_at.seconds(), 0.5 * (expected + 1));
     ++expected;
   }
   EXPECT_EQ(expected, 5u);

@@ -2,6 +2,8 @@
 // congestion sweep (simnet) -> calibration (core) -> tier decision (core).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/calibration.hpp"
 #include "core/decision.hpp"
 #include "core/report.hpp"
@@ -77,26 +79,26 @@ TEST_F(MeasurementToDecision, ProfileFeedsDecision) {
 }
 
 TEST_F(MeasurementToDecision, CalibrationProducesUsableParameters) {
-  core::CalibrationInputs in;
-  in.sweep = sweep_;
-  in.operating_utilization = 0.5;
-  in.s_unit = units::Bytes::megabytes(40.0);
-  in.complexity = units::Complexity::flop_per_byte(100.0);
-  in.r_local = units::FlopsRate::gigaflops(10.0);
-  in.r_remote = units::FlopsRate::gigaflops(100.0);
-  in.bandwidth = units::DataRate::gigabits_per_second(2.5);
-
-  const core::CalibrationResult calibrated = core::calibrate(in);
+  // Parameters from the measured profile at 50 % utilization: alpha is the
+  // efficiency implied by the worst-case inflation there.
+  const core::CongestionProfile profile = core::build_congestion_profile(*sweep_);
   core::DecisionInput input;
-  input.params = calibrated.params;
+  input.params.s_unit = units::Bytes::megabytes(40.0);
+  input.params.complexity = units::Complexity::flop_per_byte(100.0);
+  input.params.r_local = units::FlopsRate::gigaflops(10.0);
+  input.params.r_remote = units::FlopsRate::gigaflops(100.0);
+  input.params.bandwidth = units::DataRate::gigabits_per_second(2.5);
+  input.params.alpha = std::min(1.0, 1.0 / profile.sss_at(0.5));
+  EXPECT_NO_THROW(input.params.validate());
   const core::Evaluation ev = core::evaluate(input);
   EXPECT_GT(ev.gain_streaming, 0.0);
 
   // The whole thing renders into a report without throwing.
   core::WorkflowReportInput report_in;
   report_in.workflow_name = "scaled integration workflow";
-  report_in.decision.params = calibrated.params;
-  report_in.decision.t_worst_transfer = calibrated.predicted_worst_transfer;
+  report_in.decision.params = input.params;
+  report_in.decision.t_worst_transfer =
+      profile.worst_transfer_time(input.params.s_unit, input.params.bandwidth, 0.5);
   const std::string report = core::render_report(report_in);
   EXPECT_FALSE(report.empty());
 }

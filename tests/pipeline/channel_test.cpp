@@ -36,15 +36,16 @@ TEST(FrameChannel, SendRecvRoundTrip) {
   EXPECT_EQ(got->payload, make_frame(0, 1024).payload);
 }
 
-TEST(FrameChannel, StatsAccumulate) {
+TEST(FrameChannel, FramesArriveWhole) {
   VirtualClock clock;
   FrameChannel ch(small_channel(), clock);
   ASSERT_TRUE(ch.send(make_frame(0, 1000)));
-  (void)ch.recv();
+  const auto first = ch.recv();
   ASSERT_TRUE(ch.send(make_frame(1, 2000)));
-  const auto stats = ch.stats();
-  EXPECT_EQ(stats.frames_sent, 2u);
-  EXPECT_EQ(stats.bytes_sent, 3000u);
+  const auto second = ch.recv();
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_EQ(first->size_bytes(), 1000u);
+  EXPECT_EQ(second->size_bytes(), 2000u);
 }
 
 TEST(FrameChannel, CloseDrainsThenEndsStream) {

@@ -19,22 +19,30 @@ TEST(TokenBucket, RejectsBadConstruction) {
                std::invalid_argument);
 }
 
+// The bucket's contents show as time: acquire() returns without advancing
+// the virtual clock while tokens cover the request, and otherwise waits the
+// deficit out at the configured rate.
+
 TEST(TokenBucket, BurstAvailableImmediately) {
   VirtualClock clock;
   TokenBucket bucket(units::DataRate::megabytes_per_second(10.0),
                      units::Bytes::megabytes(1.0), clock);
-  EXPECT_TRUE(bucket.try_acquire(units::Bytes::megabytes(1.0)));
-  EXPECT_FALSE(bucket.try_acquire(units::Bytes::of(1.0)));  // drained
+  bucket.acquire(units::Bytes::megabytes(1.0));
+  EXPECT_DOUBLE_EQ(clock.now().seconds(), 0.0);
+  bucket.acquire(units::Bytes::of(1.0));  // drained: must wait
+  EXPECT_GT(clock.now().seconds(), 0.0);
 }
 
 TEST(TokenBucket, RefillsAtConfiguredRate) {
   VirtualClock clock;
   TokenBucket bucket(units::DataRate::megabytes_per_second(10.0),
                      units::Bytes::megabytes(1.0), clock);
-  ASSERT_TRUE(bucket.try_acquire(units::Bytes::megabytes(1.0)));
+  bucket.acquire(units::Bytes::megabytes(1.0));
   clock.sleep_for(units::Seconds::of(0.05));  // 0.5 MB accrues
-  EXPECT_TRUE(bucket.try_acquire(units::Bytes::megabytes(0.5)));
-  EXPECT_FALSE(bucket.try_acquire(units::Bytes::megabytes(0.1)));
+  bucket.acquire(units::Bytes::megabytes(0.5));
+  EXPECT_DOUBLE_EQ(clock.now().seconds(), 0.05);
+  bucket.acquire(units::Bytes::megabytes(0.1));  // empty again: 0.1 MB at 10 MB/s
+  EXPECT_NEAR(clock.now().seconds() - 0.05, 0.01, 1e-6);
 }
 
 TEST(TokenBucket, RefillCappedAtBurst) {
@@ -42,7 +50,9 @@ TEST(TokenBucket, RefillCappedAtBurst) {
   TokenBucket bucket(units::DataRate::megabytes_per_second(10.0),
                      units::Bytes::megabytes(1.0), clock);
   clock.sleep_for(units::Seconds::of(100.0));  // long idle
-  EXPECT_NEAR(bucket.available(), 1e6, 1.0);   // still just one burst
+  // Still just one burst: the second megabyte waits 0.1 s at 10 MB/s.
+  bucket.acquire(units::Bytes::megabytes(2.0));
+  EXPECT_NEAR(clock.now().seconds() - 100.0, 0.1, 1e-6);
 }
 
 TEST(TokenBucket, AcquireBlocksForDeficitTime) {

@@ -16,7 +16,7 @@ WorkloadConfig random_workload(std::uint64_t seed) {
   cfg.concurrency = static_cast<int>(rng.uniform_index(5)) + 1;
   cfg.parallel_flows = static_cast<int>(rng.uniform_index(4)) + 1;
   cfg.transfer_size = units::Bytes::megabytes(rng.uniform(5.0, 60.0));
-  cfg.mode = rng.chance(0.5) ? SpawnMode::kSimultaneousBatches : SpawnMode::kScheduled;
+  cfg.mode = rng.uniform() < 0.5 ? SpawnMode::kSimultaneousBatches : SpawnMode::kScheduled;
   cfg.link.capacity = units::DataRate::gigabits_per_second(rng.uniform(1.0, 5.0));
   cfg.link.propagation_delay = units::Seconds::millis(rng.uniform(1.0, 20.0));
   cfg.link.buffer = units::Bytes::megabytes(rng.uniform(0.5, 20.0));

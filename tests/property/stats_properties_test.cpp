@@ -7,7 +7,6 @@
 #include "stats/cdf.hpp"
 #include "stats/percentile.hpp"
 #include "stats/rng.hpp"
-#include "stats/summary.hpp"
 
 namespace sss::stats {
 namespace {
@@ -18,7 +17,7 @@ std::vector<double> random_sample(std::uint64_t seed, std::size_t n) {
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     // Mix of body and tail values, like FCT logs.
-    out.push_back(rng.chance(0.9) ? rng.uniform(0.1, 1.0) : rng.lognormal(1.0, 1.0));
+    out.push_back(rng.uniform() < 0.9 ? rng.uniform(0.1, 1.0) : rng.lognormal(1.0, 1.0));
   }
   return out;
 }
@@ -48,11 +47,12 @@ TEST_P(StatsProperty, QuantilesBoundedByExtremes) {
 TEST_P(StatsProperty, CdfIsAValidDistributionFunction) {
   const auto sample = random_sample(GetParam(), 400);
   EmpiricalCdf cdf(sample);
+  const double lo = cdf.quantile(0.0);
   // Monotone non-decreasing in x, 0 below min, 1 at max.
-  EXPECT_DOUBLE_EQ(cdf.probability_at_or_below(cdf.min() - 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(cdf.probability_at_or_below(lo - 1.0), 0.0);
   EXPECT_DOUBLE_EQ(cdf.probability_at_or_below(cdf.max()), 1.0);
   double prev = 0.0;
-  for (double x = cdf.min(); x <= cdf.max(); x += (cdf.max() - cdf.min()) / 37.0) {
+  for (double x = lo; x <= cdf.max(); x += (cdf.max() - lo) / 37.0) {
     const double p = cdf.probability_at_or_below(x);
     EXPECT_GE(p, prev - 1e-12);
     prev = p;
@@ -73,47 +73,6 @@ TEST_P(StatsProperty, CdfQuantileAgreesWithQuantileSet) {
     const auto jt = std::upper_bound(sorted.begin(), sorted.end(), std::max(a, b));
     EXPECT_LE(jt - it, static_cast<std::ptrdiff_t>(sorted.size() / 10 + 2));
   }
-}
-
-TEST_P(StatsProperty, SummaryMatchesDirectComputation) {
-  const auto sample = random_sample(GetParam(), 200);
-  Summary s;
-  double sum = 0.0;
-  for (double x : sample) {
-    s.add(x);
-    sum += x;
-  }
-  const double mean = sum / sample.size();
-  double var = 0.0;
-  for (double x : sample) var += (x - mean) * (x - mean);
-  var /= (sample.size() - 1);
-  EXPECT_NEAR(s.mean(), mean, 1e-9);
-  EXPECT_NEAR(s.variance(), var, 1e-9 * std::max(1.0, var));
-  EXPECT_DOUBLE_EQ(s.min(), *std::min_element(sample.begin(), sample.end()));
-  EXPECT_DOUBLE_EQ(s.max(), *std::max_element(sample.begin(), sample.end()));
-}
-
-TEST_P(StatsProperty, MergeIsAssociativeEnough) {
-  const auto sample = random_sample(GetParam(), 300);
-  Summary whole;
-  for (double x : sample) whole.add(x);
-
-  Summary a, b, c;
-  for (std::size_t i = 0; i < sample.size(); ++i) {
-    (i % 3 == 0 ? a : (i % 3 == 1 ? b : c)).add(sample[i]);
-  }
-  Summary ab = a;
-  ab.merge(b);
-  ab.merge(c);
-  Summary bc = b;
-  bc.merge(c);
-  Summary a_bc = a;
-  a_bc.merge(bc);
-
-  EXPECT_NEAR(ab.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a_bc.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(ab.variance(), whole.variance(), 1e-8);
-  EXPECT_NEAR(a_bc.variance(), whole.variance(), 1e-8);
 }
 
 TEST_P(StatsProperty, TailRatioAtLeastOne) {

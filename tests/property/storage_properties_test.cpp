@@ -107,16 +107,6 @@ TEST_P(StorageProperty, TimelineInvariantsHold) {
   EXPECT_EQ(cursor, scan.frame_count);
 }
 
-TEST_P(StorageProperty, ThetaCalibrationIndependentOfGenerationRate) {
-  stats::Random rng(GetParam() + 5000);
-  detector::ScanWorkload scan = random_scan(rng);
-  StagedTransferConfig cfg;
-  const double theta_fast = estimate_theta(cfg, scan, 10);
-  scan.frame_interval = scan.frame_interval * 50.0;
-  const double theta_slow = estimate_theta(cfg, scan, 10);
-  EXPECT_NEAR(theta_fast, theta_slow, 1e-9);
-}
-
 INSTANTIATE_TEST_SUITE_P(RandomScans, StorageProperty,
                          ::testing::Range<std::uint64_t>(1, 13));
 

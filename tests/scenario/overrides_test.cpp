@@ -1,4 +1,4 @@
-// Tests for --param k=v workload overrides: the key catalog, strict value
+// Tests for --param k=v workload overrides: the binding table, strict value
 // parsing, seed pinning, and the env-list splitter.
 #include "scenario/overrides.hpp"
 
@@ -168,20 +168,25 @@ TEST(Overrides, SubstrateIsARunLevelKey) {
                std::invalid_argument);
 }
 
-TEST(Overrides, CatalogListsEveryKeyFamily) {
-  const auto& catalog = param_binding_catalog();
-  auto has = [&](std::string_view key) {
-    for (const auto& entry : catalog) {
-      if (entry.key == key) return true;
+TEST(Overrides, UnknownTopologyListsTheValidPresets) {
+  // A CLI user cannot call topology_preset_names(); the error names the
+  // presets instead.
+  simnet::WorkloadConfig cfg = base_config();
+  try {
+    (void)apply_param_override(cfg, "topology=bogus");
+    FAIL() << "expected an unknown-topology error";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("topology=bogus"), std::string::npos) << what;
+    for (const std::string& name : simnet::topology_preset_names()) {
+      EXPECT_NE(what.find(name), std::string::npos) << what;  // dual_facility_fanout, ...
     }
-    return false;
-  };
-  for (const char* key : {"concurrency", "duration_s", "hop<k>_gbps", "storm<j>_load",
-                          "substrate", "seed", "background_shape", "trace_path",
-                          "fit_operating_util", "fit_true_alpha", "fit_true_theta",
-                          "fit_congestion_slope"}) {
-    EXPECT_TRUE(has(key)) << key;
+    EXPECT_EQ(what.find("topology_preset_names"), std::string::npos) << what;
   }
+  EXPECT_FALSE(apply_param_override(cfg, "topology=dual_facility_fanout"));
+  EXPECT_EQ(cfg.topology, "dual_facility_fanout");
+  EXPECT_FALSE(apply_param_override(cfg, "topology="));
+  EXPECT_EQ(cfg.topology, "");
 }
 
 TEST(Overrides, SeedOverridePinsRunSeeds) {

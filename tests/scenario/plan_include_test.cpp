@@ -196,7 +196,8 @@ TEST_F(PlanIncludeTest, NonStringIncludeIsAnError) {
 
 TEST_F(PlanIncludeTest, FromJsonRejectsUnresolvedInclude) {
   try {
-    (void)ExperimentPlan::from_json_text("{\"include\": \"base.json\"}");
+    (void)ExperimentPlan::from_json(
+        trace::JsonValue::parse("{\"include\": \"base.json\"}"));
     FAIL() << "expected include-rejection error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("include"), std::string::npos);
@@ -210,7 +211,8 @@ TEST_F(PlanIncludeTest, ComposedPlanRoundTripsThroughJson) {
              "\"values\": [\"40\"], \"label_prefix\": \"bw=\"}]}\n");
   const ExperimentPlan child = load_plan_file(path_of("child.json"));
   // The composed plan is a plain plan: dump + reload is identity.
-  const ExperimentPlan reloaded = ExperimentPlan::from_json_text(child.to_json_text());
+  const ExperimentPlan reloaded =
+      ExperimentPlan::from_json(trace::JsonValue::parse(child.to_json_text()));
   EXPECT_EQ(reloaded.to_json_text(), child.to_json_text());
 }
 

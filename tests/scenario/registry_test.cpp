@@ -39,11 +39,11 @@ TEST(ScenarioRegistry, NamesAreSorted) {
   registry.add(minimal_spec("zeta"));
   registry.add(minimal_spec("alpha"));
   registry.add(minimal_spec("mid"));
-  const auto names = registry.names();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "alpha");
-  EXPECT_EQ(names[1], "mid");
-  EXPECT_EQ(names[2], "zeta");
+  const auto specs = registry.all();
+  ASSERT_EQ(specs.size(), 3u);
+  EXPECT_EQ(specs[0]->name, "alpha");
+  EXPECT_EQ(specs[1]->name, "mid");
+  EXPECT_EQ(specs[2]->name, "zeta");
 }
 
 TEST(ScenarioRegistry, RejectsDuplicates) {

@@ -238,16 +238,6 @@ TEST(FrameReaderTest, VersionMismatchIsReadableNotLatched) {
   EXPECT_EQ(reader.error(), ErrorCode::kNone);
 }
 
-TEST(FrameReaderTest, FatalErrorTaxonomy) {
-  EXPECT_TRUE(is_fatal(ErrorCode::kBadMagic));
-  EXPECT_TRUE(is_fatal(ErrorCode::kUnsupportedVersion));
-  EXPECT_TRUE(is_fatal(ErrorCode::kBadType));
-  EXPECT_TRUE(is_fatal(ErrorCode::kBadLength));
-  EXPECT_FALSE(is_fatal(ErrorCode::kMalformedRequest));
-  EXPECT_FALSE(is_fatal(ErrorCode::kUnknownFacility));
-  EXPECT_FALSE(is_fatal(ErrorCode::kEmptySnapshot));
-}
-
 // Deterministic mutation fuzz: corrupt one byte of a valid two-frame stream
 // at every position with several values.  The reader must never crash, never
 // mis-frame (a yielded frame is either byte-identical to an original frame

@@ -71,7 +71,7 @@ TEST(Path, FlowCompletesOverThreeHops) {
     EXPECT_GE(fwd.hop(h).counters().bytes_forwarded, 10e6) << "hop " << h;
   }
   // RTT floor: sum of one-way delays both directions.
-  EXPECT_GE(flow.rtt_samples().min(), 2.0 * fwd.total_propagation_delay().seconds());
+  EXPECT_GE(flow.min_rtt().seconds(), 2.0 * fwd.total_propagation_delay().seconds());
 }
 
 // The per-hop packet-conservation invariant: at every hop, offered =

@@ -36,23 +36,6 @@ TEST(Simulation, ScheduleAtAdvancesClock) {
   EXPECT_EQ(sim.events_processed(), 2u);
 }
 
-TEST(Simulation, ScheduleInIsRelative) {
-  // kind 1 schedules a kind-0 event 5 ns after itself.
-  struct Relay : ClockRecorder {
-    void on_event(Simulation& sim, int kind, std::uint64_t a, std::uint64_t b) override {
-      if (kind == 1) {
-        sim.schedule_in(5, *this, 0);
-      } else {
-        ClockRecorder::on_event(sim, kind, a, b);
-      }
-    }
-  } relay;
-  Simulation sim;
-  sim.schedule_at(10, relay, 1);
-  sim.run();
-  EXPECT_EQ(relay.seen, (std::vector<SimTime>{15}));
-}
-
 TEST(Simulation, CannotScheduleInThePast) {
   struct PastScheduler : EventHandler {
     bool checked = false;
@@ -99,7 +82,7 @@ TEST(Simulation, ReentrantSchedulingFromHandler) {
     int fired = 0;
     void on_event(Simulation& sim, int, std::uint64_t, std::uint64_t) override {
       ++fired;
-      if (fired < 100) sim.schedule_in(1, *this, 0);
+      if (fired < 100) sim.schedule_at(sim.now() + 1, *this, 0);
     }
   } chain;
   Simulation sim;
@@ -119,7 +102,7 @@ TEST(Simulation, TypedEventsDispatchToHandler) {
   Simulation sim;
   Recorder rec;
   sim.schedule_at(5, rec, 1, 10, 20);
-  sim.schedule_in(3, rec, 2, 30, 40);
+  sim.schedule_at(3, rec, 2, 30, 40);
   sim.run();
   ASSERT_EQ(rec.events.size(), 2u);
   EXPECT_EQ(rec.events[0], std::make_tuple(2, std::uint64_t{30}, std::uint64_t{40}));

@@ -94,10 +94,10 @@ TEST(TcpFlow, RttSamplesNearPathRtt) {
   TcpFlow flow(1, units::Bytes::megabytes(10.0), TcpConfig{}, fwd, rev);
   flow.start(sim);
   sim.run();
-  ASSERT_GT(flow.rtt_samples().count(), 0u);
+  ASSERT_GT(flow.min_rtt().seconds(), 0.0);
   // Base RTT 16 ms; queueing can add but idle link keeps it close.
-  EXPECT_GE(flow.rtt_samples().min(), 0.016);
-  EXPECT_LT(flow.rtt_samples().mean(), 0.05);
+  EXPECT_GE(flow.min_rtt().seconds(), 0.016);
+  EXPECT_LT(flow.smoothed_rtt().seconds(), 0.05);
 }
 
 TEST(TcpFlow, ManyCompetingFlowsAllComplete) {

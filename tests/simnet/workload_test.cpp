@@ -86,7 +86,8 @@ TEST(RunExperiment, SpawnsExpectedClientCount) {
 
 TEST(RunExperiment, AllClientsCompleteAtLowLoad) {
   const auto result = run_experiment(small_config(1, 2, SpawnMode::kScheduled));
-  EXPECT_FALSE(result.metrics.any_censored());
+  EXPECT_FALSE(std::any_of(result.metrics.clients.begin(), result.metrics.clients.end(),
+                           [](const ClientRecord& c) { return c.censored; }));
   for (const auto& c : result.metrics.clients) {
     EXPECT_GT(c.fct_s(), 0.0);
     EXPECT_EQ(c.flow_count, 2u);
@@ -233,7 +234,8 @@ TEST(ArrivalProcess, DeterministicRunMatchesScheduleEndToEnd) {
     EXPECT_NEAR(result.metrics.clients[i].requested_s, static_cast<double>(i) * 0.25,
                 1e-12);
   }
-  EXPECT_FALSE(result.metrics.any_censored());
+  EXPECT_FALSE(std::any_of(result.metrics.clients.begin(), result.metrics.clients.end(),
+                           [](const ClientRecord& c) { return c.censored; }));
 }
 
 TEST(ArrivalProcess, PoissonIsSeededAndRateMatched) {

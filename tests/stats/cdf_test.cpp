@@ -13,7 +13,7 @@ TEST(EmpiricalCdf, EmptyBehaviour) {
   EXPECT_TRUE(cdf.empty());
   EXPECT_DOUBLE_EQ(cdf.probability_at_or_below(1.0), 0.0);
   EXPECT_THROW((void)cdf.quantile(0.5), std::invalid_argument);
-  EXPECT_THROW((void)cdf.min(), std::invalid_argument);
+  EXPECT_THROW((void)cdf.max(), std::invalid_argument);
   EXPECT_DOUBLE_EQ(cdf.mean(), 0.0);
 }
 
@@ -43,7 +43,7 @@ TEST(EmpiricalCdf, ForwardInverseConsistency) {
 
 TEST(EmpiricalCdf, MomentsAndExtremes) {
   EmpiricalCdf cdf({2.0, 4.0, 6.0});
-  EXPECT_DOUBLE_EQ(cdf.min(), 2.0);
+  EXPECT_DOUBLE_EQ(cdf.quantile(0.0), 2.0);
   EXPECT_DOUBLE_EQ(cdf.max(), 6.0);
   EXPECT_DOUBLE_EQ(cdf.mean(), 4.0);
 }
@@ -55,19 +55,6 @@ TEST(EmpiricalCdf, TailRatioCapturesLongTail) {
   EmpiricalCdf cdf(std::move(sample));
   EXPECT_DOUBLE_EQ(cdf.tail_ratio(0.99, 0.5), 1.0);   // P99 still 1.0 (99th of 100)
   EXPECT_DOUBLE_EQ(cdf.tail_ratio(1.0, 0.5), 10.0);   // max / median
-}
-
-TEST(EmpiricalCdf, CurveIsMonotone) {
-  EmpiricalCdf cdf({0.16, 0.18, 0.2, 0.5, 2.5, 5.0});
-  const auto curve = cdf.curve(11);
-  ASSERT_EQ(curve.size(), 11u);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].first, curve[i - 1].first);
-    EXPECT_GE(curve[i].second, curve[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(curve.front().second, 0.0);
-  EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
-  EXPECT_THROW(cdf.curve(1), std::invalid_argument);
 }
 
 }  // namespace

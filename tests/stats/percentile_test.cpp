@@ -1,4 +1,4 @@
-// Tests for exact quantiles and the P² streaming estimator.
+// Tests for exact quantiles.
 #include "stats/percentile.hpp"
 
 #include <gtest/gtest.h>
@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <vector>
-
-#include "stats/rng.hpp"
 
 namespace sss::stats {
 namespace {
@@ -50,66 +48,6 @@ TEST(QuantileSet, EmptyThrowsOnQuery) {
   EXPECT_TRUE(qs.empty());
   EXPECT_THROW((void)qs.min(), std::invalid_argument);
   EXPECT_THROW((void)qs.quantile(0.5), std::invalid_argument);
-}
-
-TEST(P2Quantile, RejectsDegenerateTargets) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(-0.1), std::invalid_argument);
-}
-
-TEST(P2Quantile, ExactForFewSamples) {
-  P2Quantile p(0.5);
-  p.add(10.0);
-  EXPECT_DOUBLE_EQ(p.value(), 10.0);
-  p.add(20.0);
-  p.add(30.0);
-  EXPECT_DOUBLE_EQ(p.value(), 20.0);
-}
-
-// Parameterized accuracy sweep: the P² estimate must land within a few
-// percent of the exact quantile across targets and distributions.
-struct P2Case {
-  double q;
-  int distribution;  // 0 uniform, 1 exponential, 2 lognormal (heavy tail)
-};
-
-class P2Accuracy : public ::testing::TestWithParam<P2Case> {};
-
-TEST_P(P2Accuracy, TracksExactQuantile) {
-  const P2Case c = GetParam();
-  Random rng(2024);
-  P2Quantile estimator(c.q);
-  std::vector<double> sample;
-  sample.reserve(50000);
-  for (int i = 0; i < 50000; ++i) {
-    double x = 0.0;
-    switch (c.distribution) {
-      case 0: x = rng.uniform(); break;
-      case 1: x = rng.exponential(1.0); break;
-      default: x = rng.lognormal(0.0, 1.0); break;
-    }
-    estimator.add(x);
-    sample.push_back(x);
-  }
-  const double exact = quantile(sample, c.q);
-  ASSERT_GT(exact, 0.0);
-  const double rel_err = std::abs(estimator.value() - exact) / exact;
-  EXPECT_LT(rel_err, 0.05) << "q=" << c.q << " dist=" << c.distribution
-                           << " est=" << estimator.value() << " exact=" << exact;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SweepTargetsAndDistributions, P2Accuracy,
-    ::testing::Values(P2Case{0.5, 0}, P2Case{0.9, 0}, P2Case{0.99, 0}, P2Case{0.5, 1},
-                      P2Case{0.9, 1}, P2Case{0.99, 1}, P2Case{0.5, 2}, P2Case{0.9, 2},
-                      P2Case{0.99, 2}));
-
-TEST(P2Quantile, MonotoneNondecreasingInput) {
-  P2Quantile p(0.9);
-  for (int i = 1; i <= 1000; ++i) p.add(static_cast<double>(i));
-  // True P90 of 1..1000 is ~900.
-  EXPECT_NEAR(p.value(), 900.0, 30.0);
 }
 
 }  // namespace

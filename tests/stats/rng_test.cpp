@@ -4,14 +4,36 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
 
-#include "stats/summary.hpp"
-
 namespace sss::stats {
 namespace {
+
+// Mean, sample standard deviation and extremes of a batch of draws.
+struct Moments {
+  double mean = 0.0;
+  double stddev = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+template <typename Draw>
+Moments moments(int n, Draw draw) {
+  std::vector<double> xs(static_cast<std::size_t>(n));
+  for (double& x : xs) x = draw();
+  Moments m;
+  m.min = *std::min_element(xs.begin(), xs.end());
+  m.max = *std::max_element(xs.begin(), xs.end());
+  for (double x : xs) m.mean += x;
+  m.mean /= n;
+  double ss = 0.0;
+  for (double x : xs) ss += (x - m.mean) * (x - m.mean);
+  m.stddev = std::sqrt(ss / (n - 1));
+  return m;
+}
 
 TEST(SplitMix64, KnownReferenceSequence) {
   // Reference values for seed 1234567 from the published SplitMix64
@@ -42,7 +64,8 @@ TEST(Xoshiro256, DifferentSeedsDiverge) {
 
 TEST(Xoshiro256, JumpCreatesDisjointStream) {
   Xoshiro256 x(7);
-  Xoshiro256 y = x.split(1);
+  Xoshiro256 y = x;
+  y.jump();
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 1000; ++i) seen.insert(x.next());
   int collisions = 0;
@@ -72,10 +95,9 @@ TEST(Random, UniformRangeRespected) {
 
 TEST(Random, UniformMeanNearHalf) {
   Random rng(123);
-  Summary s;
-  for (int i = 0; i < 100000; ++i) s.add(rng.uniform());
-  EXPECT_NEAR(s.mean(), 0.5, 0.01);
-  EXPECT_NEAR(s.stddev(), std::sqrt(1.0 / 12.0), 0.01);
+  const Moments s = moments(100000, [&] { return rng.uniform(); });
+  EXPECT_NEAR(s.mean, 0.5, 0.01);
+  EXPECT_NEAR(s.stddev, std::sqrt(1.0 / 12.0), 0.01);
 }
 
 TEST(Random, UniformIndexCoversRangeWithoutBias) {
@@ -90,18 +112,16 @@ TEST(Random, UniformIndexCoversRangeWithoutBias) {
 
 TEST(Random, ExponentialMeanMatchesRate) {
   Random rng(77);
-  Summary s;
-  for (int i = 0; i < 100000; ++i) s.add(rng.exponential(4.0));
-  EXPECT_NEAR(s.mean(), 0.25, 0.01);
-  EXPECT_GT(s.min(), 0.0);
+  const Moments s = moments(100000, [&] { return rng.exponential(4.0); });
+  EXPECT_NEAR(s.mean, 0.25, 0.01);
+  EXPECT_GT(s.min, 0.0);
 }
 
 TEST(Random, NormalMomentsMatch) {
   Random rng(11);
-  Summary s;
-  for (int i = 0; i < 100000; ++i) s.add(rng.normal(10.0, 3.0));
-  EXPECT_NEAR(s.mean(), 10.0, 0.1);
-  EXPECT_NEAR(s.stddev(), 3.0, 0.1);
+  const Moments s = moments(100000, [&] { return rng.normal(10.0, 3.0); });
+  EXPECT_NEAR(s.mean, 10.0, 0.1);
+  EXPECT_NEAR(s.stddev, 3.0, 0.1);
 }
 
 TEST(Random, LognormalIsPositive) {
@@ -111,43 +131,12 @@ TEST(Random, LognormalIsPositive) {
 
 TEST(Random, ParetoRespectsScaleAndHasHeavyTail) {
   Random rng(17);
-  Summary s;
-  for (int i = 0; i < 100000; ++i) {
-    const double v = rng.pareto(1.0, 2.0);
-    EXPECT_GE(v, 1.0);
-    s.add(v);
-  }
+  const Moments s = moments(100000, [&] { return rng.pareto(1.0, 2.0); });
+  EXPECT_GE(s.min, 1.0);
   // Mean of Pareto(x_m=1, a=2) is a/(a-1) = 2.
-  EXPECT_NEAR(s.mean(), 2.0, 0.15);
+  EXPECT_NEAR(s.mean, 2.0, 0.15);
   // Heavy tail: max far above the mean.
-  EXPECT_GT(s.max(), 10.0);
-}
-
-TEST(Random, ChanceProbabilityRoughlyHonored) {
-  Random rng(23);
-  int hits = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (rng.chance(0.3)) ++hits;
-  }
-  EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Random, SplitStreamsAreIndependentlySeeded) {
-  Random a(42);
-  Random b = a.split(1);
-  Random c = a.split(2);
-  // The three streams should not produce identical sequences.
-  bool b_differs = false;
-  bool c_differs = false;
-  Random a2(42);
-  for (int i = 0; i < 100; ++i) {
-    const double va = a2.uniform();
-    if (b.uniform() != va) b_differs = true;
-    if (c.uniform() != va) c_differs = true;
-  }
-  EXPECT_TRUE(b_differs);
-  EXPECT_TRUE(c_differs);
+  EXPECT_GT(s.max, 10.0);
 }
 
 TEST(DeriveStreamSeeds, StableDistinctAndSeedDependent) {

@@ -81,21 +81,6 @@ TEST(ZipfPartition, RejectsMoreBinsThanItems) {
   EXPECT_THROW((void)zipf_partition(5, 0, 1.0), std::invalid_argument);
 }
 
-TEST(ZipfSampler, InverseCdfHitsEveryRankMonotonically) {
-  const ZipfSampler sampler(5, 1.0);
-  EXPECT_EQ(sampler.object_count(), 5u);
-  EXPECT_EQ(sampler.sample(0.0), 0u);      // most popular rank
-  EXPECT_EQ(sampler.sample(1.0), 4u);      // clamped top end
-  std::uint64_t last = 0;
-  for (double u = 0.0; u < 1.0; u += 1.0 / 4096.0) {
-    const std::uint64_t rank = sampler.sample(u);
-    EXPECT_GE(rank, last);
-    EXPECT_LT(rank, 5u);
-    last = rank;
-  }
-  EXPECT_EQ(last, 4u);  // the tail rank is reachable
-}
-
 TEST(StagedTransfer, SkewZeroIsBitIdenticalToHistoricalTimeline) {
   const auto scan = detector::aps_scan(units::Seconds::of(0.33));
   StagedTransferConfig config;  // default skew 0

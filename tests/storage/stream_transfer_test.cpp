@@ -41,7 +41,6 @@ TEST(SimulateStream, GenerationBoundWhenWanIsFast) {
   EXPECT_NEAR(t.generation_done_s, 5.0, 1e-9);
   EXPECT_GT(t.total_s, t.generation_done_s);
   EXPECT_LT(t.total_s, t.generation_done_s + 0.6);  // setup + last frame tail
-  EXPECT_EQ(t.frame_lag_s.size(), 100u);
 }
 
 TEST(SimulateStream, TransferBoundWhenWanIsSlow) {
@@ -52,7 +51,8 @@ TEST(SimulateStream, TransferBoundWhenWanIsSlow) {
   const auto t = simulate_stream(cfg, scan);
   // 800 MB at 80 MB/s = 10 s, twice the generation time.
   EXPECT_GT(t.total_s, 9.9);
-  EXPECT_GT(t.max_frame_lag_s(), 1.0);  // backlog builds
+  // Backlog builds: the last frame lands long after it was generated.
+  EXPECT_GT(t.total_s - t.generation_done_s, 1.0);
 }
 
 TEST(SimulateStream, CompletionNeverBelowEitherBound) {
@@ -65,20 +65,12 @@ TEST(SimulateStream, CompletionNeverBelowEitherBound) {
   }
 }
 
-TEST(SimulateStream, FrameLagIsPositiveAndOrdered) {
-  StreamTransferConfig cfg;
-  const auto t = simulate_stream(cfg, scan_with(0.05));
-  for (double lag : t.frame_lag_s) EXPECT_GT(lag, 0.0);
-  EXPECT_GE(t.max_frame_lag_s(), t.mean_frame_lag_s());
-}
-
 TEST(SimulateStream, OverlapFractionHighAtHighRates) {
   StreamTransferConfig cfg;
   // Fast WAN, slow generation: nearly all transfer time hides under
   // generation.
   const auto t = simulate_stream(cfg, scan_with(0.1));
-  EXPECT_GT(t.overlap_fraction(), 0.9);
-  EXPECT_LE(t.overlap_fraction(), 1.0);
+  EXPECT_LT(t.total_s - t.generation_done_s, 0.1 * t.pure_wan_transfer_s);
 }
 
 TEST(SimulateStream, ThetaNearOneWhenTransferBound) {

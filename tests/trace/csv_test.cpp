@@ -28,10 +28,6 @@ TEST(CsvWriter, WritesRowsToStream) {
   EXPECT_EQ(w.rows_written(), 2u);
 }
 
-TEST(CsvWriter, ThrowsOnUnopenablePath) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv"), std::runtime_error);
-}
-
 TEST(ParseCsv, SimpleTable) {
   const auto table = parse_csv("a,b,c\n1,2,3\n4,5,6\n");
   ASSERT_EQ(table.header.size(), 3u);
@@ -77,7 +73,8 @@ TEST(CsvTable, ColumnIndexLookup) {
 TEST(CsvRoundTrip, FileWriteThenRead) {
   const std::string path = ::testing::TempDir() + "/sss_csv_roundtrip.csv";
   {
-    CsvWriter w(path);
+    std::ofstream file(path);
+    CsvWriter w(file);
     w.write_header({"utilization", "t_worst", "note"});
     w.write_row({"0.64", "1.2", "tier 2, ok"});
     w.write_row({"0.96", "6.0", "severe \"congestion\""});

@@ -53,11 +53,5 @@ TEST(ConsoleTable, NumFormatting) {
   EXPECT_EQ(ConsoleTable::num(1e-9, 2), "1e-09");
 }
 
-TEST(ConsoleTable, PctFormatting) {
-  EXPECT_EQ(ConsoleTable::pct(0.97), "97.0%");
-  EXPECT_EQ(ConsoleTable::pct(0.5, 0), "50%");
-  EXPECT_EQ(ConsoleTable::pct(1.0, 2), "100.00%");
-}
-
 }  // namespace
 }  // namespace sss::trace
