@@ -21,6 +21,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -89,6 +91,37 @@ TEST(TimelineGolden, HopSweepMatchesCommittedFixture) {
                 "/tests/data/timeline_golden/hop_bottleneck_sweep.cell2.json");
   ASSERT_FALSE(golden.empty());
   expect_same_bytes(record_hop_sweep(1), golden);
+}
+
+// A slice keeps GLOBAL cell identity: recording cell 2 through the slice
+// [1, 3) gives the same bytes as the unsharded pin, and the cell-start
+// hook sees global indices only.
+TEST(TimelineGolden, SliceRecordsGlobalCellByteIdentical) {
+  register_builtin_scenarios();
+  const ScenarioSpec* spec = ScenarioRegistry::global().find("hop_bottleneck_sweep");
+  ASSERT_NE(spec, nullptr);
+  obs::TimelineRecorder recorder;
+  std::mutex mutex;
+  std::set<std::size_t> started;
+  ScenarioContext ctx;
+  ctx.scale = 0.05;
+  ctx.seed = 42;
+  ctx.threads = 2;
+  ctx.timeline = &recorder;
+  ctx.timeline_cell = 2;
+  ctx.on_cell_start = [&](std::size_t cell) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    started.insert(cell);
+  };
+  ShardSpec slice;
+  slice.cells = {1, 3};
+  (void)execute_scenario_shard(*spec, ctx, slice);
+  EXPECT_EQ(started, (std::set<std::size_t>{1, 2}));
+  const std::string golden =
+      read_file(std::string(SSS_SOURCE_DIR) +
+                "/tests/data/timeline_golden/hop_bottleneck_sweep.cell2.json");
+  ASSERT_FALSE(golden.empty());
+  expect_same_bytes(recorder.to_chrome_json_text(), golden);
 }
 
 // The per-hop utilization counters are a fraction of link capacity: a
