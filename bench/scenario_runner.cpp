@@ -5,8 +5,7 @@
 //                   [--csv-dir DIR]
 //   scenario_runner --all [--tag TAG] [...]
 //
-// Environment: SSS_BENCH_SCALE, SSS_BENCH_CSV_DIR, SSS_SWEEP_THREADS,
-// SSS_SWEEP_SEED (command-line flags win).
+// `--help` lists every flag (scenario/runner.hpp documents the CLI).
 #include "scenario/runner.hpp"
 
 int main(int argc, char** argv) { return sss::scenario::main_from_args(argc, argv); }

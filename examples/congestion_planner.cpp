@@ -13,16 +13,16 @@
 #include <cstdio>
 #include <optional>
 
-#include "scenario/env.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenarios.hpp"
+#include "trace/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace sss;
 
   auto arg = [&](int i, double fallback) {
     if (argc <= i) return std::optional<double>(fallback);
-    return scenario::parse_double(argv[i]);
+    return trace::parse_double(argv[i]);
   };
   const auto link_gbps = arg(1, 25.0);
   const auto unit_gb = arg(2, 0.5);
@@ -35,5 +35,5 @@ int main(int argc, char** argv) {
 
   const scenario::ScenarioSpec spec =
       scenario::make_congestion_planner_spec(*link_gbps, *unit_gb, *budget_s);
-  return scenario::run_scenario(spec, scenario::options_from_env());
+  return scenario::run_scenario(spec, scenario::RunnerOptions{});
 }

@@ -18,12 +18,9 @@ std::vector<CellRange> partition_contiguous(std::size_t total, int shards) {
   if (total == 0) {
     throw std::invalid_argument("partition_contiguous: empty grid");
   }
-  const auto n = static_cast<std::size_t>(shards);
   std::vector<CellRange> ranges;
-  ranges.reserve(std::min(n, total));
-  for (std::size_t i = 0; i < n; ++i) {
-    // Same arithmetic as plan::shard_range(i, n, total).
-    const CellRange range{total * i / n, total * (i + 1) / n};
+  for (int i = 0; i < shards; ++i) {
+    const CellRange range = scenario::shard_range(i, shards, total);
     if (range.size() > 0) ranges.push_back(range);
   }
   return ranges;

@@ -6,7 +6,7 @@
 // stream of its global index, so the concatenated shard outputs stay
 // bit-identical to an unsharded run.  Two planners:
 //
-//   partition_contiguous — equal cell counts (plan::shard_range blocks),
+//   partition_contiguous — equal cell counts (scenario::shard_range blocks),
 //       the right default when nothing is known about per-cell cost;
 //   partition_weighted   — boundaries chosen from measured per-cell costs
 //       (a prior run's merged metrics manifest) to minimize the most
@@ -17,24 +17,19 @@
 #include <cstddef>
 #include <vector>
 
+#include "scenario/plan.hpp"
+
 namespace sss::obs {
 struct RunManifest;  // obs/manifest.hpp
 }
 
 namespace sss::orchestrator {
 
-struct CellRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;  // exclusive
+using scenario::CellRange;
 
-  [[nodiscard]] std::size_t size() const { return end - begin; }
-  friend bool operator==(const CellRange&, const CellRange&) = default;
-};
-
-// `shards` equal-count contiguous blocks covering [0, total) — the same
-// blocks plan::shard_range assigns, so `--shard I/N` workers and
-// orchestrated workers agree on boundaries.  Empty blocks are dropped
-// (shards > total), so every returned range is non-empty.
+// The non-empty scenario::shard_range blocks of `shards` shards over
+// [0, total), so `--shard I/N` workers and orchestrated workers agree on
+// boundaries.  Empty blocks (shards > total) are dropped.
 // Throws std::invalid_argument when shards < 1 or total == 0.
 [[nodiscard]] std::vector<CellRange> partition_contiguous(std::size_t total,
                                                           int shards);

@@ -12,6 +12,7 @@
 #include "orchestrator/process.hpp"
 #include "scenario/plan.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "trace/atomic_io.hpp"
 #include "trace/csv.hpp"
@@ -43,6 +44,7 @@ enum class ShardState { kPending, kRunning, kDone, kExhausted };
 
 struct Shard {
   CellRange range;
+  std::string stem;  // part-file stem, "<scenario>.cells<A>-<B>"
   ShardState state = ShardState::kPending;
   int failures = 0;       // spent retry budget (includes replayed failures)
   int last_attempt = 0;   // highest attempt number ever launched
@@ -55,11 +57,6 @@ struct Shard {
   // Cost-model estimate of this shard's wall seconds; 0 = unknown.
   double estimate_s = 0.0;
 };
-
-std::string cells_stem(const std::string& scenario, const CellRange& range) {
-  return scenario + ".cells" + std::to_string(range.begin) + "-" +
-         std::to_string(range.end);
-}
 
 // The local worker command for one shard attempt.
 std::vector<std::string> worker_argv(const OrchestratorConfig& config,
@@ -185,6 +182,9 @@ OrchestratorReport orchestrate(const OrchestratorConfig& config) {
   for (std::size_t i = 0; i < ranges.size(); ++i) {
     Shard& shard = shards[i];
     shard.range = ranges[i];
+    scenario::ShardSpec slice;
+    slice.cells = ranges[i];
+    shard.stem = slice.part_stem(config.scenario);
     shard.eligible = Clock::now();
     if (!costs.empty()) {
       double sum = 0.0;
@@ -198,8 +198,7 @@ OrchestratorReport orchestrate(const OrchestratorConfig& config) {
       shard.state = ShardState::kExhausted;
     } else if (replayed.done) {
       // Trust the journal only if the promoted artifact is still there.
-      const std::string part = parts_dir + "/" + cells_stem(config.scenario, shard.range) + ".csv";
-      if (fs::exists(part)) {
+      if (fs::exists(parts_dir + "/" + shard.stem + ".csv")) {
         shard.state = ShardState::kDone;
       }
     }
@@ -244,8 +243,7 @@ OrchestratorReport orchestrate(const OrchestratorConfig& config) {
     Attempt attempt;
     attempt.number = attempt_no;
     attempt.dir = attempt_dir;
-    attempt.csv_path =
-        attempt_dir + "/" + cells_stem(config.scenario, shard.range) + ".csv";
+    attempt.csv_path = attempt_dir + "/" + shard.stem + ".csv";
     attempt.metrics_path = attempt_dir + "/metrics.json";
     const std::string log_path = logs_dir + "/shard" + std::to_string(index) + ".a" +
                                  std::to_string(attempt_no) + ".log";
@@ -332,9 +330,8 @@ OrchestratorReport orchestrate(const OrchestratorConfig& config) {
         }
         if (reason.empty()) {
           // First VALID completion wins: promote by rename, kill siblings.
-          const std::string stem = cells_stem(config.scenario, shard.range);
-          const std::string part_csv = parts_dir + "/" + stem + ".csv";
-          const std::string part_metrics = parts_dir + "/" + stem + ".metrics.json";
+          const std::string part_csv = parts_dir + "/" + shard.stem + ".csv";
+          const std::string part_metrics = parts_dir + "/" + shard.stem + ".metrics.json";
           std::error_code ec;
           fs::rename(attempt.csv_path, part_csv, ec);
           if (!ec) fs::rename(attempt.metrics_path, part_metrics, ec);
@@ -432,8 +429,7 @@ OrchestratorReport orchestrate(const OrchestratorConfig& config) {
   std::vector<trace::CsvTable> tables;
   for (const Shard& shard : shards) {
     if (shard.state != ShardState::kDone) continue;
-    tables.push_back(trace::read_csv_file(
-        parts_dir + "/" + cells_stem(config.scenario, shard.range) + ".csv"));
+    tables.push_back(trace::read_csv_file(parts_dir + "/" + shard.stem + ".csv"));
   }
   const std::string out_path =
       config.out_path.value_or(config.workdir + "/merged.csv");

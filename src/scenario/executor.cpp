@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <stdexcept>
 #include <string>
 
 #include "obs/timeline.hpp"
@@ -65,16 +64,11 @@ int SweepExecutor::effective_threads(std::size_t run_count) const {
   return std::max(1, std::min<int>(threads, static_cast<int>(std::max<std::size_t>(run_count, 1))));
 }
 
-std::vector<simnet::ExperimentResult> SweepExecutor::execute(
-    std::vector<RunPoint> runs) const {
-  if (timeline != nullptr && timeline_index >= runs.size() && !runs.empty()) {
-    throw std::invalid_argument("timeline cell " + std::to_string(timeline_index) +
-                                " out of range (sweep has " +
-                                std::to_string(runs.size()) + " cells)");
-  }
-  const std::vector<std::uint64_t> seeds = derive_seeds(runs.size());
+std::vector<simnet::ExperimentResult> SweepExecutor::execute(std::vector<RunPoint> runs,
+                                                             std::size_t first) const {
+  const std::vector<std::uint64_t> seeds = derive_seeds(first + runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (runs[i].reseed) runs[i].config.seed = seeds[i];
+    if (runs[i].reseed) runs[i].config.seed = seeds[first + i];
   }
 
   std::vector<simnet::ExperimentResult> results(runs.size());
@@ -82,9 +76,9 @@ std::vector<simnet::ExperimentResult> SweepExecutor::execute(
   const int threads = effective_threads(runs.size());
   std::atomic<std::size_t> completed{0};
   auto run_index = [&](std::size_t i) {
-    if (on_run_start) on_run_start(i);
+    if (on_run_start) on_run_start(first + i);
     obs::TimelineRecorder* recorder =
-        (timeline != nullptr && i == timeline_index) ? timeline : nullptr;
+        (timeline != nullptr && first + i == timeline_index) ? timeline : nullptr;
     const auto t0 = std::chrono::steady_clock::now();
     results[i] = execute_one(runs[i], recorder);
     wall_ms_[i] =

@@ -43,28 +43,31 @@ class SweepExecutor {
   // that want to inspect/replay a single run.
   [[nodiscard]] std::vector<std::uint64_t> derive_seeds(std::size_t count) const;
 
-  // Execute every run and return results in run order.  Reseeds each
-  // RunPoint whose `reseed` flag is set.  Blocks until all complete; the
-  // first exception from any run propagates.
+  // Execute every run and return results in run order.  `runs` are the
+  // grid cells starting at GLOBAL index `first`: run i is cell first + i,
+  // gets the seed of that cell (when its `reseed` flag is set) and is the
+  // index on_run_start and timeline_index refer to, so a slice of a grid
+  // runs exactly as those cells do in the whole grid.  Blocks until all
+  // complete; the first exception from any run propagates.
   [[nodiscard]] std::vector<simnet::ExperimentResult> execute(
-      std::vector<RunPoint> runs) const;
+      std::vector<RunPoint> runs, std::size_t first = 0) const;
 
   // Optional progress hook, invoked from worker threads as each run
   // completes with (completed_count, total).  Must be thread-safe.
   std::function<void(std::size_t, std::size_t)> on_progress;
 
-  // Optional hook invoked on the worker thread right before run `i`
-  // executes (index into the `runs` passed to execute).  Must be
-  // thread-safe.  The runner wires ScenarioContext::on_cell_start through
-  // this for fault injection.
+  // Optional hook invoked on the worker thread right before a run
+  // executes, with its GLOBAL cell index.  Must be thread-safe.  The runner
+  // wires ScenarioContext::on_cell_start through this for fault injection.
   std::function<void(std::size_t)> on_run_start;
 
-  // Optional timeline attachment: record run `timeline_index` (an index
-  // into the `runs` passed to execute) into `timeline`.  Exactly one cell
-  // is recorded, and that cell executes on exactly one worker thread, so
-  // the recorder's contents are bit-identical at any thread count.  The
-  // packet substrate records live (per-flow phases, per-hop counters); the
-  // fluid substrate synthesizes client spans from its results.
+  // Optional timeline attachment: record the run whose GLOBAL cell index
+  // is `timeline_index` into `timeline` (nothing when it is outside the
+  // runs passed to execute).  Exactly one cell is recorded, and that cell
+  // executes on exactly one worker thread, so the recorder's contents are
+  // bit-identical at any thread count.  The packet substrate records live
+  // (per-flow phases, per-hop counters); the fluid substrate synthesizes
+  // client spans from its results.
   obs::TimelineRecorder* timeline = nullptr;
   std::size_t timeline_index = 0;
 

@@ -227,25 +227,15 @@ const ParamBinding kBindings[] = {
      }},
     {"mode",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       if (value == "simultaneous") {
-         config.mode = simnet::SpawnMode::kSimultaneousBatches;
-       } else if (value == "scheduled") {
-         config.mode = simnet::SpawnMode::kScheduled;
-       } else {
-         bad_value(kv, "simultaneous|scheduled");
-       }
+       const auto mode = simnet::spawn_mode_from_string(value);
+       if (!mode.has_value()) bad_value(kv, "simultaneous|scheduled");
+       config.mode = *mode;
      }},
     {"arrivals",
      [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       if (value == "batch") {
-         config.arrivals = simnet::ArrivalProcess::kPerSecondBatch;
-       } else if (value == "deterministic") {
-         config.arrivals = simnet::ArrivalProcess::kDeterministic;
-       } else if (value == "poisson") {
-         config.arrivals = simnet::ArrivalProcess::kPoisson;
-       } else {
-         bad_value(kv, "batch|deterministic|poisson");
-       }
+       const auto process = simnet::arrival_process_from_string(value);
+       if (!process.has_value()) bad_value(kv, "batch|deterministic|poisson");
+       config.arrivals = *process;
      }},
 };
 

@@ -2,12 +2,13 @@
 //
 // Every tunable field has exactly one spelling, shared by all three paths
 // that configure runs from text:
-//   - `scenario_runner --param k=v` / SSS_SCENARIO_PARAMS (post-expansion
-//     overrides applied to every RunPoint),
+//   - `scenario_runner --param k=v` (post-expansion overrides applied to
+//     every RunPoint),
 //   - ExperimentPlan axis assignments (scenario/plan.hpp — each AxisPoint
 //     is a list of these same "key=value" strings),
 //   - plan JSON files loaded with `--plan` (axes serialize the strings
-//     verbatim).
+//     verbatim; the plan's `base` workload has its own JSON codec in
+//     scenario/plan.cpp, which reuses only the enum spellings).
 // Values go through the shared strict parsers (trace/parse.hpp): trailing
 // garbage or an out-of-range value raises std::invalid_argument rather
 // than being silently truncated.
@@ -70,8 +71,8 @@
 
 namespace sss::scenario {
 
-// Split a comma-separated "k=v,k=v" list (the SSS_SCENARIO_PARAMS format)
-// into individual "k=v" entries; empty segments are dropped.
+// Split a comma-separated list ("k=v,k=v", or the `--run a,b` scenario
+// names) into its entries; empty segments are dropped.
 [[nodiscard]] std::vector<std::string> split_param_list(const std::string& csv);
 
 // Apply one "key=value" override to a workload config.  Throws

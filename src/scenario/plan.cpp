@@ -409,7 +409,7 @@ void render_plan_output(const OutputSpec& spec, const std::vector<RunPoint>& run
 
 // --- sharding --------------------------------------------------------------
 
-std::pair<std::size_t, std::size_t> shard_range(int index, int count, std::size_t total) {
+CellRange shard_range(int index, int count, std::size_t total) {
   if (count < 1 || index < 0 || index >= count) {
     throw std::invalid_argument("shard_range: need 0 <= index < count, got " +
                                 std::to_string(index) + "/" + std::to_string(count));
@@ -673,23 +673,13 @@ simnet::WorkloadConfig workload_from_json(const trace::JsonValue& json) {
       as_integer(json.at("parallel_flows"), "parallel_flows", 0, 1000000000));
   config.transfer_size = units::Bytes::of(json.at("transfer_size_bytes").as_double());
   const std::string& mode = json.at("mode").as_string();
-  if (mode == "simultaneous") {
-    config.mode = simnet::SpawnMode::kSimultaneousBatches;
-  } else if (mode == "scheduled") {
-    config.mode = simnet::SpawnMode::kScheduled;
-  } else {
-    plan_error("unknown mode '" + mode + "'");
-  }
+  const auto spawn_mode = simnet::spawn_mode_from_string(mode);
+  if (!spawn_mode.has_value()) plan_error("unknown mode '" + mode + "'");
+  config.mode = *spawn_mode;
   const std::string& arrivals = json.at("arrivals").as_string();
-  if (arrivals == "batch") {
-    config.arrivals = simnet::ArrivalProcess::kPerSecondBatch;
-  } else if (arrivals == "deterministic") {
-    config.arrivals = simnet::ArrivalProcess::kDeterministic;
-  } else if (arrivals == "poisson") {
-    config.arrivals = simnet::ArrivalProcess::kPoisson;
-  } else {
-    plan_error("unknown arrivals '" + arrivals + "'");
-  }
+  const auto process = simnet::arrival_process_from_string(arrivals);
+  if (!process.has_value()) plan_error("unknown arrivals '" + arrivals + "'");
+  config.arrivals = *process;
   config.seed = seed_from_json(json.at("seed"));
   config.start_jitter = units::Seconds::of(json.at("start_jitter_s").as_double());
   config.drain_timeout = units::Seconds::of(json.at("drain_timeout_s").as_double());

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "scenario/spec.hpp"
@@ -171,10 +170,20 @@ void render_plan_output(const OutputSpec& spec, const std::vector<RunPoint>& run
                         const std::vector<simnet::ExperimentResult>& results,
                         ScenarioOutput& output);
 
-// Contiguous [begin, end) slice of `total` grid cells owned by shard
-// `index` of `count`: balanced block partition, deterministic, exhaustive.
-// Throws std::invalid_argument unless 0 <= index < count.
-[[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(int index, int count,
-                                                              std::size_t total);
+// A contiguous [begin, end) slice of a grid's GLOBAL cell order: what
+// `--shard`/`--cells` select, what execute_scenario runs, and what the
+// sweep orchestrator hands each worker.
+struct CellRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;  // exclusive
+
+  [[nodiscard]] std::size_t size() const { return end - begin; }
+  friend bool operator==(const CellRange&, const CellRange&) = default;
+};
+
+// The slice of `total` grid cells owned by shard `index` of `count`:
+// balanced block partition, deterministic, exhaustive.  Throws
+// std::invalid_argument unless 0 <= index < count.
+[[nodiscard]] CellRange shard_range(int index, int count, std::size_t total);
 
 }  // namespace sss::scenario

@@ -18,19 +18,22 @@
 #include "obs/manifest.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/timeline.hpp"
-#include "scenario/env.hpp"
 #include "scenario/executor.hpp"
 #include "scenario/overrides.hpp"
-#include "scenario/plan.hpp"
 #include "scenario/registry.hpp"
 #include "trace/atomic_io.hpp"
 #include "trace/csv.hpp"
 #include "trace/json.hpp"
+#include "trace/parse.hpp"
 #include "trace/table.hpp"
 
 namespace sss::scenario {
 
 namespace {
+
+using trace::parse_double;
+using trace::parse_int;
+using trace::parse_uint64;
 
 void print_banner(const ScenarioSpec& spec) {
   std::printf("================================================================\n");
@@ -39,23 +42,14 @@ void print_banner(const ScenarioSpec& spec) {
   std::printf("================================================================\n");
 }
 
-std::string csv_name(const ScenarioSpec& spec, const std::optional<ShardSpec>& shard) {
-  if (!shard.has_value()) return spec.name + ".csv";
-  if (shard->cells.has_value()) {
-    return spec.name + ".cells" + std::to_string(shard->cells->first) + "-" +
-           std::to_string(shard->cells->second) + ".csv";
-  }
-  return spec.name + ".shard" + std::to_string(shard->index) + "of" +
-         std::to_string(shard->count) + ".csv";
-}
-
 // Returns the written path so the truncate fault can corrupt it afterwards.
 std::optional<std::string> write_csv(const ScenarioSpec& spec,
                                      const ScenarioOutput& output,
                                      const std::string& dir,
                                      const std::optional<ShardSpec>& shard) {
   if (output.header.empty()) return std::nullopt;
-  const std::string path = dir + "/" + csv_name(spec, shard);
+  const std::string path =
+      dir + "/" + (shard.has_value() ? shard->part_stem(spec.name) : spec.name) + ".csv";
   try {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // best effort; open reports failure
@@ -76,22 +70,6 @@ void validate_output(const ScenarioSpec& spec, const ScenarioOutput& output) {
       throw std::logic_error("scenario '" + spec.name + "' produced a ragged row");
     }
   }
-}
-
-// Expand the plan and apply the context's --param overrides — the shared
-// front half of full and sharded execution.
-std::vector<RunPoint> expand_runs(const ScenarioSpec& spec, const ScenarioContext& context) {
-  std::vector<RunPoint> runs;
-  if (spec.plan != nullptr) runs = spec.plan->expand(context);
-  apply_param_overrides(runs, context.param_overrides);
-  return runs;
-}
-
-SweepExecutor make_executor(const ScenarioContext& context) {
-  SweepOptions sweep;
-  sweep.threads = context.threads;
-  sweep.base_seed = context.seed;
-  return SweepExecutor(sweep);
 }
 
 using trace::read_text_file;
@@ -118,7 +96,7 @@ void truncate_file_for_fault(const std::string& path) {
 }
 
 // Per-cell metrics for the manifest: deterministic fields from the results,
-// wall times from the executor, GLOBAL indices via `offset` (shard begin).
+// wall times from the executor, GLOBAL indices via `offset` (slice begin).
 void fill_manifest(obs::RunManifest& manifest, const ScenarioSpec& spec,
                    const ScenarioContext& context, std::size_t total_cells,
                    std::size_t offset, const std::vector<RunPoint>& runs,
@@ -145,18 +123,16 @@ void fill_manifest(obs::RunManifest& manifest, const ScenarioSpec& spec,
 
 }  // namespace
 
-std::pair<std::size_t, std::size_t> ShardSpec::resolve(std::size_t total) const {
+CellRange ShardSpec::resolve(std::size_t total) const {
+  return cells.has_value() ? *cells : shard_range(index, count, total);
+}
+
+std::string ShardSpec::part_stem(const std::string& scenario) const {
   if (cells.has_value()) {
-    const auto [begin, end] = *cells;
-    if (begin >= end || end > total) {
-      throw std::invalid_argument(
-          "--cells " + std::to_string(begin) + ":" + std::to_string(end) +
-          " is not a non-empty range inside this grid (" + std::to_string(total) +
-          " cells)");
-    }
-    return {begin, end};
+    return scenario + ".cells" + std::to_string(cells->begin) + "-" +
+           std::to_string(cells->end);
   }
-  return shard_range(index, count, total);
+  return scenario + ".shard" + std::to_string(index) + "of" + std::to_string(count);
 }
 
 std::optional<FaultSpec> parse_fault_spec(std::string_view text) {
@@ -180,23 +156,50 @@ std::optional<FaultSpec> parse_fault_spec(std::string_view text) {
 }
 
 ScenarioOutput execute_scenario(const ScenarioSpec& spec, const ScenarioContext& context,
-                                obs::RunManifest* manifest) {
-  std::vector<RunPoint> runs = expand_runs(spec, context);
-  SweepExecutor executor = make_executor(context);
+                                obs::RunManifest* manifest, std::optional<CellRange> cells) {
+  if (cells.has_value() && !spec.has_declarative_output()) {
+    throw std::invalid_argument(
+        "scenario '" + spec.name +
+        "' reduces across runs (no declarative output spec), so its rows cannot be "
+        "computed per shard");
+  }
+  std::vector<RunPoint> runs;
+  if (spec.plan != nullptr) runs = spec.plan->expand(context);
+  apply_param_overrides(runs, context.param_overrides);
+  const std::size_t total = runs.size();
+  const CellRange range = cells.value_or(CellRange{0, total});
+  if (range.begin > range.end || range.end > total) {
+    throw std::invalid_argument("cells [" + std::to_string(range.begin) + ", " +
+                                std::to_string(range.end) +
+                                ") is not a range inside this grid (" +
+                                std::to_string(total) + " cells)");
+  }
+  if (context.timeline != nullptr && context.timeline_cell >= total && total > 0) {
+    throw std::invalid_argument("timeline cell " + std::to_string(context.timeline_cell) +
+                                " out of range (sweep has " + std::to_string(total) +
+                                " cells)");
+  }
+  runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(range.end), runs.end());
+  runs.erase(runs.begin(), runs.begin() + static_cast<std::ptrdiff_t>(range.begin));
+
+  SweepOptions sweep;
+  sweep.threads = context.threads;
+  sweep.base_seed = context.seed;
+  SweepExecutor executor(sweep);
   executor.timeline = context.timeline;
-  executor.timeline_index = context.timeline_cell;  // unsharded: global == local
+  executor.timeline_index = context.timeline_cell;
   executor.on_progress = context.progress;
-  executor.on_run_start = context.on_cell_start;  // unsharded: global == local
-  const std::vector<simnet::ExperimentResult> results = executor.execute(runs);
+  executor.on_run_start = context.on_cell_start;
+  const std::vector<simnet::ExperimentResult> results = executor.execute(runs, range.begin);
   if (manifest != nullptr) {
-    fill_manifest(*manifest, spec, context, runs.size(), 0, runs, results,
+    fill_manifest(*manifest, spec, context, total, range.begin, runs, results,
                   executor.last_cell_wall_ms());
   }
 
   ScenarioOutput output;
   if (spec.has_declarative_output()) {
     render_plan_output(spec.plan->output, runs, results, output);
-    if (spec.annotate) spec.annotate(context, runs, results, output);
+    if (spec.annotate && !cells.has_value()) spec.annotate(context, runs, results, output);
   } else if (spec.analyze) {
     spec.analyze(context, runs, results, output);
   } else {
@@ -205,65 +208,6 @@ ScenarioOutput execute_scenario(const ScenarioSpec& spec, const ScenarioContext&
   }
   validate_output(spec, output);
   return output;
-}
-
-ScenarioOutput execute_scenario_shard(const ScenarioSpec& spec,
-                                      const ScenarioContext& context,
-                                      const ShardSpec& shard,
-                                      obs::RunManifest* manifest) {
-  if (!spec.has_declarative_output()) {
-    throw std::invalid_argument(
-        "scenario '" + spec.name +
-        "' reduces across runs (no declarative output spec), so its rows cannot be "
-        "computed per shard");
-  }
-  std::vector<RunPoint> runs = expand_runs(spec, context);
-  SweepExecutor executor = make_executor(context);
-
-  // Pin every cell's seed from its GLOBAL grid index before slicing — the
-  // exact streams the executor would derive in a single-process run — so
-  // merged shard output is bit-identical to the unsharded sweep.
-  const std::vector<std::uint64_t> seeds = executor.derive_seeds(runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (runs[i].reseed) {
-      runs[i].config.seed = seeds[i];
-      runs[i].reseed = false;
-    }
-  }
-  const auto [begin, end] = shard.resolve(runs.size());
-  std::vector<RunPoint> slice(runs.begin() + static_cast<std::ptrdiff_t>(begin),
-                              runs.begin() + static_cast<std::ptrdiff_t>(end));
-
-  executor.on_progress = context.progress;
-  if (context.on_cell_start) {
-    // The hook's contract is GLOBAL indices; translate from slice-local.
-    executor.on_run_start = [hook = context.on_cell_start,
-                             begin = begin](std::size_t local) { hook(begin + local); };
-  }
-  // context.timeline_cell is a GLOBAL index; attach the recorder only when
-  // the requested cell falls inside this shard's slice.
-  if (context.timeline != nullptr && context.timeline_cell >= begin &&
-      context.timeline_cell < end) {
-    executor.timeline = context.timeline;
-    executor.timeline_index = context.timeline_cell - begin;
-  }
-
-  const std::vector<simnet::ExperimentResult> results = executor.execute(slice);
-  if (manifest != nullptr) {
-    fill_manifest(*manifest, spec, context, runs.size(), begin, slice, results,
-                  executor.last_cell_wall_ms());
-  }
-  ScenarioOutput output;
-  render_plan_output(spec.plan->output, slice, results, output);
-  validate_output(spec, output);
-  return output;
-}
-
-RunnerOptions options_from_env() {
-  RunnerOptions options;
-  options.context = context_from_env();
-  options.csv_dir = csv_dir_from_env();
-  return options;
 }
 
 int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
@@ -314,23 +258,23 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
     };
   }
 
+  // --shard/--cells resolve to one slice here; the banner, the execution
+  // and the truncate fault all use it.
+  const std::size_t grid = spec.plan != nullptr ? spec.plan->cell_count() : 0;
+  std::optional<CellRange> cells;
   ScenarioOutput output;
   try {
+    if (options.shard.has_value()) cells = options.shard->resolve(grid);
     if (!options.quiet) {
       print_banner(spec);
-      // Plan expansion is pure and cheap (config building only), so
-      // counting here and re-expanding inside execute_scenario costs
-      // nothing.
-      const std::size_t grid = spec.plan != nullptr ? spec.plan->cell_count() : 0;
       std::size_t run_count = grid;
-      if (options.shard.has_value()) {
-        const auto [begin, end] = options.shard->resolve(grid);
-        run_count = end - begin;
+      if (cells.has_value()) {
+        run_count = cells->size();
         if (options.shard->cells.has_value()) {
-          std::printf("cells [%zu, %zu) of %zu\n", begin, end, grid);
+          std::printf("cells [%zu, %zu) of %zu\n", cells->begin, cells->end, grid);
         } else {
           std::printf("shard %d/%d: cells [%zu, %zu) of %zu\n", options.shard->index,
-                      options.shard->count, begin, end, grid);
+                      options.shard->count, cells->begin, cells->end, grid);
         }
       }
       if (run_count > 0) {
@@ -343,11 +287,7 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
             static_cast<unsigned long long>(options.context.seed));
       }
     }
-    output = options.shard.has_value()
-                 ? execute_scenario_shard(spec, context, *options.shard,
-                                          want_manifest ? &manifest : nullptr)
-                 : execute_scenario(spec, context,
-                                    want_manifest ? &manifest : nullptr);
+    output = execute_scenario(spec, context, want_manifest ? &manifest : nullptr, cells);
   } catch (const std::exception& e) {
     if (options.phase_timers) obs::set_phase_timing_enabled(false);
     std::fprintf(stderr, "scenario '%s' failed: %s\n", spec.name.c_str(), e.what());
@@ -368,12 +308,9 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
         options.inject_fault->kind == FaultSpec::Kind::kTruncate) {
       // Only the worker whose slice contains the target cell corrupts its
       // artifact, mirroring how crash/hang pick their victim.
-      const std::size_t grid = spec.plan != nullptr ? spec.plan->cell_count() : 0;
-      const auto [begin, end] = options.shard.has_value()
-                                    ? options.shard->resolve(grid)
-                                    : std::pair<std::size_t, std::size_t>{0, grid};
+      const CellRange range = cells.value_or(CellRange{0, grid});
       const std::size_t cell = options.inject_fault->cell;
-      if (cell >= begin && cell < end && consume_fault_arm()) {
+      if (cell >= range.begin && cell < range.end && consume_fault_arm()) {
         truncate_file_for_fault(*csv_path);
       }
     }
@@ -737,10 +674,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "  --metrics-out F     write the per-cell runtime manifest (JSON) to F\n"
                "  --cost-report       print the slowest cells after the run\n"
                "  --phase-timers      host-time phase accounting report on stderr\n"
-               "  --quiet             suppress banner and live progress\n"
-               "environment:    SSS_BENCH_SCALE, SSS_BENCH_CSV_DIR,\n"
-               "                SSS_SWEEP_THREADS, SSS_SWEEP_SEED,\n"
-               "                SSS_SCENARIO_PARAMS=k=v,k=v (flags win)\n",
+               "  --quiet             suppress banner and live progress\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
 }
 
@@ -800,7 +734,7 @@ std::optional<ShardSpec> parse_cells(std::string_view text) {
     return std::nullopt;
   }
   ShardSpec shard;
-  shard.cells = {static_cast<std::size_t>(*begin), static_cast<std::size_t>(*end)};
+  shard.cells = CellRange{static_cast<std::size_t>(*begin), static_cast<std::size_t>(*end)};
   return shard;
 }
 
@@ -816,7 +750,7 @@ int main_from_args(int argc, char** argv) {
   std::string dump_name;
   std::string tag;
   std::string cost_report_path;
-  RunnerOptions options = options_from_env();
+  RunnerOptions options;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -954,7 +888,6 @@ int main_from_args(int argc, char** argv) {
         std::fprintf(stderr, "--param requires key=value\n");
         return usage(argv[0]);
       }
-      // Appended after any SSS_SCENARIO_PARAMS entries, so flags win.
       options.context.param_overrides.emplace_back(v);
     } else if (arg == "--help" || arg == "-h") {
       print_usage(stdout, argv[0]);
@@ -997,6 +930,10 @@ int main_from_args(int argc, char** argv) {
     }
   }
   if (all) {
+    if (options.shard.has_value()) {
+      std::fprintf(stderr, "--shard works with exactly one scenario at a time\n");
+      return 2;
+    }
     int status = 0;
     for (const ScenarioSpec* spec : ScenarioRegistry::global().all()) {
       if (!tag.empty() && !spec->has_tag(tag)) continue;
@@ -1006,7 +943,6 @@ int main_from_args(int argc, char** argv) {
     return status;
   }
   if (!names_arg.empty()) {
-    // Same comma-list format (and splitter) as SSS_SCENARIO_PARAMS.
     const std::vector<std::string> names = split_param_list(names_arg);
     if (names.empty()) return usage(argv[0]);
     if (options.shard.has_value() && names.size() > 1) {

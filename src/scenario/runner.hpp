@@ -1,16 +1,17 @@
 // runner.hpp — drive a ScenarioSpec end to end.
 //
 // Layering: `execute_scenario` is the pure library entry (expand the plan,
-// fan out through the SweepExecutor, render/analyze into a ScenarioOutput)
-// used by tests; `execute_scenario_shard` runs one deterministic slice of
-// the grid (the multi-host path); `run_scenario` adds the console/CSV
-// presentation; and `main_from_args` implements the scenario_runner CLI.
+// fan out the whole grid or one slice of it through the SweepExecutor,
+// render/analyze into a ScenarioOutput); `run_scenario` adds the
+// console/CSV presentation; and `main_from_args` implements the
+// scenario_runner CLI.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "scenario/plan.hpp"
 #include "scenario/spec.hpp"
 
 namespace sss::obs {
@@ -21,7 +22,7 @@ namespace sss::scenario {
 
 // One slice of a sharded sweep.  Two forms:
 //   --shard I/N  — shard `index` of `count`, the balanced contiguous block
-//                  partition of plan::shard_range;
+//                  partition of shard_range;
 //   --cells A:B  — an explicit contiguous range [A, B) of GLOBAL grid
 //                  cells (`cells` set), which is what the cost-aware sweep
 //                  orchestrator launches so block boundaries can follow
@@ -30,12 +31,15 @@ namespace sss::scenario {
 struct ShardSpec {
   int index = 0;
   int count = 1;
-  std::optional<std::pair<std::size_t, std::size_t>> cells;
+  std::optional<CellRange> cells;
 
-  // The [begin, end) slice of `total` grid cells this spec selects.
-  // Throws std::invalid_argument when an explicit range is empty or
-  // reaches past the grid.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> resolve(std::size_t total) const;
+  // The slice of `total` grid cells this spec selects (unchecked against
+  // `total`: execute_scenario refuses a range past the grid).
+  [[nodiscard]] CellRange resolve(std::size_t total) const;
+
+  // File stem of this slice's part files, "<scenario>.shard<I>of<N>" or
+  // "<scenario>.cells<A>-<B>"; merge_csv_files parses both back.
+  [[nodiscard]] std::string part_stem(const std::string& scenario) const;
 };
 
 // Fault-injection harness (`--inject-fault KIND@cell=K`): deliberately
@@ -62,26 +66,24 @@ struct FaultSpec {
 // Expand, execute (parallel, deterministic), analyze.  Throws on scenario
 // errors.  When `manifest` is non-null it is filled with the per-cell
 // runtime metrics of this run (obs/manifest.hpp).
+//
+// With `cells`, only that slice of the grid runs.  Every cell keeps the
+// Xoshiro jump-stream seed of its GLOBAL grid index, so the concatenation
+// of all slices' rows (in cell order) is bit-identical to a whole-grid run;
+// a slice manifest carries GLOBAL cell indices, so `--merge` can stitch
+// the per-slice manifests back into one cost report.  A slice requires a
+// declarative output spec (per-run rows) and gets no `annotate` notes;
+// std::invalid_argument for scenarios that reduce across runs and for a
+// range past the grid.
 [[nodiscard]] ScenarioOutput execute_scenario(const ScenarioSpec& spec,
                                               const ScenarioContext& context,
-                                              obs::RunManifest* manifest = nullptr);
-
-// Execute only this shard's contiguous block of grid cells.  Every cell
-// keeps the Xoshiro jump-stream seed of its GLOBAL grid index, so the
-// concatenation of all shards' rows (in shard order) is bit-identical to a
-// single-process run.  Requires a declarative output spec (per-run rows);
-// throws std::invalid_argument for scenarios that reduce across runs.
-// A shard manifest carries GLOBAL cell indices, so `--merge` can stitch
-// the per-shard manifests back into one cost report.
-[[nodiscard]] ScenarioOutput execute_scenario_shard(const ScenarioSpec& spec,
-                                                    const ScenarioContext& context,
-                                                    const ShardSpec& shard,
-                                                    obs::RunManifest* manifest = nullptr);
+                                              obs::RunManifest* manifest = nullptr,
+                                              std::optional<CellRange> cells = std::nullopt);
 
 struct RunnerOptions {
   ScenarioContext context;
-  // Write <csv_dir>/<scenario>.csv (or <scenario>.shard<i>of<N>.csv when
-  // sharded) when set.
+  // Write <csv_dir>/<scenario>.csv (or <part_stem>.csv for a slice) when
+  // set.
   std::optional<std::string> csv_dir;
   // Suppress the banner/progress chatter (table and notes still print).
   bool quiet = false;
@@ -103,9 +105,6 @@ struct RunnerOptions {
   // SSS_FAULT_INJECTION arm file.
   std::optional<FaultSpec> inject_fault;
 };
-
-// Options assembled from the SSS_* environment knobs (env.hpp).
-[[nodiscard]] RunnerOptions options_from_env();
 
 // Run and present one scenario.  Returns a process exit code.
 int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options);

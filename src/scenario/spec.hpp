@@ -70,15 +70,14 @@ struct RunPoint {
 // Execution-time knobs shared by every scenario.
 struct ScenarioContext {
   // Duration scale in (0, 1]; multiplies every experiment duration
-  // (SSS_BENCH_SCALE).  1.0 reproduces the paper-scale runs.
+  // (--scale).  1.0 reproduces the paper-scale runs.
   double scale = 1.0;
   // Base seed for the executor's per-run RNG streams.
   std::uint64_t seed = 42;
   // Worker threads for the sweep; 0 means one per hardware thread.
   int threads = 0;
-  // Scenario knob overrides ("key=value" strings from --param or
-  // SSS_SCENARIO_PARAMS), applied to every expanded RunPoint in order after
-  // plan expansion.  See scenario/overrides.hpp for the key catalog;
+  // Scenario knob overrides ("key=value" strings from --param), applied
+  // to every expanded RunPoint in order after plan expansion.  See scenario/overrides.hpp for the key catalog;
   // unknown keys and malformed values abort the run.
   std::vector<std::string> param_overrides;
 
@@ -93,7 +92,7 @@ struct ScenarioContext {
   // Must be thread-safe.
   std::function<void(std::size_t, std::size_t)> progress;
   // Invoked on the worker thread immediately before a cell executes, with
-  // the cell's GLOBAL grid index (sharded execution translates).  Must be
+  // the cell's GLOBAL grid index (also when only a slice runs).  Must be
   // thread-safe.  Used by the runner's fault-injection harness
   // (--inject-fault) to crash/hang a shard at a precise cell.
   std::function<void(std::size_t)> on_cell_start;

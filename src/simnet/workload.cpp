@@ -25,6 +25,12 @@ const char* to_string(SpawnMode mode) {
   return "unknown";
 }
 
+std::optional<SpawnMode> spawn_mode_from_string(std::string_view name) {
+  if (name == "simultaneous") return SpawnMode::kSimultaneousBatches;
+  if (name == "scheduled") return SpawnMode::kScheduled;
+  return std::nullopt;
+}
+
 const char* to_string(ArrivalProcess process) {
   switch (process) {
     case ArrivalProcess::kPerSecondBatch:
@@ -35,6 +41,13 @@ const char* to_string(ArrivalProcess process) {
       return "poisson";
   }
   return "unknown";
+}
+
+std::optional<ArrivalProcess> arrival_process_from_string(std::string_view name) {
+  if (name == "batch") return ArrivalProcess::kPerSecondBatch;
+  if (name == "deterministic") return ArrivalProcess::kDeterministic;
+  if (name == "poisson") return ArrivalProcess::kPoisson;
+  return std::nullopt;
 }
 
 WorkloadConfig WorkloadConfig::paper_table2(int concurrency, int parallel_flows,

@@ -33,7 +33,9 @@
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "simnet/arena.hpp"
@@ -58,6 +60,7 @@ enum class SpawnMode {
 };
 
 [[nodiscard]] const char* to_string(SpawnMode mode);
+[[nodiscard]] std::optional<SpawnMode> spawn_mode_from_string(std::string_view name);
 
 enum class ArrivalProcess {
   kPerSecondBatch,  // historical: whole-second batches, fractional tail rounded
@@ -66,6 +69,8 @@ enum class ArrivalProcess {
 };
 
 [[nodiscard]] const char* to_string(ArrivalProcess process);
+[[nodiscard]] std::optional<ArrivalProcess> arrival_process_from_string(
+    std::string_view name);
 
 // Cross-traffic confined to a single hop of the forward path for a time
 // window — enters and leaves the path at the hop's endpoints, like another
@@ -83,8 +88,9 @@ struct HopCrossTraffic {
 // Knobs for the trace-driven calibration scenarios (core/fitting.hpp,
 // scenario family "calibration").  The packet/fluid simulators ignore
 // these; they ride on WorkloadConfig so the ONE name→field binding table
-// (--param / plan axes / plan JSON, scenario/overrides.hpp) reaches them
-// like any other knob.
+// (--param and plan axes, scenario/overrides.hpp) reaches them like any
+// other knob.  A plan's JSON `base` section spells them through its own
+// codec (scenario/plan.cpp).
 struct CalibrationKnobs {
   // Per-transfer trace CSV to calibrate from ("" = the built-in demo
   // trace, core::demo_transfer_trace()).
@@ -104,7 +110,8 @@ struct CalibrationKnobs {
 // Knobs for the storage-layer scenarios (the Fig. 4 staged-vs-stream
 // family).  The network simulators ignore these; like CalibrationKnobs
 // they ride on WorkloadConfig so the ONE name→field binding table
-// (--param / plan axes / plan JSON) reaches them like any other knob.
+// (--param and plan axes) reaches them like any other knob; plan JSON
+// `base` sections use plan.cpp's codec.
 struct StorageKnobs {
   // Zipf exponent for object popularity in the staged-transfer generator:
   // file k receives a frame share ∝ 1/(k+1)^s.  0 = uniform (the

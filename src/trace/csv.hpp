@@ -1,8 +1,8 @@
 // csv.hpp — minimal CSV reading/writing for experiment logs.
 //
-// Benches write their rows both to stdout (human tables) and, when
-// SSS_BENCH_CSV_DIR is set, to CSV files so the figures can be re-plotted
-// externally.  The implementation covers RFC-4180 quoting (commas, quotes,
+// Scenarios write their rows both to stdout (human tables) and, with
+// `scenario_runner --csv-dir`, to CSV files so the figures can be
+// re-plotted externally.  The implementation covers RFC-4180 quoting (commas, quotes,
 // newlines inside fields) — enough for round-tripping our own logs.
 #pragma once
 

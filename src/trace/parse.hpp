@@ -2,8 +2,8 @@
 //
 // One shared implementation of the "std::from_chars over the WHOLE string"
 // rule used everywhere the repository turns external text into numbers:
-// environment knobs and --param overrides (scenario/env.hpp,
-// scenario/overrides.cpp), experiment-plan JSON (scenario/plan.cpp), and
+// command-line flags (scenario/runner.cpp), --param overrides
+// (scenario/overrides.cpp), experiment-plan JSON (scenario/plan.cpp), and
 // persisted measurement artifacts (core/experiment_io.cpp).  Empty input,
 // leading/trailing garbage ("0.5abc", " 0.5"), locale decimal commas, and
 // range errors all return nullopt instead of a silently truncated value.

@@ -152,6 +152,14 @@ TEST(ShardCliValidation, ShardAndCellsAreMutuallyExclusive) {
             0);
 }
 
+// A slice names cells of ONE grid: with several scenarios (--run a,b or
+// --all) it is refused before anything runs.
+TEST(ShardCliValidation, SliceNeedsExactlyOneScenario) {
+  EXPECT_EQ(run_cli({"--run", "hop_bottleneck_sweep,wan_cross_traffic", "--shard", "0/2"}), 2);
+  EXPECT_EQ(run_cli({"--all", "--tag", "figure", "--shard", "0/2"}), 2);
+  EXPECT_EQ(run_cli({"--all", "--cells", "0:1"}), 2);
+}
+
 TEST(ShardCliValidation, CellsRangePastGridIsRejected) {
   // hop_bottleneck_sweep has 4 cells; [2, 9) reaches past the grid and
   // must fail rather than silently clamp.

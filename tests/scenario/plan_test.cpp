@@ -274,6 +274,28 @@ TEST(PlanJson, RejectsMalformedDocuments) {
   }
 }
 
+// The base section's enum fields accept exactly the spellings --param
+// does, and an unknown one is refused by name.
+TEST(PlanJson, RejectsUnknownModeAndArrivals) {
+  register_builtin_scenarios();
+  const ScenarioSpec* spec = ScenarioRegistry::global().find("fig2a_simultaneous");
+  ASSERT_NE(spec, nullptr);
+  const std::string text = spec->plan->to_json_text();
+  for (const std::string field : {"\"mode\": \"simultaneous\"", "\"arrivals\": \"batch\""}) {
+    std::string mutated = text;
+    const std::size_t at = mutated.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::string key = field.substr(0, field.find(':'));
+    mutated.replace(at, field.size(), key + ": \"bogus\"");
+    try {
+      (void)ExperimentPlan::from_json(trace::JsonValue::parse(mutated));
+      ADD_FAILURE() << key << " \"bogus\" was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'bogus'"), std::string::npos) << e.what();
+    }
+  }
+}
+
 // --- sharding --------------------------------------------------------------
 
 TEST(ShardRange, BalancedExhaustivePartition) {
@@ -307,7 +329,8 @@ TEST(ShardedExecution, TwoShardMergeBitIdenticalToSingleHost) {
   const ScenarioOutput full = execute_scenario(*spec, ctx);
   std::vector<std::vector<std::string>> merged;
   for (int i = 0; i < 2; ++i) {
-    const ScenarioOutput shard = execute_scenario_shard(*spec, ctx, {i, 2, std::nullopt});
+    const ScenarioOutput shard =
+        execute_scenario(*spec, ctx, nullptr, shard_range(i, 2, full.rows.size()));
     EXPECT_EQ(join(shard.header), join(full.header));
     merged.insert(merged.end(), shard.rows.begin(), shard.rows.end());
   }
@@ -322,7 +345,7 @@ TEST(ShardedExecution, AggregateScenariosRefuseToShard) {
   const ScenarioSpec* spec = ScenarioRegistry::global().find("fig3_cdf");
   ASSERT_NE(spec, nullptr);
   const ScenarioContext ctx = smoke_context();
-  EXPECT_THROW((void)execute_scenario_shard(*spec, ctx, {0, 2, std::nullopt}),
+  EXPECT_THROW((void)execute_scenario(*spec, ctx, nullptr, CellRange{0, 1}),
                std::invalid_argument);
 }
 

@@ -113,9 +113,7 @@ TEST(TimelineGolden, SliceRecordsGlobalCellByteIdentical) {
     const std::lock_guard<std::mutex> lock(mutex);
     started.insert(cell);
   };
-  ShardSpec slice;
-  slice.cells = {1, 3};
-  (void)execute_scenario_shard(*spec, ctx, slice);
+  (void)execute_scenario(*spec, ctx, nullptr, CellRange{1, 3});
   EXPECT_EQ(started, (std::set<std::size_t>{1, 2}));
   const std::string golden =
       read_file(std::string(SSS_SOURCE_DIR) +

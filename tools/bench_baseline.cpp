@@ -261,9 +261,9 @@ int main(int argc, char** argv) {
   // --- timed scenario smoke -------------------------------------------------
   const char* scenario = "hop_bottleneck_sweep";
   const double scale = smoke ? 0.05 : 1.0;
-  const std::string scenario_cmd = "SSS_BENCH_SCALE=" + std::to_string(scale) + " " +
-                                   shell_quote(build_dir + "/bench/scenario_runner") +
-                                   " --run " + scenario + " > /dev/null";
+  const std::string scenario_cmd = shell_quote(build_dir + "/bench/scenario_runner") +
+                                   " --run " + scenario + " --scale " +
+                                   std::to_string(scale) + " > /dev/null";
   std::cerr << "bench_baseline: running " << scenario_cmd << "\n";
   const auto t0 = std::chrono::steady_clock::now();
   const int scenario_exit = std::system(scenario_cmd.c_str());
