@@ -1,7 +1,6 @@
 #include "core/experiment_io.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,20 +27,6 @@ double parse_double(const std::string& field, const char* context) {
                              ": '" + field + "'");
   }
   return *v;
-}
-
-void write_text_file(const std::string& path, const std::string& text) {
-  // Atomic (temp + rename): measurement artifacts must never be readable
-  // half-written.
-  trace::write_text_file_atomic(path, text);
-}
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) throw std::runtime_error("experiment_io: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 }  // namespace
@@ -104,11 +89,11 @@ std::vector<TransferRecord> transfer_trace_from_csv(const std::string& text) {
 
 void write_transfer_trace(const std::string& path,
                           const std::vector<TransferRecord>& records) {
-  write_text_file(path, transfer_trace_to_csv(records));
+  trace::write_text_file_atomic(path, transfer_trace_to_csv(records));
 }
 
 std::vector<TransferRecord> read_transfer_trace(const std::string& path) {
-  return transfer_trace_from_csv(read_text_file(path));
+  return transfer_trace_from_csv(trace::read_text_file(path));
 }
 
 }  // namespace sss::core

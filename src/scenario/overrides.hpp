@@ -7,8 +7,9 @@
 //   - ExperimentPlan axis assignments (scenario/plan.hpp — each AxisPoint
 //     is a list of these same "key=value" strings),
 //   - plan JSON files loaded with `--plan` (axes serialize the strings
-//     verbatim; the plan's `base` workload has its own JSON codec in
-//     scenario/plan.cpp, which reuses only the enum spellings).
+//     verbatim; the plan's `base` workload is a nested JSON object written
+//     and read from one field list per struct in scenario/plan.cpp, which
+//     reuses only the enum spellings).
 // Values go through the shared strict parsers (trace/parse.hpp): trailing
 // garbage or an out-of-range value raises std::invalid_argument rather
 // than being silently truncated.

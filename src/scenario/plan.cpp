@@ -2,11 +2,10 @@
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/decision.hpp"
 #include "core/sss_score.hpp"
@@ -14,6 +13,7 @@
 #include "simnet/metrics.hpp"
 #include "simnet/scheduler.hpp"
 #include "stats/percentile.hpp"
+#include "trace/atomic_io.hpp"
 #include "trace/parse.hpp"
 #include "trace/table.hpp"
 
@@ -438,220 +438,8 @@ long long as_integer(const trace::JsonValue& json, const char* field, long long 
   return static_cast<long long>(v);
 }
 
-trace::JsonValue link_to_json(const simnet::LinkConfig& link) {
-  trace::JsonValue json = trace::JsonValue::object();
-  json["name"] = link.name;
-  json["capacity_bytes_per_s"] = link.capacity.bps();
-  json["propagation_delay_s"] = link.propagation_delay.seconds();
-  json["buffer_bytes"] = link.buffer.bytes();
-  return json;
-}
-
-simnet::LinkConfig link_from_json(const trace::JsonValue& json) {
-  simnet::LinkConfig link;
-  link.name = json.at("name").as_string();
-  link.capacity = units::DataRate::bytes_per_second(json.at("capacity_bytes_per_s").as_double());
-  link.propagation_delay = units::Seconds::of(json.at("propagation_delay_s").as_double());
-  link.buffer = units::Bytes::of(json.at("buffer_bytes").as_double());
-  return link;
-}
-
-trace::JsonValue storm_to_json(const simnet::HopCrossTraffic& storm) {
-  trace::JsonValue json = trace::JsonValue::object();
-  json["hop"] = storm.hop;
-  json["load"] = storm.load;
-  json["start_s"] = storm.start.seconds();
-  json["until_s"] = storm.until.seconds();
-  json["mean_flow_size_bytes"] = storm.mean_flow_size.bytes();
-  json["pareto_shape"] = storm.pareto_shape;
-  return json;
-}
-
-simnet::HopCrossTraffic storm_from_json(const trace::JsonValue& json) {
-  simnet::HopCrossTraffic storm;
-  storm.hop = static_cast<int>(as_integer(json.at("hop"), "storm hop", 0, 1000000));
-  storm.load = json.at("load").as_double();
-  storm.start = units::Seconds::of(json.at("start_s").as_double());
-  storm.until = units::Seconds::of(json.at("until_s").as_double());
-  storm.mean_flow_size = units::Bytes::of(json.at("mean_flow_size_bytes").as_double());
-  storm.pareto_shape = json.at("pareto_shape").as_double();
-  return storm;
-}
-
-trace::JsonValue calibration_to_json(const simnet::CalibrationKnobs& knobs) {
-  trace::JsonValue json = trace::JsonValue::object();
-  json["trace_path"] = knobs.trace_path;
-  json["operating_util"] = knobs.operating_util;
-  json["true_alpha"] = knobs.true_alpha;
-  json["true_theta"] = knobs.true_theta;
-  json["congestion_slope"] = knobs.congestion_slope;
-  return json;
-}
-
-simnet::CalibrationKnobs calibration_from_json(const trace::JsonValue& json) {
-  simnet::CalibrationKnobs knobs;
-  knobs.trace_path = json.at("trace_path").as_string();
-  knobs.operating_util = json.at("operating_util").as_double();
-  knobs.true_alpha = json.at("true_alpha").as_double();
-  knobs.true_theta = json.at("true_theta").as_double();
-  knobs.congestion_slope = json.at("congestion_slope").as_double();
-  return knobs;
-}
-
-trace::JsonValue storage_to_json(const simnet::StorageKnobs& knobs) {
-  trace::JsonValue json = trace::JsonValue::object();
-  json["zipf_skew"] = knobs.zipf_skew;
-  return json;
-}
-
-simnet::StorageKnobs storage_from_json(const trace::JsonValue& json) {
-  simnet::StorageKnobs knobs;
-  knobs.zipf_skew = json.at("zipf_skew").as_double();
-  return knobs;
-}
-
-trace::JsonValue tenant_to_json(const simnet::TenantSpec& tenant) {
-  trace::JsonValue json = trace::JsonValue::object();
-  json["name"] = tenant.name;
-  json["src"] = tenant.src;
-  json["dst"] = tenant.dst;
-  json["concurrency"] = tenant.concurrency;
-  json["transfer_size_bytes"] = tenant.transfer_size.bytes();
-  json["deadline_s"] = tenant.deadline_s;
-  return json;
-}
-
-simnet::TenantSpec tenant_from_json(const trace::JsonValue& json) {
-  simnet::TenantSpec tenant;
-  tenant.name = json.at("name").as_string();
-  tenant.src = json.at("src").as_string();
-  tenant.dst = json.at("dst").as_string();
-  tenant.concurrency = static_cast<int>(
-      as_integer(json.at("concurrency"), "tenant concurrency", 0, 1000000000));
-  tenant.transfer_size = units::Bytes::of(json.at("transfer_size_bytes").as_double());
-  tenant.deadline_s = json.at("deadline_s").as_double();
-  return tenant;
-}
-
-trace::JsonValue scheduler_to_json(const simnet::SchedulerConfig& scheduler) {
-  trace::JsonValue json = trace::JsonValue::object();
-  json["policy"] = simnet::to_string(scheduler.policy);
-  json["slots"] = scheduler.slots;
-  json["deadline_s"] = scheduler.deadline_s;
-  json["burst_window_s"] = scheduler.burst_window_s;
-  json["burst_limit"] = scheduler.burst_limit;
-  json["backoff_s"] = scheduler.backoff_s;
-  return json;
-}
-
-simnet::SchedulerConfig scheduler_from_json(const trace::JsonValue& json) {
-  simnet::SchedulerConfig scheduler;
-  const std::string& policy = json.at("policy").as_string();
-  const auto parsed = simnet::sched_policy_from_string(policy);
-  if (!parsed.has_value()) plan_error("unknown scheduler policy '" + policy + "'");
-  scheduler.policy = *parsed;
-  scheduler.slots = static_cast<int>(
-      as_integer(json.at("slots"), "scheduler slots", 1, 1000000000));
-  scheduler.deadline_s = json.at("deadline_s").as_double();
-  scheduler.burst_window_s = json.at("burst_window_s").as_double();
-  scheduler.burst_limit = static_cast<int>(
-      as_integer(json.at("burst_limit"), "scheduler burst_limit", 1, 1000000000));
-  scheduler.backoff_s = json.at("backoff_s").as_double();
-  return scheduler;
-}
-
-trace::JsonValue tcp_to_json(const simnet::TcpConfig& tcp) {
-  trace::JsonValue json = trace::JsonValue::object();
-  json["mss_bytes"] = static_cast<std::size_t>(tcp.mss_bytes);
-  json["header_bytes"] = static_cast<std::size_t>(tcp.header_bytes);
-  json["ack_bytes"] = static_cast<std::size_t>(tcp.ack_bytes);
-  json["initial_cwnd"] = tcp.initial_cwnd;
-  json["max_cwnd_packets"] = tcp.max_cwnd_packets;
-  json["dupack_threshold"] = tcp.dupack_threshold;
-  json["initial_rto_s"] = tcp.initial_rto.seconds();
-  json["min_rto_s"] = tcp.min_rto.seconds();
-  json["max_rto_s"] = tcp.max_rto.seconds();
-  json["hystart"] = tcp.hystart;
-  json["hystart_delay_min_s"] = tcp.hystart_delay_min.seconds();
-  json["hystart_delay_max_s"] = tcp.hystart_delay_max.seconds();
-  return json;
-}
-
-simnet::TcpConfig tcp_from_json(const trace::JsonValue& json) {
-  simnet::TcpConfig tcp;
-  constexpr long long kMaxU32 = 4294967295LL;
-  tcp.mss_bytes = static_cast<std::uint32_t>(
-      as_integer(json.at("mss_bytes"), "mss_bytes", 0, kMaxU32));
-  tcp.header_bytes = static_cast<std::uint32_t>(
-      as_integer(json.at("header_bytes"), "header_bytes", 0, kMaxU32));
-  tcp.ack_bytes = static_cast<std::uint32_t>(
-      as_integer(json.at("ack_bytes"), "ack_bytes", 0, kMaxU32));
-  tcp.initial_cwnd = json.at("initial_cwnd").as_double();
-  tcp.max_cwnd_packets = json.at("max_cwnd_packets").as_double();
-  tcp.dupack_threshold = static_cast<int>(
-      as_integer(json.at("dupack_threshold"), "dupack_threshold", 0, 1000000));
-  tcp.initial_rto = units::Seconds::of(json.at("initial_rto_s").as_double());
-  tcp.min_rto = units::Seconds::of(json.at("min_rto_s").as_double());
-  tcp.max_rto = units::Seconds::of(json.at("max_rto_s").as_double());
-  tcp.hystart = json.at("hystart").as_bool();
-  tcp.hystart_delay_min = units::Seconds::of(json.at("hystart_delay_min_s").as_double());
-  tcp.hystart_delay_max = units::Seconds::of(json.at("hystart_delay_max_s").as_double());
-  return tcp;
-}
-
-trace::JsonValue workload_to_json(const simnet::WorkloadConfig& config) {
-  trace::JsonValue json = trace::JsonValue::object();
-  json["duration_s"] = config.duration.seconds();
-  json["concurrency"] = config.concurrency;
-  json["parallel_flows"] = config.parallel_flows;
-  json["transfer_size_bytes"] = config.transfer_size.bytes();
-  json["mode"] = simnet::to_string(config.mode);
-  json["arrivals"] = simnet::to_string(config.arrivals);
-  // Seeds are 64-bit; JSON numbers are doubles, so serialize as a string.
-  json["seed"] = std::to_string(config.seed);
-  json["start_jitter_s"] = config.start_jitter.seconds();
-  json["drain_timeout_s"] = config.drain_timeout.seconds();
-  json["background_load"] = config.background_load;
-  json["background_mean_flow_size_bytes"] = config.background_mean_flow_size.bytes();
-  json["background_pareto_shape"] = config.background_pareto_shape;
-  json["link"] = link_to_json(config.link);
-  if (!config.path_hops.empty()) {
-    trace::JsonValue hops = trace::JsonValue::array();
-    for (const simnet::LinkConfig& hop : config.path_hops) hops.push_back(link_to_json(hop));
-    json["path_hops"] = std::move(hops);
-  }
-  if (!config.hop_cross_traffic.empty()) {
-    trace::JsonValue storms = trace::JsonValue::array();
-    for (const simnet::HopCrossTraffic& storm : config.hop_cross_traffic) {
-      storms.push_back(storm_to_json(storm));
-    }
-    json["hop_cross_traffic"] = std::move(storms);
-  }
-  // Default calibration knobs are omitted so sweep-plan dumps stay free of
-  // calibration noise; the section round-trips exactly whenever set.
-  if (!(config.calibration == simnet::CalibrationKnobs{})) {
-    json["calibration"] = calibration_to_json(config.calibration);
-  }
-  // Same omit-when-default rule as calibration.
-  if (!(config.storage == simnet::StorageKnobs{})) {
-    json["storage"] = storage_to_json(config.storage);
-  }
-  // Facility sections, omitted when default for the same reason.
-  if (!config.topology.empty()) json["topology"] = config.topology;
-  if (!config.tenants.empty()) {
-    trace::JsonValue tenants = trace::JsonValue::array();
-    for (const simnet::TenantSpec& tenant : config.tenants) {
-      tenants.push_back(tenant_to_json(tenant));
-    }
-    json["tenants"] = std::move(tenants);
-  }
-  if (!(config.scheduler == simnet::SchedulerConfig{})) {
-    json["scheduler"] = scheduler_to_json(config.scheduler);
-  }
-  json["tcp"] = tcp_to_json(config.tcp);
-  return json;
-}
-
+// Seeds are 64-bit; JSON numbers are doubles, so they are written as
+// strings and read from either.
 std::uint64_t seed_from_json(const trace::JsonValue& json) {
   if (json.is_number()) {
     // Doubles hold integers exactly only up to 2^53; larger seeds must be
@@ -664,59 +452,240 @@ std::uint64_t seed_from_json(const trace::JsonValue& json) {
   return *seed;
 }
 
-simnet::WorkloadConfig workload_from_json(const trace::JsonValue& json) {
-  simnet::WorkloadConfig config;
-  config.duration = units::Seconds::of(json.at("duration_s").as_double());
-  config.concurrency = static_cast<int>(
-      as_integer(json.at("concurrency"), "concurrency", 0, 1000000000));
-  config.parallel_flows = static_cast<int>(
-      as_integer(json.at("parallel_flows"), "parallel_flows", 0, 1000000000));
-  config.transfer_size = units::Bytes::of(json.at("transfer_size_bytes").as_double());
-  const std::string& mode = json.at("mode").as_string();
-  const auto spawn_mode = simnet::spawn_mode_from_string(mode);
-  if (!spawn_mode.has_value()) plan_error("unknown mode '" + mode + "'");
-  config.mode = *spawn_mode;
-  const std::string& arrivals = json.at("arrivals").as_string();
-  const auto process = simnet::arrival_process_from_string(arrivals);
-  if (!process.has_value()) plan_error("unknown arrivals '" + arrivals + "'");
-  config.arrivals = *process;
-  config.seed = seed_from_json(json.at("seed"));
-  config.start_jitter = units::Seconds::of(json.at("start_jitter_s").as_double());
-  config.drain_timeout = units::Seconds::of(json.at("drain_timeout_s").as_double());
-  config.background_load = json.at("background_load").as_double();
-  config.background_mean_flow_size =
-      units::Bytes::of(json.at("background_mean_flow_size_bytes").as_double());
-  config.background_pareto_shape = json.at("background_pareto_shape").as_double();
-  config.link = link_from_json(json.at("link"));
-  if (const trace::JsonValue* hops = json.find("path_hops")) {
-    for (const trace::JsonValue& hop : hops->as_array()) {
-      config.path_hops.push_back(link_from_json(hop));
+// The `base` section is written and read through one field list per struct
+// (the `fields` overloads below), walked by JsonWriter and JsonReader alike:
+// each key, its bounds and its unit are spelled once.  A field's C++ type
+// picks its conversion (Seconds <-> *_s, Bytes <-> *_bytes, DataRate <->
+// *_bytes_per_s, uint64 seed <-> string); `integer` fields carry their
+// bounds, `choice` fields their enum parser (written with simnet::to_string).
+// `optional` fields are left out when default or empty and may be absent;
+// every other key is required.  `section` names the struct in errors.
+
+class JsonWriter {
+ public:
+  template <class Section>
+  static trace::JsonValue encode(const Section& section) {
+    JsonWriter writer;
+    // One field list serves both directions, so it takes a mutable
+    // reference; the writer only reads through it.
+    fields(writer, const_cast<Section&>(section));
+    return std::move(writer.json_);
+  }
+
+  void section(const char* /*name*/) {}
+
+  template <class T>
+  void field(const char* key, const T& value) {
+    json_[key] = encode(value);
+  }
+
+  template <class T>
+  void optional(const char* key, const T& value) {
+    if (!is_default(value)) json_[key] = encode(value);
+  }
+
+  template <class Int>
+  void integer(const char* key, const Int& value, long long /*min*/, long long /*max*/) {
+    json_[key] = static_cast<double>(value);
+  }
+
+  template <class Enum, class Parse>
+  void choice(const char* key, const Enum& value, Parse /*parse*/) {
+    json_[key] = simnet::to_string(value);
+  }
+
+ private:
+  template <class T>
+  static bool is_default(const T& value) {
+    if constexpr (requires { value.empty(); }) {
+      return value.empty();
+    } else {
+      return value == T{};
     }
   }
-  if (const trace::JsonValue* storms = json.find("hop_cross_traffic")) {
-    for (const trace::JsonValue& storm : storms->as_array()) {
-      config.hop_cross_traffic.push_back(storm_from_json(storm));
-    }
+
+  static trace::JsonValue encode(double v) { return v; }
+  static trace::JsonValue encode(bool v) { return v; }
+  static trace::JsonValue encode(const std::string& v) { return v; }
+  static trace::JsonValue encode(std::uint64_t v) { return std::to_string(v); }
+  static trace::JsonValue encode(units::Seconds v) { return v.seconds(); }
+  static trace::JsonValue encode(units::Bytes v) { return v.bytes(); }
+  static trace::JsonValue encode(units::DataRate v) { return v.bps(); }
+  template <class T>
+  static trace::JsonValue encode(const std::vector<T>& items) {
+    trace::JsonValue array = trace::JsonValue::array();
+    for (const T& item : items) array.push_back(encode(item));
+    return array;
   }
-  if (const trace::JsonValue* calibration = json.find("calibration")) {
-    config.calibration = calibration_from_json(*calibration);
+
+  trace::JsonValue json_ = trace::JsonValue::object();
+};
+
+class JsonReader {
+ public:
+  template <class Section>
+  static void decode(const trace::JsonValue& json, Section& section) {
+    JsonReader reader(json);
+    fields(reader, section);
   }
-  if (const trace::JsonValue* storage = json.find("storage")) {
-    config.storage = storage_from_json(*storage);
+
+  void section(const char* name) { section_ = name; }
+
+  template <class T>
+  void field(const char* key, T& value) {
+    decode(json_.at(key), value);
   }
-  if (const trace::JsonValue* topology = json.find("topology")) {
-    config.topology = topology->as_string();
+
+  template <class T>
+  void optional(const char* key, T& value) {
+    if (const trace::JsonValue* json = json_.find(key)) decode(*json, value);
   }
-  if (const trace::JsonValue* tenants = json.find("tenants")) {
-    for (const trace::JsonValue& tenant : tenants->as_array()) {
-      config.tenants.push_back(tenant_from_json(tenant));
-    }
+
+  template <class Int>
+  void integer(const char* key, Int& value, long long min, long long max) {
+    value = static_cast<Int>(as_integer(json_.at(key), label(key).c_str(), min, max));
   }
-  if (const trace::JsonValue* scheduler = json.find("scheduler")) {
-    config.scheduler = scheduler_from_json(*scheduler);
+
+  template <class Enum>
+  void choice(const char* key, Enum& value,
+              std::optional<Enum> (*parse)(std::string_view)) {
+    const std::string& name = json_.at(key).as_string();
+    const std::optional<Enum> parsed = parse(name);
+    if (!parsed.has_value()) plan_error("unknown " + label(key) + " '" + name + "'");
+    value = *parsed;
   }
-  config.tcp = tcp_from_json(json.at("tcp"));
-  return config;
+
+ private:
+  explicit JsonReader(const trace::JsonValue& json) : json_(json) {}
+
+  std::string label(const char* key) const {
+    return section_.empty() ? std::string(key) : section_ + " " + key;
+  }
+
+  static void decode(const trace::JsonValue& json, double& v) { v = json.as_double(); }
+  static void decode(const trace::JsonValue& json, bool& v) { v = json.as_bool(); }
+  static void decode(const trace::JsonValue& json, std::string& v) { v = json.as_string(); }
+  static void decode(const trace::JsonValue& json, std::uint64_t& v) {
+    v = seed_from_json(json);
+  }
+  static void decode(const trace::JsonValue& json, units::Seconds& v) {
+    v = units::Seconds::of(json.as_double());
+  }
+  static void decode(const trace::JsonValue& json, units::Bytes& v) {
+    v = units::Bytes::of(json.as_double());
+  }
+  static void decode(const trace::JsonValue& json, units::DataRate& v) {
+    v = units::DataRate::bytes_per_second(json.as_double());
+  }
+  template <class T>
+  static void decode(const trace::JsonValue& json, std::vector<T>& items) {
+    for (const trace::JsonValue& item : json.as_array()) decode(item, items.emplace_back());
+  }
+
+  const trace::JsonValue& json_;
+  std::string section_;
+};
+
+constexpr long long kMaxCount = 1000000000;
+constexpr long long kMaxU32 = 4294967295LL;
+
+template <class Io>
+void fields(Io& io, simnet::LinkConfig& link) {
+  io.field("name", link.name);
+  io.field("capacity_bytes_per_s", link.capacity);
+  io.field("propagation_delay_s", link.propagation_delay);
+  io.field("buffer_bytes", link.buffer);
+}
+
+template <class Io>
+void fields(Io& io, simnet::HopCrossTraffic& storm) {
+  io.section("storm");
+  io.integer("hop", storm.hop, 0, 1000000);
+  io.field("load", storm.load);
+  io.field("start_s", storm.start);
+  io.field("until_s", storm.until);
+  io.field("mean_flow_size_bytes", storm.mean_flow_size);
+  io.field("pareto_shape", storm.pareto_shape);
+}
+
+template <class Io>
+void fields(Io& io, simnet::CalibrationKnobs& knobs) {
+  io.field("trace_path", knobs.trace_path);
+  io.field("operating_util", knobs.operating_util);
+  io.field("true_alpha", knobs.true_alpha);
+  io.field("true_theta", knobs.true_theta);
+  io.field("congestion_slope", knobs.congestion_slope);
+}
+
+template <class Io>
+void fields(Io& io, simnet::StorageKnobs& knobs) {
+  io.field("zipf_skew", knobs.zipf_skew);
+}
+
+template <class Io>
+void fields(Io& io, simnet::TenantSpec& tenant) {
+  io.section("tenant");
+  io.field("name", tenant.name);
+  io.field("src", tenant.src);
+  io.field("dst", tenant.dst);
+  io.integer("concurrency", tenant.concurrency, 0, kMaxCount);
+  io.field("transfer_size_bytes", tenant.transfer_size);
+  io.field("deadline_s", tenant.deadline_s);
+}
+
+template <class Io>
+void fields(Io& io, simnet::SchedulerConfig& scheduler) {
+  io.section("scheduler");
+  io.choice("policy", scheduler.policy, simnet::sched_policy_from_string);
+  io.integer("slots", scheduler.slots, 1, kMaxCount);
+  io.field("deadline_s", scheduler.deadline_s);
+  io.field("burst_window_s", scheduler.burst_window_s);
+  io.integer("burst_limit", scheduler.burst_limit, 1, kMaxCount);
+  io.field("backoff_s", scheduler.backoff_s);
+}
+
+template <class Io>
+void fields(Io& io, simnet::TcpConfig& tcp) {
+  io.section("tcp");
+  io.integer("mss_bytes", tcp.mss_bytes, 0, kMaxU32);
+  io.integer("header_bytes", tcp.header_bytes, 0, kMaxU32);
+  io.integer("ack_bytes", tcp.ack_bytes, 0, kMaxU32);
+  io.field("initial_cwnd", tcp.initial_cwnd);
+  io.field("max_cwnd_packets", tcp.max_cwnd_packets);
+  io.integer("dupack_threshold", tcp.dupack_threshold, 0, 1000000);
+  io.field("initial_rto_s", tcp.initial_rto);
+  io.field("min_rto_s", tcp.min_rto);
+  io.field("max_rto_s", tcp.max_rto);
+  io.field("hystart", tcp.hystart);
+  io.field("hystart_delay_min_s", tcp.hystart_delay_min);
+  io.field("hystart_delay_max_s", tcp.hystart_delay_max);
+}
+
+template <class Io>
+void fields(Io& io, simnet::WorkloadConfig& config) {
+  io.field("duration_s", config.duration);
+  io.integer("concurrency", config.concurrency, 0, kMaxCount);
+  io.integer("parallel_flows", config.parallel_flows, 0, kMaxCount);
+  io.field("transfer_size_bytes", config.transfer_size);
+  io.choice("mode", config.mode, simnet::spawn_mode_from_string);
+  io.choice("arrivals", config.arrivals, simnet::arrival_process_from_string);
+  io.field("seed", config.seed);
+  io.field("start_jitter_s", config.start_jitter);
+  io.field("drain_timeout_s", config.drain_timeout);
+  io.field("background_load", config.background_load);
+  io.field("background_mean_flow_size_bytes", config.background_mean_flow_size);
+  io.field("background_pareto_shape", config.background_pareto_shape);
+  io.field("link", config.link);
+  io.optional("path_hops", config.path_hops);
+  io.optional("hop_cross_traffic", config.hop_cross_traffic);
+  // Default calibration, storage and facility sections are omitted so
+  // sweep-plan dumps carry only what a scenario sets.
+  io.optional("calibration", config.calibration);
+  io.optional("storage", config.storage);
+  io.optional("topology", config.topology);
+  io.optional("tenants", config.tenants);
+  io.optional("scheduler", config.scheduler);
+  io.field("tcp", config.tcp);
 }
 
 const char* axis_kind_name(ParamAxis::Kind kind) {
@@ -852,7 +821,7 @@ trace::JsonValue ExperimentPlan::to_json() const {
   json["scale_duration"] = scale_duration;
   json["repeat"] = repeat;
   if (fixed_seed.has_value()) json["fixed_seed"] = std::to_string(*fixed_seed);
-  json["base"] = workload_to_json(base);
+  json["base"] = JsonWriter::encode(base);
   trace::JsonValue axes_json = trace::JsonValue::array();
   for (const ParamAxis& axis : axes) axes_json.push_back(axis_to_json(axis));
   json["axes"] = std::move(axes_json);
@@ -882,7 +851,7 @@ ExperimentPlan ExperimentPlan::from_json(const trace::JsonValue& json) {
   if (const trace::JsonValue* seed = json.find("fixed_seed")) {
     plan.fixed_seed = seed_from_json(*seed);
   }
-  plan.base = workload_from_json(json.at("base"));
+  JsonReader::decode(json.at("base"), plan.base);
   for (const trace::JsonValue& axis : json.at("axes").as_array()) {
     plan.axes.push_back(axis_from_json(axis));
   }
@@ -979,11 +948,7 @@ trace::JsonValue load_plan_json_chain(const std::string& path,
   }
   chain.push_back(canonical.string());
 
-  std::ifstream in(path);
-  if (!in.is_open()) plan_error("cannot open plan file " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  trace::JsonValue json = trace::JsonValue::parse(buffer.str());
+  trace::JsonValue json = trace::JsonValue::parse(trace::read_text_file(path));
   if (!json.is_object()) plan_error("plan file " + path + " is not a JSON object");
 
   const trace::JsonValue* include = json.find("include");

@@ -174,10 +174,15 @@ ScenarioOutput execute_scenario(const ScenarioSpec& spec, const ScenarioContext&
                                 ") is not a range inside this grid (" +
                                 std::to_string(total) + " cells)");
   }
-  if (context.timeline != nullptr && context.timeline_cell >= total && total > 0) {
+  // Only a cell that runs can be recorded; a slice without it would write
+  // an empty timeline.
+  if (context.timeline != nullptr && total > 0 &&
+      (context.timeline_cell < range.begin || context.timeline_cell >= range.end)) {
     throw std::invalid_argument("timeline cell " + std::to_string(context.timeline_cell) +
-                                " out of range (sweep has " + std::to_string(total) +
-                                " cells)");
+                                " is outside the cells that run [" +
+                                std::to_string(range.begin) + ", " +
+                                std::to_string(range.end) + ") of " +
+                                std::to_string(total));
   }
   runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(range.end), runs.end());
   runs.erase(runs.begin(), runs.begin() + static_cast<std::ptrdiff_t>(range.begin));
@@ -670,7 +675,8 @@ void print_usage(std::FILE* out, const char* argv0) {
                "observability:\n"
                "  --timeline F        record a Chrome trace-event timeline of one grid\n"
                "                      cell to F (open in Perfetto / chrome://tracing)\n"
-               "  --timeline-cell K   which GLOBAL grid cell to record (default 0)\n"
+               "  --timeline-cell K   which GLOBAL grid cell to record (default 0; must\n"
+               "                      lie inside --shard/--cells)\n"
                "  --metrics-out F     write the per-cell runtime manifest (JSON) to F\n"
                "  --cost-report       print the slowest cells after the run\n"
                "  --phase-timers      host-time phase accounting report on stderr\n"
@@ -929,11 +935,14 @@ int main_from_args(int argc, char** argv) {
       return 1;
     }
   }
+  // A slice names cells of ONE grid.
+  const auto refuse_slice = [&options] {
+    std::fprintf(stderr, "%s works with exactly one scenario at a time\n",
+                 options.shard->cells.has_value() ? "--cells" : "--shard");
+    return 2;
+  };
   if (all) {
-    if (options.shard.has_value()) {
-      std::fprintf(stderr, "--shard works with exactly one scenario at a time\n");
-      return 2;
-    }
+    if (options.shard.has_value()) return refuse_slice();
     int status = 0;
     for (const ScenarioSpec* spec : ScenarioRegistry::global().all()) {
       if (!tag.empty() && !spec->has_tag(tag)) continue;
@@ -945,10 +954,7 @@ int main_from_args(int argc, char** argv) {
   if (!names_arg.empty()) {
     const std::vector<std::string> names = split_param_list(names_arg);
     if (names.empty()) return usage(argv[0]);
-    if (options.shard.has_value() && names.size() > 1) {
-      std::fprintf(stderr, "--shard works with exactly one scenario at a time\n");
-      return 2;
-    }
+    if (options.shard.has_value() && names.size() > 1) return refuse_slice();
     int status = 0;
     for (std::size_t n = 0; n < names.size(); ++n) {
       const ScenarioSpec* spec = ScenarioRegistry::global().find(names[n]);

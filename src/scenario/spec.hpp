@@ -83,8 +83,8 @@ struct ScenarioContext {
 
   // --- observability attachments (obs/), all off by default.  None of
   // these affect simulation results; they only observe them. ---
-  // Record grid cell `timeline_cell` (GLOBAL index) into this recorder;
-  // analyze hooks with post-hoc timelines (fig4's staged transfers) render
+  // Record grid cell `timeline_cell` (GLOBAL index, inside the slice that
+  // runs) into this recorder; analyze hooks with post-hoc timelines (fig4's staged transfers) render
   // into it too.
   obs::TimelineRecorder* timeline = nullptr;
   std::size_t timeline_cell = 0;

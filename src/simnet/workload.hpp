@@ -89,8 +89,8 @@ struct HopCrossTraffic {
 // scenario family "calibration").  The packet/fluid simulators ignore
 // these; they ride on WorkloadConfig so the ONE name→field binding table
 // (--param and plan axes, scenario/overrides.hpp) reaches them like any
-// other knob.  A plan's JSON `base` section spells them through its own
-// codec (scenario/plan.cpp).
+// other knob.  A plan's JSON `base` section spells them in the
+// `calibration` field list of scenario/plan.cpp.
 struct CalibrationKnobs {
   // Per-transfer trace CSV to calibrate from ("" = the built-in demo
   // trace, core::demo_transfer_trace()).
@@ -111,7 +111,7 @@ struct CalibrationKnobs {
 // family).  The network simulators ignore these; like CalibrationKnobs
 // they ride on WorkloadConfig so the ONE name→field binding table
 // (--param and plan axes) reaches them like any other knob; plan JSON
-// `base` sections use plan.cpp's codec.
+// `base` sections spell them in plan.cpp's `storage` field list.
 struct StorageKnobs {
   // Zipf exponent for object popularity in the staged-transfer generator:
   // file k receives a frame share ∝ 1/(k+1)^s.  0 = uniform (the

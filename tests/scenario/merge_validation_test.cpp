@@ -157,7 +157,17 @@ TEST(ShardCliValidation, ShardAndCellsAreMutuallyExclusive) {
 TEST(ShardCliValidation, SliceNeedsExactlyOneScenario) {
   EXPECT_EQ(run_cli({"--run", "hop_bottleneck_sweep,wan_cross_traffic", "--shard", "0/2"}), 2);
   EXPECT_EQ(run_cli({"--all", "--tag", "figure", "--shard", "0/2"}), 2);
-  EXPECT_EQ(run_cli({"--all", "--cells", "0:1"}), 2);
+  // The refusal names the flag that was given.
+  for (std::vector<std::string> args :
+       {std::vector<std::string>{"--all"},
+        {"--run", "hop_bottleneck_sweep,wan_cross_traffic"}}) {
+    args.insert(args.end(), {"--cells", "0:1"});
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_cli(args), 2) << args[0];
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--cells works with exactly one scenario"), std::string::npos)
+        << args[0] << ": " << err;
+  }
 }
 
 TEST(ShardCliValidation, CellsRangePastGridIsRejected) {

@@ -122,6 +122,27 @@ TEST(TimelineGolden, SliceRecordsGlobalCellByteIdentical) {
   expect_same_bytes(recorder.to_chrome_json_text(), golden);
 }
 
+// A slice that does not hold the timeline cell is refused, naming the
+// cell and the slice, rather than writing an empty timeline.
+TEST(TimelineGolden, CellOutsideSliceIsRefused) {
+  register_builtin_scenarios();
+  const ScenarioSpec* spec = ScenarioRegistry::global().find("hop_bottleneck_sweep");
+  ASSERT_NE(spec, nullptr);
+  obs::TimelineRecorder recorder;
+  ScenarioContext ctx;
+  ctx.scale = 0.05;
+  ctx.timeline = &recorder;
+  ctx.timeline_cell = 3;
+  try {
+    (void)execute_scenario(*spec, ctx, nullptr, CellRange{0, 2});
+    ADD_FAILURE() << "timeline cell 3 outside cells [0, 2) was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("timeline cell 3"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("[0, 2)"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(recorder.event_count(), 0u);
+}
+
 // The per-hop utilization counters are a fraction of link capacity: a
 // saturated hop reads about 1, never several times over (a bits-per-byte
 // slip would read ~8).
