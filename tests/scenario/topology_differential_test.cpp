@@ -7,8 +7,10 @@
 // scenarios below at scale 0.1 / seed 42 must serialize to exactly the CSV
 // bytes recorded before the change (tests/data/topology_golden/).  Besides
 // the five topology scenarios, fig2b_scheduled pins scheduled-mode
-// admission over a single link and ablation_background_traffic pins
-// single-link background load.  Each scenario runs in-process,
+// admission over a single link, ablation_background_traffic pins
+// single-link background load, and the two facility_* scenarios pin
+// multi-tenant worlds whose routes share links (facility_dispatch_choice
+// drops packets on shared hops mid-route).  Each scenario runs in-process,
 // serializes through the same trace::CsvWriter the scenario_runner CLI
 // uses, and the result is compared byte-for-byte against the committed
 // golden file.  Any drift in event order, float arithmetic, or formatting
@@ -33,6 +35,8 @@ namespace {
 const char* const kScenarios[] = {
     "ablation_background_traffic",
     "dtn_nic_undersizing",
+    "facility_dispatch_choice",
+    "facility_policy_matrix",
     "fig2b_scheduled",
     "hop_bottleneck_sweep",
     "lcls_streaming_feasibility",
