@@ -1,9 +1,9 @@
 // micro_substrates — google-benchmark microbenchmarks for the hot paths of
-// every substrate: event queue, packet link, full TCP transfers, the fluid
-// model, the frame checksum, model evaluation, and the serving layer
-// (decide, SSS1 encode, frame reassembly + decode).  These document
-// the simulator's capacity (events/second) that makes the full Table-2
-// sweep tractable.
+// every substrate: event queue, packet link, full TCP transfers (one hop
+// and a 3-hop chain), the fluid model, the frame checksum, model
+// evaluation, and the serving layer (decide, SSS1 encode, frame
+// reassembly + decode).  These document the simulator's capacity
+// (events/second) that makes the full Table-2 sweep tractable.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -108,6 +108,23 @@ void BM_TcpTransfer(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(packets));
 }
 BENCHMARK(BM_TcpTransfer)->Arg(8)->Arg(64);
+
+void BM_TcpTransferMultiHop(benchmark::State& state) {
+  // BM_TcpTransfer/64 over an idle 3-hop chain each way: two hop hand-offs
+  // per packet in each direction.  Items = packets moved.
+  const std::vector<simnet::LinkConfig> chain(3);
+  std::uint64_t packets = 0;
+  for (auto _ : state) {
+    simnet::Simulation sim;
+    simnet::Path fwd(chain), rev(chain);
+    simnet::TcpFlow flow(1, units::Bytes::megabytes(64.0), simnet::TcpConfig{}, fwd, rev);
+    flow.start(sim);
+    sim.run();
+    packets += flow.total_packets();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(packets));
+}
+BENCHMARK(BM_TcpTransferMultiHop);
 
 void BM_TcpTransferLossy(benchmark::State& state) {
   // 8 MB transfer through a shallow-buffered bottleneck: buffer is one BDP

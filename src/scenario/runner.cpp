@@ -121,6 +121,17 @@ void fill_manifest(obs::RunManifest& manifest, const ScenarioSpec& spec,
   }
 }
 
+// Only a cell that runs can be recorded; a slice without it would write an
+// empty timeline.  The reason `cell` cannot be recorded from the cells
+// `range` of a `total`-cell grid, or nullopt when it can.
+std::optional<std::string> timeline_cell_refusal(std::size_t cell, CellRange range,
+                                                 std::size_t total) {
+  if (total == 0 || (cell >= range.begin && cell < range.end)) return std::nullopt;
+  return "timeline cell " + std::to_string(cell) + " is outside the cells that run [" +
+         std::to_string(range.begin) + ", " + std::to_string(range.end) + ") of " +
+         std::to_string(total);
+}
+
 }  // namespace
 
 CellRange ShardSpec::resolve(std::size_t total) const {
@@ -174,15 +185,10 @@ ScenarioOutput execute_scenario(const ScenarioSpec& spec, const ScenarioContext&
                                 ") is not a range inside this grid (" +
                                 std::to_string(total) + " cells)");
   }
-  // Only a cell that runs can be recorded; a slice without it would write
-  // an empty timeline.
-  if (context.timeline != nullptr && total > 0 &&
-      (context.timeline_cell < range.begin || context.timeline_cell >= range.end)) {
-    throw std::invalid_argument("timeline cell " + std::to_string(context.timeline_cell) +
-                                " is outside the cells that run [" +
-                                std::to_string(range.begin) + ", " +
-                                std::to_string(range.end) + ") of " +
-                                std::to_string(total));
+  if (context.timeline != nullptr) {
+    if (const auto refusal = timeline_cell_refusal(context.timeline_cell, range, total)) {
+      throw std::invalid_argument(*refusal);
+    }
   }
   runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(range.end), runs.end());
   runs.erase(runs.begin(), runs.begin() + static_cast<std::ptrdiff_t>(range.begin));
@@ -242,10 +248,6 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
       std::fflush(stderr);
     };
   }
-  if (options.phase_timers) {
-    obs::reset_phase_totals();
-    obs::set_phase_timing_enabled(true);
-  }
   // crash/hang faults fire just before the target cell executes; the
   // truncate fault corrupts the CSV after export (below).  All of them
   // no-op unless the SSS_FAULT_INJECTION arm file still exists.
@@ -270,6 +272,14 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
   ScenarioOutput output;
   try {
     if (options.shard.has_value()) cells = options.shard->resolve(grid);
+    // Slice misuse is refused before any output, like --cells with --all.
+    if (options.timeline_path.has_value()) {
+      if (const auto refusal = timeline_cell_refusal(
+              options.timeline_cell, cells.value_or(CellRange{0, grid}), grid)) {
+        std::fprintf(stderr, "scenario '%s': %s\n", spec.name.c_str(), refusal->c_str());
+        return 2;
+      }
+    }
     if (!options.quiet) {
       print_banner(spec);
       std::size_t run_count = grid;
@@ -291,6 +301,10 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
             run_count, threads, threads == 1 ? "" : "s", options.context.scale,
             static_cast<unsigned long long>(options.context.seed));
       }
+    }
+    if (options.phase_timers) {
+      obs::reset_phase_totals();
+      obs::set_phase_timing_enabled(true);
     }
     output = execute_scenario(spec, context, want_manifest ? &manifest : nullptr, cells);
   } catch (const std::exception& e) {

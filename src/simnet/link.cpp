@@ -24,7 +24,12 @@ units::Seconds total_propagation_delay(const std::vector<LinkConfig>& hops) {
 }
 
 Link::Link(LinkConfig config, std::pmr::memory_resource* mem)
-    : config_(std::move(config)), keys_(mem), payloads_(mem) {
+    : config_(std::move(config)), in_flight_(mem) {
+  // The in-flight record is the per-packet, per-hop cost: each link streams
+  // one ring of them, written at transmit and read at delivery, so every
+  // byte added here is L2 traffic paid by every packet on every hop.
+  static_assert(sizeof(Packet) == 24, "Packet rides in every in-flight record");
+  static_assert(sizeof(InFlight) == 56, "one 56-byte in-flight record per packet per hop");
   if (!config_.capacity.is_positive()) {
     throw std::invalid_argument("Link capacity must be positive");
   }
@@ -51,8 +56,7 @@ Link::Link(LinkConfig config, std::pmr::memory_resource* mem)
   // Genuinely deeper links just double on demand: a handful of one-time ring
   // copies, amortized against the packets that needed the depth.
   const std::size_t reserve = std::min<std::size_t>(depth + depth / 4 + 16, 1024);
-  keys_.reserve(reserve);
-  payloads_.reserve(reserve);
+  in_flight_.reserve(reserve);
 }
 
 double Link::backlog_bytes(SimTime now) const {
@@ -61,7 +65,8 @@ double Link::backlog_bytes(SimTime now) const {
   return backlog_seconds * config_.capacity.bps();
 }
 
-bool Link::transmit(Simulation& sim, const Packet& packet, PacketSink& destination) {
+bool Link::transmit(Simulation& sim, const Packet& packet, PacketSink& destination,
+                    Link* const* route) {
   ++counters_.packets_offered;
   counters_.bytes_offered += packet.size_bytes;
 
@@ -94,8 +99,7 @@ bool Link::transmit(Simulation& sim, const Packet& packet, PacketSink& destinati
   // packet waits behind others in the ring.
   const SimTime arrival = busy_until_ + propagation_ns_;
   const std::uint64_t seq = sim.reserve_event_seq();
-  keys_.push_back(ArrivalKey{arrival, seq});
-  payloads_.push_back(Payload{packet, &destination});
+  in_flight_.push_back(InFlight{arrival, seq, packet, &destination, route});
   if (!delivery_pending_) {
     delivery_pending_ = true;
     sim.arm_link(*this, arrival, seq);
@@ -105,24 +109,34 @@ bool Link::transmit(Simulation& sim, const Packet& packet, PacketSink& destinati
 
 void Link::deliver(Simulation& sim) {
   const obs::ScopedPhase phase(obs::Phase::kLinkDrain);
+  // Hand a delivered packet on: transmit it onto the next hop of its route
+  // (a drop there is silent — the sender discovers it through duplicate
+  // ACKs or RTO), or give it to its sink after the last hop.
+  const auto hand_off = [&sim](const InFlight& entry) {
+    if (entry.route == nullptr) {
+      entry.sink->on_packet(sim, entry.packet);
+    } else {
+      (void)entry.route[0]->transmit(sim, entry.packet, *entry.sink,
+                                     entry.route[1] != nullptr ? entry.route + 1 : nullptr);
+    }
+  };
   // Deliver the front packet, then keep delivering for as long as the next
   // one carries the globally-earliest (time, seq) key within the batch
   // horizon — a burst of back-to-back arrivals in one dispatch.
   // continue_drain advances the clock and the processed count, so dispatch
   // order, timestamps, and event counts are those of one event per packet.
   for (;;) {
-    (void)keys_.pop_front();
-    const Payload entry = payloads_.pop_front();
-    if (keys_.empty()) {
-      // Drained: leave the busy heap BEFORE the sink runs, so a sink that
-      // re-enters transmit() arms a fresh delivery.
+    const InFlight entry = in_flight_.pop_front();
+    if (in_flight_.empty()) {
+      // Drained: leave the busy heap BEFORE the packet is handed on, so a
+      // transmit() back onto this link arms a fresh delivery.
       delivery_pending_ = false;
       sim.retire_link();
-      entry.sink->on_packet(sim, entry.packet);
+      hand_off(entry);
       return;
     }
-    entry.sink->on_packet(sim, entry.packet);
-    const ArrivalKey next = keys_.front();
+    hand_off(entry);
+    const InFlight& next = in_flight_.front();
     if (!sim.continue_drain(next.arrival, next.seq)) return;
   }
 }

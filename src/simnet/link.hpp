@@ -7,12 +7,19 @@
 // enqueue order, so a busy link needs exactly ONE entry in the simulation's
 // busy-link heap, keyed on its front in-flight packet (see
 // simnet/simulation.hpp).  When it reaches the top, Simulation::step calls
-// deliver(), which hands the front packet to its sink and then keeps
-// delivering inline while the next packet is still globally earliest.
-// Pending state is therefore O(links), not one event per in-flight packet —
-// multi-hop topologies scale with hop count, not window size — and this is
-// what lets the packet-level TCP simulator run Table-2 scale sweeps (tens
-// of millions of packets) in seconds.
+// deliver(), which hands the front packet on and then keeps delivering
+// inline while the next packet is still globally earliest.  Pending state
+// is therefore O(links), not one event per in-flight packet — multi-hop
+// topologies scale with hop count, not window size — and this is what lets
+// the packet-level TCP simulator run Table-2 scale sweeps (tens of millions
+// of packets) in seconds.
+//
+// In-flight state is one FIFO ring of records, one per accepted packet:
+// its delivery key, the packet, its final sink, and its route continuation
+// (the hops still ahead, see Path).  At delivery a packet with hops ahead
+// is transmitted straight onto the next one; otherwise its sink receives
+// it.  One ring means one stream of cache lines per link, written at
+// transmit and read once at delivery.
 //
 // Determinism: each accepted packet reserves its event sequence number at
 // transmit time (Simulation::reserve_event_seq), so every delivery carries
@@ -42,7 +49,6 @@ class TimelineRecorder;  // obs/timeline.hpp — forward-declared: the probe is
 namespace sss::simnet {
 
 struct Packet {
-  std::uint32_t flow_id = 0;
   // Data packets: packet index within the flow.  ACKs: cumulative index of
   // the next expected packet.
   std::uint64_t seq = 0;
@@ -99,8 +105,12 @@ class Link final {
 
   // Offer a packet for transmission toward `destination`.  Returns false if
   // the drop-tail queue rejected it (the packet is silently lost, as on a
-  // real switch; senders learn via duplicate ACKs or RTO).
-  bool transmit(Simulation& sim, const Packet& packet, PacketSink& destination);
+  // real switch; senders learn via duplicate ACKs or RTO).  `route` is the
+  // rest of the packet's path: the hops after this one in a null-terminated
+  // array that outlives the packet (Path owns it), or null when this is the
+  // last hop and delivery goes to `destination`.
+  bool transmit(Simulation& sim, const Packet& packet, PacketSink& destination,
+                Link* const* route = nullptr);
 
   [[nodiscard]] const LinkConfig& config() const { return config_; }
   [[nodiscard]] const LinkCounters& counters() const { return counters_; }
@@ -113,7 +123,7 @@ class Link final {
   [[nodiscard]] double mean_utilization() const;
   [[nodiscard]] double loss_rate() const;
   // Packets accepted but not yet delivered (wire + propagation).
-  [[nodiscard]] std::size_t in_flight_count() const { return keys_.size(); }
+  [[nodiscard]] std::size_t in_flight_count() const { return in_flight_.size(); }
   // True while packets are in flight (the link holds a busy-heap entry).
   [[nodiscard]] bool delivery_pending() const { return delivery_pending_; }
 
@@ -131,17 +141,13 @@ class Link final {
   // pending one.
   void deliver(Simulation& sim);
 
-  // In-flight state, SoA: the dispatch decision (deliver's drain loop, the
-  // busy-heap key) touches only the 16-byte key ring; the
-  // packet payload and destination ride a parallel ring popped at
-  // delivery.  Both rings advance in lock-step (FIFO link).
-  struct ArrivalKey {
-    SimTime arrival = 0;    // precomputed delivery time
-    std::uint64_t seq = 0;  // event sequence reserved at transmit
-  };
-  struct Payload {
+  // One accepted packet, from transmit until delivery.
+  struct InFlight {
+    SimTime arrival = 0;          // precomputed delivery time
+    std::uint64_t seq = 0;        // event sequence reserved at transmit
     Packet packet;
-    PacketSink* sink = nullptr;
+    PacketSink* sink = nullptr;   // final destination, after the last hop
+    Link* const* route = nullptr; // hops still ahead (null: deliver to sink)
   };
 
   LinkConfig config_;
@@ -155,8 +161,7 @@ class Link final {
   // per packet.  Same function, same operands — bit-identical times.
   std::uint32_t memo_size_bytes_ = 0;
   SimTime memo_tx_ = 0;
-  RingBuffer<ArrivalKey> keys_;
-  RingBuffer<Payload> payloads_;
+  RingBuffer<InFlight> in_flight_;
   bool delivery_pending_ = false;
 
   // 1 s utilization buckets, streamed: only the bucket being filled and the

@@ -5,12 +5,13 @@
 // Every hop keeps its own FIFO serializer, drop-tail buffer, and
 // LinkCounters, so "which hop saturates first" is directly observable.
 //
-// Mechanics: each intermediate hop has a relay sink.  When hop h delivers a
-// packet, the relay forwards it onto hop h+1; the final hop delivers to the
-// flow's own PacketSink.  Because every Link is a FIFO serializer with a
-// constant propagation delay, deliveries complete in enqueue order, so the
-// relay can recover each packet's final destination from a parallel FIFO of
-// pending sinks — no per-packet routing state rides in the Packet itself.
+// Mechanics: the route rides with the packet.  The Path keeps its hops in
+// a null-terminated Link* array; a packet enters hop 0 carrying its final
+// PacketSink and a pointer to the hops still ahead.  When hop h delivers
+// it, the link transmits it straight onto hop h+1 (at the delivery instant,
+// with the rest of the route), and the final hop hands it to the sink.
+// Lifetime: a Path must outlive its packets in flight, since their
+// in-flight records point into its hop array.
 //
 // Regression guarantee: a ONE-hop Path calls Link::transmit directly with
 // the final destination — the exact call sequence of the pre-topology
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "simnet/link.hpp"
-#include "simnet/ring_buffer.hpp"
 #include "simnet/simulation.hpp"
 #include "units/units.hpp"
 
@@ -36,8 +36,8 @@ namespace sss::simnet {
 
 class Path {
  public:
-  // Owning: constructs one Link per hop config, in order.  Links, relays,
-  // and pending rings are allocated from `mem` (pass a per-cell Arena to
+  // Owning: constructs one Link per hop config, in order.  Links and the
+  // hop array are allocated from `mem` (pass a per-cell Arena to
   // bump-allocate the whole topology; default heap otherwise).  Each hop
   // counts utilization in fixed 1 s buckets (see Link).
   explicit Path(const std::vector<LinkConfig>& hops,
@@ -57,7 +57,7 @@ class Path {
   // later-hop drops are invisible to the caller (as on a real path).
   bool transmit(Simulation& sim, const Packet& packet, PacketSink& destination);
 
-  [[nodiscard]] std::size_t hop_count() const { return hops_.size(); }
+  [[nodiscard]] std::size_t hop_count() const { return hops_.size() - 1; }
   [[nodiscard]] Link& hop(std::size_t i) { return *hops_[i]; }
   [[nodiscard]] const Link& hop(std::size_t i) const { return *hops_[i]; }
 
@@ -83,29 +83,14 @@ class Path {
   [[nodiscard]] std::uint64_t packets_dropped_total() const;
 
  private:
-  // Receives hop h's deliveries and forwards them onto hop h+1.
-  class Relay : public PacketSink {
-   public:
-    Relay(Path& path, std::size_t hop) : path_(path), hop_(hop) {}
-    void on_packet(Simulation& sim, const Packet& packet) override;
-
-   private:
-    Path& path_;
-    std::size_t hop_;  // the hop whose deliveries this relay receives
-  };
-
-  bool send_on_hop(Simulation& sim, std::size_t hop, const Packet& packet,
-                   PacketSink& destination);
-  // Build relays/pending rings and the bottleneck/delay caches (both ctors).
+  // Null-terminate the hop array and cache the bottleneck/delay (both ctors).
   void init_route();
 
   std::pmr::memory_resource* mem_;
   std::pmr::vector<Link*> owned_;  // allocated from mem_; destroyed in ~Path
+  // The route: every hop in order, then a null terminator.  In-flight
+  // packets point into it (Link::transmit's `route`).
   std::pmr::vector<Link*> hops_;
-  std::pmr::vector<Relay*> relays_;  // one per hop except the last; from mem_
-  // Final destinations of packets in flight on hop h, in delivery (FIFO)
-  // order; parallel to the link's own in-flight queue.
-  std::pmr::vector<RingBuffer<PacketSink*>> pending_;
   std::size_t bottleneck_hop_ = 0;
   units::Seconds total_propagation_delay_ = units::Seconds::of(0.0);
 };

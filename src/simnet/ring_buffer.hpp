@@ -1,11 +1,11 @@
 // ring_buffer.hpp — a growable single-threaded FIFO ring.
 //
-// Replaces std::deque on the packet hot path (Link's in-flight queue,
-// Path's pending-sink queues): a deque allocates chunk-by-chunk and
-// double-dereferences on every access, while the ring is one contiguous
-// power-of-two slab with mask indexing.  Growth moves the live elements
-// into a doubled slab; pre-size with `reserve` where the steady-state depth
-// is known (Link sizes it from the drop-tail buffer's packet capacity).
+// Replaces std::deque on the packet hot path (Link's in-flight queue): a
+// deque allocates chunk-by-chunk and double-dereferences on every access,
+// while the ring is one contiguous power-of-two slab with mask indexing.
+// Growth moves the live elements into a doubled slab; pre-size with
+// `reserve` where the steady-state depth is known (Link sizes it from the
+// drop-tail buffer's packet capacity).
 //
 // The slab comes from a std::pmr::memory_resource so a sweep cell can back
 // its rings with the per-cell Arena (simnet/arena.hpp) — growth then bumps
@@ -27,11 +27,6 @@ class RingBuffer {
  public:
   RingBuffer() = default;
   explicit RingBuffer(std::pmr::memory_resource* mem) : slots_(mem) {}
-  explicit RingBuffer(std::size_t initial_capacity,
-                      std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : slots_(mem) {
-    reserve(initial_capacity);
-  }
 
   [[nodiscard]] bool empty() const { return count_ == 0; }
   [[nodiscard]] std::size_t size() const { return count_; }
@@ -43,7 +38,6 @@ class RingBuffer {
   }
 
   [[nodiscard]] T& front() { return slots_[head_]; }
-  [[nodiscard]] const T& front() const { return slots_[head_]; }
 
   void push_back(T value) {
     if (count_ == slots_.size()) grow(slots_.empty() ? kMinCapacity : slots_.size() * 2);
@@ -57,11 +51,6 @@ class RingBuffer {
     head_ = (head_ + 1) & (slots_.size() - 1);
     --count_;
     return out;
-  }
-
-  void clear() {
-    head_ = 0;
-    count_ = 0;
   }
 
  private:

@@ -94,7 +94,6 @@ void TcpFlow::start(Simulation& sim) {
 
 void TcpFlow::send_packet(Simulation& sim, std::uint64_t seq, bool is_retransmit) {
   Packet p;
-  p.flow_id = id_;
   p.seq = seq;
   p.size_bytes = payload_of(seq) + config_.header_bytes;
   p.is_ack = false;
@@ -189,7 +188,6 @@ void TcpFlow::handle_data(Simulation& sim, const Packet& packet) {
     }
   }
   Packet ack;
-  ack.flow_id = id_;
   ack.seq = rcv_next_;
   ack.size_bytes = config_.ack_bytes;
   ack.is_ack = true;

@@ -178,6 +178,30 @@ TEST(ShardCliValidation, CellsRangePastGridIsRejected) {
             0);
 }
 
+// A timeline cell outside the cells that run is slice misuse too: refused
+// before the banner, with exit 2 (for a slice and for the whole grid).
+TEST(ShardCliValidation, TimelineCellOutsideTheRunIsRefusedBeforeAnyOutput) {
+  const fs::path timeline =
+      fs::temp_directory_path() /
+      ("sss_timeline_refused_" + std::to_string(::getpid()) + ".json");
+  for (std::vector<std::string> args :
+       {std::vector<std::string>{"--cells", "0:2", "--timeline-cell", "3"},
+        {"--timeline-cell", "9"}}) {
+    args.insert(args.begin(), {"--run", "hop_bottleneck_sweep", "--scale", "0.1",
+                               "--timeline", timeline.string()});
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const int status = run_cli(args);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(status, 2) << "cell " << args.back();
+    EXPECT_EQ(out, "") << "cell " << args.back();
+    EXPECT_NE(err.find("timeline cell"), std::string::npos)
+        << "cell " << args.back() << ": " << err;
+    EXPECT_FALSE(fs::exists(timeline)) << "cell " << args.back();
+  }
+}
+
 TEST(ShardCliValidation, InjectFaultRequiresTheArmEnvGate) {
   ::unsetenv("SSS_FAULT_INJECTION");
   EXPECT_NE(run_cli({"--run", "hop_bottleneck_sweep", "--inject-fault",

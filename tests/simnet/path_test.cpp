@@ -181,6 +181,60 @@ TEST(Path, HopCsvHeaderAndValuesAreRectangular) {
   EXPECT_EQ(padded.back(), "");
 }
 
+// Two routes share a small-buffer middle link and their packets interleave
+// there while it drops some of them.  The route rides with each packet, so
+// a drop of one path's packet must not shift the other's: each sink gets
+// only its own packets, in send order, and exactly as many as its last hop
+// forwarded.
+TEST(Path, SharedHopDropsKeepEachRouteOwnPackets) {
+  struct RecordingSink : PacketSink {
+    std::vector<std::uint64_t> seqs;
+    void on_packet(Simulation&, const Packet& packet) override { seqs.push_back(packet.seq); }
+  };
+  Link a_edge(make_link("a-edge", 10.0, 0.1, 50.0));
+  Link b_edge(make_link("b-edge", 7.0, 0.1, 50.0));
+  Link shared(make_link("shared", 10.0, 1.0, 0.05));
+  Link a_tail(make_link("a-tail", 10.0, 0.4, 50.0));
+  Link b_tail(make_link("b-tail", 10.0, 0.4, 50.0));
+  Path a(std::vector<Link*>{&a_edge, &shared, &a_tail});
+  Path b(std::vector<Link*>{&b_edge, &shared, &b_tail});
+  RecordingSink a_sink;
+  RecordingSink b_sink;
+
+  // The edges feed the shared hop at 1.7x its rate, at different paces, so
+  // the two routes' packets interleave unevenly and both lose some.
+  constexpr std::uint64_t kPackets = 400;
+  constexpr std::uint64_t kBOffset = 1'000'000;  // b's seqs, told apart from a's
+  Simulation sim;
+  Packet p;
+  p.size_bytes = 9000;
+  for (std::uint64_t i = 0; i < kPackets; ++i) {
+    p.seq = i;
+    ASSERT_TRUE(a.transmit(sim, p, a_sink));
+    p.seq = kBOffset + i;
+    ASSERT_TRUE(b.transmit(sim, p, b_sink));
+  }
+  sim.run();
+
+  ASSERT_GT(shared.counters().packets_dropped, 0u);
+  for (const auto* sink : {&a_sink, &b_sink}) {
+    const std::uint64_t base = sink == &a_sink ? 0 : kBOffset;
+    const Link& tail = sink == &a_sink ? a_tail : b_tail;
+    SCOPED_TRACE(sink == &a_sink ? "a" : "b");
+    EXPECT_LT(sink->seqs.size(), kPackets);  // this route lost packets too
+    EXPECT_EQ(sink->seqs.size(), tail.counters().packets_forwarded);
+    for (std::size_t k = 0; k < sink->seqs.size(); ++k) {
+      ASSERT_GE(sink->seqs[k], base) << "foreign packet at " << k;
+      ASSERT_LT(sink->seqs[k], base + kPackets) << "foreign packet at " << k;
+      if (k > 0) {
+        ASSERT_GT(sink->seqs[k], sink->seqs[k - 1]) << "out of order at " << k;
+      }
+    }
+  }
+  EXPECT_EQ(a_sink.seqs.size() + b_sink.seqs.size() + shared.counters().packets_dropped,
+            2 * kPackets);
+}
+
 TEST(Path, NonOwningPathSharesLinkState) {
   // A one-hop non-owning path over a link of an owning path: cross traffic
   // lands in the same counters the main path reports.

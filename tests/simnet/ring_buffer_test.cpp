@@ -33,7 +33,7 @@ TEST(RingBuffer, ReservePreallocates) {
 }
 
 TEST(RingBuffer, GrowthWithWrappedHeadPreservesOrder) {
-  RingBuffer<int> ring(16);
+  RingBuffer<int> ring;  // the first push allocates the 16-slot minimum
   // Wrap head_ past the middle of the slab, keeping the ring full enough
   // that the next pushes straddle the wrap point.
   for (int i = 0; i < 12; ++i) ring.push_back(i);
@@ -76,7 +76,7 @@ TEST(RingBuffer, PopMovesOut) {
 }
 
 TEST(RingBuffer, GrowthWithMoveOnlyElements) {
-  RingBuffer<std::unique_ptr<int>> ring(16);
+  RingBuffer<std::unique_ptr<int>> ring;  // 16 slots after the first push
   for (int i = 0; i < 8; ++i) ring.push_back(std::make_unique<int>(i));
   for (int i = 0; i < 6; ++i) EXPECT_EQ(*ring.pop_front(), i);
   for (int i = 8; i < 40; ++i) ring.push_back(std::make_unique<int>(i));  // grows wrapped
