@@ -132,6 +132,14 @@ std::optional<std::string> timeline_cell_refusal(std::size_t cell, CellRange ran
          std::to_string(total);
 }
 
+// A slice names cells of the grid it runs.  The reason `range` is not a
+// slice of a `total`-cell grid, or nullopt when it is.
+std::optional<std::string> cell_range_refusal(CellRange range, std::size_t total) {
+  if (range.begin <= range.end && range.end <= total) return std::nullopt;
+  return "cells [" + std::to_string(range.begin) + ", " + std::to_string(range.end) +
+         ") is not a range inside this grid (" + std::to_string(total) + " cells)";
+}
+
 }  // namespace
 
 CellRange ShardSpec::resolve(std::size_t total) const {
@@ -179,11 +187,8 @@ ScenarioOutput execute_scenario(const ScenarioSpec& spec, const ScenarioContext&
   apply_param_overrides(runs, context.param_overrides);
   const std::size_t total = runs.size();
   const CellRange range = cells.value_or(CellRange{0, total});
-  if (range.begin > range.end || range.end > total) {
-    throw std::invalid_argument("cells [" + std::to_string(range.begin) + ", " +
-                                std::to_string(range.end) +
-                                ") is not a range inside this grid (" +
-                                std::to_string(total) + " cells)");
+  if (const auto refusal = cell_range_refusal(range, total)) {
+    throw std::invalid_argument(*refusal);
   }
   if (context.timeline != nullptr) {
     if (const auto refusal = timeline_cell_refusal(context.timeline_cell, range, total)) {
@@ -273,12 +278,14 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
   try {
     if (options.shard.has_value()) cells = options.shard->resolve(grid);
     // Slice misuse is refused before any output, like --cells with --all.
-    if (options.timeline_path.has_value()) {
-      if (const auto refusal = timeline_cell_refusal(
-              options.timeline_cell, cells.value_or(CellRange{0, grid}), grid)) {
-        std::fprintf(stderr, "scenario '%s': %s\n", spec.name.c_str(), refusal->c_str());
-        return 2;
-      }
+    const CellRange range = cells.value_or(CellRange{0, grid});
+    std::optional<std::string> refusal = cell_range_refusal(range, grid);
+    if (!refusal.has_value() && options.timeline_path.has_value()) {
+      refusal = timeline_cell_refusal(options.timeline_cell, range, grid);
+    }
+    if (refusal.has_value()) {
+      std::fprintf(stderr, "scenario '%s': %s\n", spec.name.c_str(), refusal->c_str());
+      return 2;
     }
     if (!options.quiet) {
       print_banner(spec);

@@ -172,10 +172,16 @@ TEST(ShardCliValidation, SliceNeedsExactlyOneScenario) {
 
 TEST(ShardCliValidation, CellsRangePastGridIsRejected) {
   // hop_bottleneck_sweep has 4 cells; [2, 9) reaches past the grid and
-  // must fail rather than silently clamp.
-  EXPECT_NE(run_cli({"--run", "hop_bottleneck_sweep", "--quiet", "--scale",
-                     "0.1", "--cells", "2:9"}),
-            0);
+  // must be refused before any output rather than silently clamp.
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const int status =
+      run_cli({"--run", "hop_bottleneck_sweep", "--scale", "0.1", "--cells", "2:9"});
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(status, 2);
+  EXPECT_EQ(out, "");
+  EXPECT_NE(err.find("not a range inside this grid"), std::string::npos) << err;
 }
 
 // A timeline cell outside the cells that run is slice misuse too: refused
