@@ -6,8 +6,8 @@
 // seed — a property the test suite relies on.
 //
 // Link deliveries, the bulk of a packet simulation's events, never enter
-// this queue: Simulation dispatches them from its own per-link heap (see
-// simnet/simulation.hpp).  What remains is the control plane — RTO timers,
+// this queue: Simulation dispatches them from its own sorted ring of busy
+// links (see simnet/simulation.hpp).  What remains is the control plane — RTO timers,
 // flow starts, scheduler pumps, background arrivals — a few percent of all
 // events, so a plain heap suffices.
 //

@@ -128,7 +128,7 @@ void Link::deliver(Simulation& sim) {
   for (;;) {
     const InFlight entry = in_flight_.pop_front();
     if (in_flight_.empty()) {
-      // Drained: leave the busy heap BEFORE the packet is handed on, so a
+      // Drained: leave the busy ring BEFORE the packet is handed on, so a
       // transmit() back onto this link arms a fresh delivery.
       delivery_pending_ = false;
       sim.retire_link();

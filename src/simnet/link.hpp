@@ -5,8 +5,8 @@
 // (busy_until - t) * capacity is the queue occupancy in bytes.  Because the
 // queue is FIFO and the propagation delay constant, deliveries complete in
 // enqueue order, so a busy link needs exactly ONE entry in the simulation's
-// busy-link heap, keyed on its front in-flight packet (see
-// simnet/simulation.hpp).  When it reaches the top, Simulation::step calls
+// sorted busy-link ring, keyed on its front in-flight packet (see
+// simnet/simulation.hpp).  When it reaches the front, Simulation::step calls
 // deliver(), which hands the front packet on and then keeps delivering
 // inline while the next packet is still globally earliest.  Pending state
 // is therefore O(links), not one event per in-flight packet — multi-hop
@@ -124,7 +124,7 @@ class Link final {
   [[nodiscard]] double loss_rate() const;
   // Packets accepted but not yet delivered (wire + propagation).
   [[nodiscard]] std::size_t in_flight_count() const { return in_flight_.size(); }
-  // True while packets are in flight (the link holds a busy-heap entry).
+  // True while packets are in flight (the link holds a busy-link entry).
   [[nodiscard]] bool delivery_pending() const { return delivery_pending_; }
 
   // Attach a timeline probe: queue-depth / utilization counter samples on

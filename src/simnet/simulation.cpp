@@ -7,7 +7,7 @@
 
 namespace sss::simnet {
 
-Simulation::Simulation(std::pmr::memory_resource* mem) : queue_(mem), busy_(mem) {}
+Simulation::Simulation(std::pmr::memory_resource* mem) : queue_(mem), ring_(mem) {}
 
 void Simulation::schedule_at(SimTime at, EventHandler& handler, int kind, std::uint64_t a,
                              std::uint64_t b) {
@@ -17,55 +17,57 @@ void Simulation::schedule_at(SimTime at, EventHandler& handler, int kind, std::u
   note_pending();
 }
 
+void Simulation::reserve_links(std::size_t links) {
+  std::size_t capacity = std::max<std::size_t>(ring_.size(), 8);
+  while (capacity < links) capacity *= 2;
+  if (capacity == ring_.size()) return;
+  std::pmr::vector<BusyLink> grown(capacity, ring_.get_allocator());
+  for (std::size_t i = 0; i < busy_count_; ++i) grown[i] = busy(i);
+  ring_ = std::move(grown);
+  head_ = 0;
+  mask_ = capacity - 1;
+}
+
 void Simulation::arm_link(Link& link, SimTime at, std::uint64_t seq) {
-  // Sift up from a new leaf.  A link armed while another link's sink runs
-  // carries a later key than that link's heap-top entry (its arrival is at
-  // or after now, its seq fresher), so the delivering link stays on top.
-  std::size_t hole = busy_.size();
-  busy_.push_back(BusyLink{at, seq, &link});
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / 2;
-    if (!before(at, seq, busy_[parent].at, busy_[parent].seq)) break;
-    busy_[hole] = busy_[parent];
-    hole = parent;
-  }
-  busy_[hole] = BusyLink{at, seq, &link};
+  // A link armed while another link's sink runs carries a later key than
+  // that link's front entry (its arrival is at or after now, its seq
+  // fresher), so the delivering link stays in front.
+  if (busy_count_ == ring_.size()) reserve_links(busy_count_ + 1);
+  insert_busy(at, seq, &link);
   ++pending_;
   note_pending();
 }
 
-void Simulation::retire_link() {
-  const BusyLink last = busy_.back();
-  busy_.pop_back();
-  if (!busy_.empty()) sift_down(last.at, last.seq, last.link);
-}
-
-void Simulation::sift_down(SimTime at, std::uint64_t seq, Link* link) {
-  const std::size_t n = busy_.size();
-  std::size_t hole = 0;
-  for (;;) {
-    std::size_t child = 2 * hole + 1;
-    if (child >= n) break;
-    if (child + 1 < n) {
-      child += before(busy_[child + 1].at, busy_[child + 1].seq, busy_[child].at,
-                      busy_[child].seq);
-    }
-    if (!before(busy_[child].at, busy_[child].seq, at, seq)) break;
-    busy_[hole] = busy_[child];
-    hole = child;
+void Simulation::insert_busy(SimTime at, std::uint64_t seq, Link* link) {
+  // Locals, not members: the entries' 64-bit fields may alias head_ and
+  // mask_, which would reload them after every shifted entry.
+  BusyLink* const ring = ring_.data();
+  const std::size_t head = head_;
+  const std::size_t mask = mask_;
+  std::size_t slot = busy_count_;
+  while (slot > 0) {
+    const BusyLink& prev = ring[(head + slot - 1) & mask];
+    if (!before(at, seq, prev.at, prev.seq)) break;
+    ring[(head + slot) & mask] = prev;
+    --slot;
   }
-  busy_[hole] = BusyLink{at, seq, link};
+  ring[(head + slot) & mask] = BusyLink{at, seq, link};
+  ++busy_count_;
 }
 
 bool Simulation::step() {
-  if (!busy_.empty() &&
-      (queue_.empty() ||
-       before(busy_.front().at, busy_.front().seq, queue_.front().at, queue_.front().seq))) {
-    // The link stops counting as pending while its sink runs.
-    now_ = busy_.front().at;
-    ++processed_;
-    --pending_;
-    busy_.front().link->deliver(*this);
+  if (busy_count_ != 0 && front_link_precedes_queue()) {
+    // Dispatch link deliveries back to back while the ring's front precedes
+    // the control queue and the batch horizon: a hand-off from one link to
+    // the next never returns through the driver's loop.  The link stops
+    // counting as pending while its sink runs.
+    do {
+      const BusyLink& front = busy(0);
+      now_ = front.at;
+      ++processed_;
+      --pending_;
+      front.link->deliver(*this);
+    } while (busy_count_ != 0 && busy(0).at <= batch_horizon_ && front_link_precedes_queue());
     return true;
   }
   if (queue_.empty()) return false;
@@ -83,14 +85,14 @@ void Simulation::run() {
 }
 
 SimTime Simulation::next_time() const {
-  if (busy_.empty()) return queue_.next_time();
-  if (queue_.empty()) return busy_.front().at;
-  return std::min(busy_.front().at, queue_.front().at);
+  if (busy_count_ == 0) return queue_.next_time();
+  if (queue_.empty()) return ring_[head_].at;
+  return std::min(ring_[head_].at, queue_.front().at);
 }
 
 void Simulation::run_until(SimTime deadline) {
-  // Bound inline link drains at the deadline so a drain cannot deliver
-  // arrivals this loop would not have dispatched.
+  // Bound link deliveries at the deadline so neither an inline drain nor
+  // step()'s run of deliveries dispatches arrivals past it.
   const SimTime saved_horizon = batch_horizon_;
   batch_horizon_ = deadline;
   while (!empty() && next_time() <= deadline) {

@@ -4,11 +4,13 @@
 // stop condition fires.  Two structures hold what is pending, and step()
 // dispatches whichever front carries the earlier (time, seq) key:
 //
-//   - busy links — a small binary min-heap with one entry per Link that has
-//     packets in flight, keyed on its front packet's (arrival, seq).  Link
+//   - busy links — a ring with one entry per Link that has packets in
+//     flight, kept sorted on its front packet's (arrival, seq).  Link
 //     deliveries are almost every event of a packet simulation, so they
 //     never touch the event queue: a delivery is a non-virtual
-//     Link::deliver call on the heap top.
+//     Link::deliver call on the ring's front.  Busy links take turns in
+//     nearly round-robin order, so a re-keyed link almost always belongs at
+//     the back, and inserting from the back costs one compare.
 //   - the EventQueue — typed control-plane events (RTO timers, flow starts,
 //     scheduler pumps, background arrivals).
 //
@@ -48,17 +50,20 @@ class Simulation {
   // where a per-packet schedule_at would have claimed it.
   [[nodiscard]] std::uint64_t reserve_event_seq() { return queue_.reserve_seq(); }
 
-  // Size the busy-link heap for a world of `links` links, so arming a link
-  // never allocates (Workload::prepare calls this once).
-  void reserve_links(std::size_t links) { busy_.reserve(links); }
+  // Size the busy-link ring for a world of `links` links, so arming a link
+  // never allocates (Workload::prepare calls this once).  The ring also
+  // grows on demand.
+  void reserve_links(std::size_t links);
 
-  // Ceiling for a link's inline drain (see Link::deliver).  Drivers that
-  // stop at a deadline (Workload::drive, run_until) set this so a drain
-  // never runs past the point where one-event-per-step dispatch would have
-  // stopped.
+  // Ceiling for dispatching link deliveries back to back (see step() and
+  // Link::deliver).  Drivers that stop at a deadline (Workload::drive,
+  // run_until) set this so a run of deliveries never passes the point
+  // where one-event-per-step dispatch would have stopped.
   void set_batch_horizon(SimTime horizon) { batch_horizon_ = horizon; }
 
-  // Run one event or link delivery.  Returns false when nothing is pending.
+  // Run one control event, or a run of link deliveries: the earliest one,
+  // then every delivery that still precedes the control queue's front and
+  // lies within the batch horizon.  Returns false when nothing is pending.
   bool step();
   // Run until nothing is pending.
   void run();
@@ -66,7 +71,7 @@ class Simulation {
   // `deadline` even if nothing is pending earlier.
   void run_until(SimTime deadline);
 
-  [[nodiscard]] bool empty() const { return queue_.empty() && busy_.empty(); }
+  [[nodiscard]] bool empty() const { return queue_.empty() && busy_count_ == 0; }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
   [[nodiscard]] std::uint64_t events_scheduled() const { return queue_.scheduled_total(); }
   // Pending events: queued events plus one per busy link, except the link
@@ -76,7 +81,7 @@ class Simulation {
   [[nodiscard]] std::size_t queue_high_water() const { return high_water_; }
 
  private:
-  // Link arms, drains and retires its own heap entry (link.hpp).
+  // Link arms, drains and retires its own ring entry (link.hpp).
   friend class Link;
 
   struct BusyLink {
@@ -85,55 +90,74 @@ class Simulation {
     Link* link;
   };
   // (at, seq) < (other_at, other_seq) as one 128-bit comparison (times are
-  // never negative): two instructions and no branch, where heap comparisons
-  // are unpredictable.
+  // never negative): two instructions and no branch.
   [[nodiscard]] static bool before(SimTime at, std::uint64_t seq, SimTime other_at,
                                    std::uint64_t other_seq) {
     using Key = unsigned __int128;
     return ((Key(static_cast<std::uint64_t>(at)) << 64) | seq) <
            ((Key(static_cast<std::uint64_t>(other_at)) << 64) | other_seq);
   }
+  // The i-th busy link in key order (0: the front).
+  [[nodiscard]] BusyLink& busy(std::size_t i) { return ring_[(head_ + i) & mask_]; }
+  // The ring's front key precedes the control queue's.  Precondition: a
+  // link is busy.
+  [[nodiscard]] bool front_link_precedes_queue() {
+    const BusyLink& front = busy(0);
+    return queue_.empty() ||
+           before(front.at, front.seq, queue_.front().at, queue_.front().seq);
+  }
 
   // An idle link went busy with its front delivery keyed (at, seq).
   void arm_link(Link& link, SimTime at, std::uint64_t seq);
-  // The delivering link (the heap top) drained: drop it before its last
-  // sink runs, so a re-entrant transmit() re-arms it.
-  void retire_link();
+  // The delivering link (the ring's front) drained: drop it before its
+  // last sink runs, so a re-entrant transmit() re-arms it.
+  void retire_link() {
+    head_ = (head_ + 1) & mask_;
+    --busy_count_;
+  }
   // The delivering link's sink returned and its next packet is keyed
-  // (at, seq).  If that key still precedes every other pending key and the
-  // batch horizon, advance the clock, count the event and return true: the
-  // link delivers it inline.  Otherwise re-key the link in the heap.
+  // (at, seq).  If that key still precedes the runner-up link, the control
+  // queue and the batch horizon, advance the clock, count the event and
+  // return true: the link delivers it inline.  Otherwise re-key the link:
+  // it leaves the front and is inserted again behind every earlier key.
   //
-  // While a link drains inline its heap-top entry keeps the key it was
+  // While a link drains inline its front entry keeps the key it was
   // dispatched with.  That is harmless: keys only grow along a link, and a
-  // link armed meanwhile carries a later key still, so the entry stays on
-  // top until the re-key or retire_link replaces it.
+  // link armed meanwhile carries a later key still, so it is inserted
+  // behind that entry, which stays in front until the re-key or
+  // retire_link removes it.
   bool continue_drain(SimTime at, std::uint64_t seq) {
-    const std::size_t n = busy_.size();
     if (at <= batch_horizon_ &&
         (queue_.empty() || before(at, seq, queue_.front().at, queue_.front().seq)) &&
-        (n < 2 || before(at, seq, busy_[1].at, busy_[1].seq)) &&
-        (n < 3 || before(at, seq, busy_[2].at, busy_[2].seq))) {
+        (busy_count_ < 2 || before(at, seq, busy(1).at, busy(1).seq))) {
       now_ = at;
       ++processed_;
       return true;
     }
-    sift_down(at, seq, busy_.front().link);
+    Link* const link = busy(0).link;
+    retire_link();
+    insert_busy(at, seq, link);
     ++pending_;
     note_pending();
     return false;
   }
-  // Place the entry (at, seq, link) into the heap, starting from the root's
-  // slot.  (Scalars, not a BusyLink: a by-value struct travels through the
-  // stack, and reloading it stalled store forwarding on the hot path.)
-  void sift_down(SimTime at, std::uint64_t seq, Link* link);
+  // Place the entry (at, seq, link) in key order, scanning from the back.
+  // Precondition: the ring has a free slot.  (Scalars, not a BusyLink: a
+  // by-value struct travels through the stack, and reloading it stalled
+  // store forwarding on the hot path.)
+  void insert_busy(SimTime at, std::uint64_t seq, Link* link);
   void note_pending() {
     if (pending_ > high_water_) high_water_ = pending_;
   }
   [[nodiscard]] SimTime next_time() const;
 
   EventQueue queue_;
-  std::pmr::vector<BusyLink> busy_;  // min-heap on (at, seq)
+  // Busy links sorted on (at, seq): busy_count_ entries from head_, in a
+  // power-of-two slab indexed through mask_.
+  std::pmr::vector<BusyLink> ring_;
+  std::size_t head_ = 0;
+  std::size_t busy_count_ = 0;
+  std::size_t mask_ = 0;
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
   SimTime batch_horizon_ = std::numeric_limits<SimTime>::max();

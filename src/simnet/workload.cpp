@@ -637,7 +637,7 @@ void Workload::prepare() {
   for (const LinkConfig& edge : world.edges) {
     cell.rlinks.push_back(alloc.new_object<Link>(reverse_link(edge), &arena_));
   }
-  // Every link may be busy at once: size the busy-link heap here, not in
+  // Every link may be busy at once: size the busy-link ring here, not in
   // drive().
   cell.sim.reserve_links(cell.links.size() + cell.rlinks.size());
 

@@ -212,7 +212,7 @@ struct ExperimentResult {
   double offered_load = 0.0;
   std::uint64_t events_processed = 0;
   // High-water mark of pending events (Simulation::queue_high_water): with
-  // one busy-heap entry per link this stays O(links + flows) even when tens
+  // one busy-link entry per link this stays O(links + flows) even when tens
   // of thousands of packets are in flight (pinned by
   // tests/simnet/queue_occupancy_test.cpp).
   std::uint64_t queue_high_water = 0;
