@@ -1,12 +1,13 @@
 // micro_substrates — google-benchmark microbenchmarks for the hot paths of
-// every substrate: event queue, packet link, full TCP transfers (one hop
-// and a 3-hop chain), the fluid model, the frame checksum, model
-// evaluation, and the serving layer (decide, SSS1 encode, frame
-// reassembly + decode).  These document the simulator's capacity
+// every substrate: event queue, packet link, busy-link dispatch, full TCP
+// transfers (one hop and a 3-hop chain), the fluid model, the frame
+// checksum, model evaluation, and the serving layer (decide, SSS1 encode,
+// frame reassembly + decode).  These document the simulator's capacity
 // (events/second) that makes the full Table-2 sweep tractable.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -92,6 +93,45 @@ void BM_LinkTransmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LinkTransmit);
+
+void BM_BusyLinkDispatch(benchmark::State& state) {
+  // N busy links taking turns, the link-drain pattern of a shared facility
+  // topology.  Each link keeps two packets in flight (its sink sends every
+  // delivered packet straight back onto it) and its arrivals trail the
+  // previous link's by 1 ns, so each delivery's next key falls behind every
+  // other busy link's: the link re-keys to the back of the dispatch order.
+  // Items = deliveries.
+  struct Loopback : simnet::PacketSink {
+    simnet::Link* link = nullptr;
+    void on_packet(simnet::Simulation& sim, const simnet::Packet& packet) override {
+      (void)link->transmit(sim, packet, *this);
+    }
+  };
+  const auto n = static_cast<std::size_t>(state.range(0));
+  simnet::Simulation sim;
+  std::vector<std::unique_ptr<simnet::Link>> links;
+  std::vector<Loopback> sinks(n);
+  simnet::Packet packet;
+  packet.size_bytes = 9000;
+  for (std::size_t i = 0; i < n; ++i) {
+    simnet::LinkConfig cfg;
+    cfg.propagation_delay = units::Seconds::of(1e-6 + 1e-9 * static_cast<double>(i));
+    links.push_back(std::make_unique<simnet::Link>(cfg));
+    sinks[i].link = links.back().get();
+    for (int k = 0; k < 2; ++k) (void)links[i]->transmit(sim, packet, sinks[i]);
+  }
+  // One round: every link delivers once.  Each iteration runs 64 rounds
+  // the way Workload::drive runs to its deadline.
+  const simnet::SimTime round =
+      simnet::transmission_time(packet.size_bytes, simnet::LinkConfig{}.capacity);
+  for (auto _ : state) {
+    const simnet::SimTime deadline = sim.now() + 64 * round;
+    sim.set_batch_horizon(deadline);
+    while (sim.now() <= deadline) sim.step();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(sim.events_processed()));
+}
+BENCHMARK(BM_BusyLinkDispatch)->Arg(6)->Arg(12)->Arg(64);
 
 void BM_TcpTransfer(benchmark::State& state) {
   // Full 8 MB transfer on an idle 25 Gbps link; items = packets moved.
