@@ -29,7 +29,9 @@ using scenario::CellRange;
 
 // The non-empty scenario::shard_range blocks of `shards` shards over
 // [0, total), so `--shard I/N` workers and orchestrated workers agree on
-// boundaries.  Empty blocks (shards > total) are dropped.
+// boundaries, and so on part names (scenario::part_stem names a part by
+// its cell range and `total`, whichever process wrote it).  Empty blocks
+// (shards > total) are dropped.
 // Throws std::invalid_argument when shards < 1 or total == 0.
 [[nodiscard]] std::vector<CellRange> partition_contiguous(std::size_t total,
                                                           int shards);

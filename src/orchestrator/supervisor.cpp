@@ -44,7 +44,7 @@ enum class ShardState { kPending, kRunning, kDone, kExhausted };
 
 struct Shard {
   CellRange range;
-  std::string stem;  // part-file stem, "<scenario>.cells<A>-<B>"
+  std::string stem;  // part_stem: "<scenario>.cells<A>-<B>of<N>"
   ShardState state = ShardState::kPending;
   int failures = 0;       // spent retry budget (includes replayed failures)
   int last_attempt = 0;   // highest attempt number ever launched
@@ -182,9 +182,7 @@ OrchestratorReport orchestrate(const OrchestratorConfig& config) {
   for (std::size_t i = 0; i < ranges.size(); ++i) {
     Shard& shard = shards[i];
     shard.range = ranges[i];
-    scenario::ShardSpec slice;
-    slice.cells = ranges[i];
-    shard.stem = slice.part_stem(config.scenario);
+    shard.stem = scenario::part_stem(config.scenario, ranges[i], total);
     shard.eligible = Clock::now();
     if (!costs.empty()) {
       double sum = 0.0;
@@ -197,8 +195,13 @@ OrchestratorReport orchestrate(const OrchestratorConfig& config) {
     if (replayed.exhausted && replayed.failures >= config.retry.max_attempts) {
       shard.state = ShardState::kExhausted;
     } else if (replayed.done) {
-      // Trust the journal only if the promoted artifact is still there.
-      if (fs::exists(parts_dir + "/" + shard.stem + ".csv")) {
+      // Trust the journal only if the promoted artifacts are still there,
+      // under this name, and still pass the checks that promoted them: a
+      // part promoted under an older name, or cut short since, re-runs.
+      Attempt promoted;
+      promoted.csv_path = parts_dir + "/" + shard.stem + ".csv";
+      promoted.metrics_path = parts_dir + "/" + shard.stem + ".metrics.json";
+      if (validate_attempt(config, shard.range, promoted).empty()) {
         shard.state = ShardState::kDone;
       }
     }

@@ -9,9 +9,10 @@
 // closure, it can be
 //   - serialized to JSON (`scenario_runner --dump-plan <name>`), edited,
 //     and loaded back (`--plan file.json`) without recompiling;
-//   - partitioned deterministically across hosts (`--shard i/N`): every
-//     cell keeps the per-run Xoshiro jump stream of its GLOBAL grid index,
-//     so shard-and-merge output is bit-identical to a single-host run;
+//   - partitioned deterministically across hosts (`--shard I/K` or
+//     `--cells A:B`, both one CellRange): every cell keeps the per-run
+//     Xoshiro jump stream of its GLOBAL grid index, so shard-and-merge
+//     output is bit-identical to a single-host run;
 //   - inspected and validated without executing anything.
 //
 // Axis values are applied through the scenario/overrides.hpp binding

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/manifest.hpp"
@@ -46,10 +47,11 @@ void print_banner(const ScenarioSpec& spec) {
 std::optional<std::string> write_csv(const ScenarioSpec& spec,
                                      const ScenarioOutput& output,
                                      const std::string& dir,
-                                     const std::optional<ShardSpec>& shard) {
+                                     std::optional<CellRange> cells, std::size_t grid) {
   if (output.header.empty()) return std::nullopt;
   const std::string path =
-      dir + "/" + (shard.has_value() ? shard->part_stem(spec.name) : spec.name) + ".csv";
+      dir + "/" + (cells.has_value() ? part_stem(spec.name, *cells, grid) : spec.name) +
+      ".csv";
   try {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // best effort; open reports failure
@@ -132,6 +134,15 @@ std::optional<std::string> timeline_cell_refusal(std::size_t cell, CellRange ran
          std::to_string(total);
 }
 
+// A slice's rows must each depend on one run only.  The reason `spec`
+// cannot run the slice `cells`, or nullopt when it can (or runs no slice).
+std::optional<std::string> reducing_slice_refusal(const ScenarioSpec& spec,
+                                                  const std::optional<CellRange>& cells) {
+  if (!cells.has_value() || spec.has_declarative_output()) return std::nullopt;
+  return "reduces across runs (no declarative output spec), so its rows cannot be "
+         "computed per slice";
+}
+
 // A slice names cells of the grid it runs.  The reason `range` is not a
 // slice of a `total`-cell grid, or nullopt when it is.
 std::optional<std::string> cell_range_refusal(CellRange range, std::size_t total) {
@@ -146,12 +157,9 @@ CellRange ShardSpec::resolve(std::size_t total) const {
   return cells.has_value() ? *cells : shard_range(index, count, total);
 }
 
-std::string ShardSpec::part_stem(const std::string& scenario) const {
-  if (cells.has_value()) {
-    return scenario + ".cells" + std::to_string(cells->begin) + "-" +
-           std::to_string(cells->end);
-  }
-  return scenario + ".shard" + std::to_string(index) + "of" + std::to_string(count);
+std::string part_stem(const std::string& scenario, CellRange cells, std::size_t total) {
+  return scenario + ".cells" + std::to_string(cells.begin) + "-" +
+         std::to_string(cells.end) + "of" + std::to_string(total);
 }
 
 std::optional<FaultSpec> parse_fault_spec(std::string_view text) {
@@ -176,11 +184,8 @@ std::optional<FaultSpec> parse_fault_spec(std::string_view text) {
 
 ScenarioOutput execute_scenario(const ScenarioSpec& spec, const ScenarioContext& context,
                                 obs::RunManifest* manifest, std::optional<CellRange> cells) {
-  if (cells.has_value() && !spec.has_declarative_output()) {
-    throw std::invalid_argument(
-        "scenario '" + spec.name +
-        "' reduces across runs (no declarative output spec), so its rows cannot be "
-        "computed per shard");
+  if (const auto refusal = reducing_slice_refusal(spec, cells)) {
+    throw std::invalid_argument(*refusal);
   }
   std::vector<RunPoint> runs;
   if (spec.plan != nullptr) runs = spec.plan->expand(context);
@@ -279,7 +284,8 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
     if (options.shard.has_value()) cells = options.shard->resolve(grid);
     // Slice misuse is refused before any output, like --cells with --all.
     const CellRange range = cells.value_or(CellRange{0, grid});
-    std::optional<std::string> refusal = cell_range_refusal(range, grid);
+    std::optional<std::string> refusal = reducing_slice_refusal(spec, cells);
+    if (!refusal.has_value()) refusal = cell_range_refusal(range, grid);
     if (!refusal.has_value() && options.timeline_path.has_value()) {
       refusal = timeline_cell_refusal(options.timeline_cell, range, grid);
     }
@@ -289,23 +295,16 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
     }
     if (!options.quiet) {
       print_banner(spec);
-      std::size_t run_count = grid;
       if (cells.has_value()) {
-        run_count = cells->size();
-        if (options.shard->cells.has_value()) {
-          std::printf("cells [%zu, %zu) of %zu\n", cells->begin, cells->end, grid);
-        } else {
-          std::printf("shard %d/%d: cells [%zu, %zu) of %zu\n", options.shard->index,
-                      options.shard->count, cells->begin, cells->end, grid);
-        }
+        std::printf("cells [%zu, %zu) of %zu\n", range.begin, range.end, grid);
       }
-      if (run_count > 0) {
+      if (range.size() > 0) {
         SweepOptions sweep;
         sweep.threads = options.context.threads;
-        const int threads = SweepExecutor(sweep).effective_threads(run_count);
+        const int threads = SweepExecutor(sweep).effective_threads(range.size());
         std::printf(
             "executing %zu simulation runs on %d thread%s (scale %.2f, seed %llu)\n\n",
-            run_count, threads, threads == 1 ? "" : "s", options.context.scale,
+            range.size(), threads, threads == 1 ? "" : "s", options.context.scale,
             static_cast<unsigned long long>(options.context.seed));
       }
     }
@@ -329,7 +328,7 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options) {
   for (const auto& note : output.notes) std::printf("%s\n", note.c_str());
   if (options.csv_dir.has_value()) {
     const std::optional<std::string> csv_path =
-        write_csv(spec, output, *options.csv_dir, options.shard);
+        write_csv(spec, output, *options.csv_dir, cells, grid);
     if (csv_path.has_value() && options.inject_fault.has_value() &&
         options.inject_fault->kind == FaultSpec::Kind::kTruncate) {
       // Only the worker whose slice contains the target cell corrupts its
@@ -407,63 +406,52 @@ ScenarioSpec spec_from_plan_file(const std::string& path) {
 
 namespace {
 
-// A shard-part file name as the runner writes it:
-//   <scenario>.shard<I>of<N>.csv   (--shard I/N block partition)
-//   <scenario>.cells<A>-<B>.csv    (--cells A:B explicit range)
-// nullopt for anything else (plain CSVs merge without structural checks).
+// A part-file name as part_stem writes it, <scenario>.cells<A>-<B>of<N>.csv
+// with A <= B <= N.
 struct PartName {
   std::string scenario;
-  bool block = false;  // shard<I>of<N> form (else cells form)
-  int index = 0;
-  int count = 0;
-  std::size_t begin = 0;
-  std::size_t end = 0;
+  CellRange cells;
+  std::size_t total = 0;
 };
 
+// The part `path` names, or nullopt for a plain name.  A name whose last
+// dotted field is "shard<digit>..." or "cells<digit>..." but not a valid
+// part name (an old shard<I>of<N> or cells<A>-<B> part, or a range past its
+// grid) throws, so it is never concatenated in argument order.
 std::optional<PartName> parse_part_name(std::string_view path) {
-  const std::size_t slash = path.find_last_of('/');
-  std::string_view base =
-      slash == std::string_view::npos ? path : path.substr(slash + 1);
+  std::string_view base = path.substr(path.find_last_of('/') + 1);  // npos + 1 == 0
   if (!base.ends_with(".csv")) return std::nullopt;
   base.remove_suffix(4);
   const std::size_t dot = base.find_last_of('.');
   if (dot == std::string_view::npos || dot == 0) return std::nullopt;
-  std::string_view tail = base.substr(dot + 1);
-  PartName part;
-  part.scenario = std::string(base.substr(0, dot));
-  if (tail.starts_with("shard")) {
-    tail.remove_prefix(5);
-    const std::size_t of = tail.find("of");
-    if (of == std::string_view::npos) return std::nullopt;
-    const auto index = parse_int(tail.substr(0, of));
-    const auto count = parse_int(tail.substr(of + 2));
-    if (!index.has_value() || !count.has_value() || *count < 1 || *index < 0 ||
-        *index >= *count) {
-      return std::nullopt;
-    }
-    part.block = true;
-    part.index = *index;
-    part.count = *count;
-    return part;
+  const std::string_view tail = base.substr(dot + 1);
+  if ((!tail.starts_with("shard") && !tail.starts_with("cells")) || tail.size() < 6 ||
+      tail[5] < '0' || tail[5] > '9') {
+    return std::nullopt;
   }
-  if (tail.starts_with("cells")) {
-    tail.remove_prefix(5);
-    const std::size_t dash = tail.find('-');
-    if (dash == std::string_view::npos) return std::nullopt;
-    const auto begin = parse_uint64(tail.substr(0, dash));
-    const auto end = parse_uint64(tail.substr(dash + 1));
-    if (!begin.has_value() || !end.has_value() || *begin >= *end) return std::nullopt;
-    part.begin = static_cast<std::size_t>(*begin);
-    part.end = static_cast<std::size_t>(*end);
-    return part;
+  const std::size_t dash = tail.find('-');
+  const std::size_t of = tail.find("of");
+  const bool shaped = tail.starts_with("cells") && dash < of && of != std::string_view::npos;
+  const auto begin = shaped ? parse_uint64(tail.substr(5, dash - 5)) : std::nullopt;
+  const auto end = shaped ? parse_uint64(tail.substr(dash + 1, of - dash - 1)) : std::nullopt;
+  const auto total = shaped ? parse_uint64(tail.substr(of + 2)) : std::nullopt;
+  if (!begin.has_value() || !end.has_value() || !total.has_value() || *begin > *end ||
+      *end > *total) {
+    throw std::invalid_argument(std::string(path) +
+                                ": not a part name <scenario>.cells<A>-<B>of<N>.csv "
+                                "with A <= B <= N (re-run the slice to write one)");
   }
-  return std::nullopt;
+  return PartName{std::string(base.substr(0, dot)),
+                  CellRange{static_cast<std::size_t>(*begin), static_cast<std::size_t>(*end)},
+                  static_cast<std::size_t>(*total)};
 }
 
-// Structural validation for shard-named inputs: scenario prefixes must
-// agree and the parts must cover the grid exactly once.  Returns the order
-// in which the parts must be concatenated (by shard index / cell begin),
-// so argument order cannot scramble the merged table.
+// Structural validation for part-named inputs: they must name one scenario
+// and one grid size N, and cover [0, N) exactly once with one row per cell
+// — a part that lost rows to a crash, or a missing part, is refused here,
+// not silently merged.  Returns the order in which the parts must be
+// concatenated (by cell range), so argument order cannot scramble the
+// merged table.
 std::vector<std::size_t> validate_shard_parts(const std::vector<std::string>& inputs,
                                               const std::vector<trace::CsvTable>& parts) {
   std::vector<std::optional<PartName>> names;
@@ -478,66 +466,48 @@ std::vector<std::size_t> validate_shard_parts(const std::vector<std::string>& in
   if (named == 0) return order;  // plain CSVs: concatenate in argument order
   if (named != inputs.size()) {
     throw std::invalid_argument(
-        "mix of shard-named and plain inputs — refusing to guess the cell order");
+        "mix of part-named and plain inputs — refusing to guess the cell order");
   }
+  const PartName& first = *names[0];
   for (std::size_t i = 1; i < names.size(); ++i) {
-    if (names[i]->scenario != names[0]->scenario) {
-      throw std::invalid_argument("scenario names disagree: '" + names[0]->scenario +
+    if (names[i]->scenario != first.scenario) {
+      throw std::invalid_argument("scenario names disagree: '" + first.scenario +
                                   "' vs '" + names[i]->scenario + "'");
     }
-    if (names[i]->block != names[0]->block) {
-      throw std::invalid_argument("mix of shard<I>of<N> and cells<A>-<B> inputs");
+    if (names[i]->total != first.total) {
+      throw std::invalid_argument("grid sizes disagree: of" + std::to_string(first.total) +
+                                  " vs of" + std::to_string(names[i]->total));
     }
   }
-  if (names[0]->block) {
-    const int count = names[0]->count;
-    if (static_cast<int>(inputs.size()) != count) {
-      throw std::invalid_argument("expected " + std::to_string(count) +
-                                  " shard files, got " + std::to_string(inputs.size()));
-    }
-    std::vector<int> seen(static_cast<std::size_t>(count), -1);
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i]->count != count) {
-        throw std::invalid_argument("shard counts disagree: of" + std::to_string(count) +
-                                    " vs of" + std::to_string(names[i]->count));
-      }
-      const auto index = static_cast<std::size_t>(names[i]->index);
-      if (seen[index] >= 0) {
-        throw std::invalid_argument("duplicate shard index " + std::to_string(index));
-      }
-      seen[index] = static_cast<int>(i);
-    }
-    // Every index in 0..N-1 appears exactly once (duplicates already
-    // refused, sizes match), so `seen` is the concatenation order.
-    std::vector<std::size_t> by_index;
-    by_index.reserve(seen.size());
-    for (int input : seen) by_index.push_back(static_cast<std::size_t>(input));
-    return by_index;
-  }
-  // cells form: ranges must tile [0, max_end) without gap or overlap, and
-  // each part must hold exactly one row per cell — a shard that lost rows
-  // to a crash is refused here, not silently merged.
+  // Sorted on (begin, end), the ranges must tile [0, N): each begins where
+  // the previous one ended.  An empty range holds no cells, so it can
+  // neither leave a gap nor overlap.
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return names[a]->begin < names[b]->begin;
+    return std::pair(names[a]->cells.begin, names[a]->cells.end) <
+           std::pair(names[b]->cells.begin, names[b]->cells.end);
   });
   std::size_t expected_begin = 0;
   for (std::size_t position : order) {
-    const PartName& name = *names[position];
-    if (name.begin != expected_begin) {
+    const CellRange& cells = names[position]->cells;
+    if (cells.begin != expected_begin) {
       throw std::invalid_argument(
-          name.begin > expected_begin
+          cells.begin > expected_begin
               ? "missing cells [" + std::to_string(expected_begin) + ", " +
-                    std::to_string(name.begin) + ")"
-              : "overlapping cell ranges at cell " + std::to_string(name.begin));
+                    std::to_string(cells.begin) + ")"
+              : "overlapping cell ranges at cell " + std::to_string(cells.begin));
     }
-    const std::size_t cells = name.end - name.begin;
-    if (parts[position].rows.size() != cells) {
+    if (parts[position].rows.size() != cells.size()) {
       throw std::invalid_argument(
           inputs[position] + " has " + std::to_string(parts[position].rows.size()) +
-          " rows for cells [" + std::to_string(name.begin) + ", " +
-          std::to_string(name.end) + ") — expected " + std::to_string(cells));
+          " rows for cells [" + std::to_string(cells.begin) + ", " +
+          std::to_string(cells.end) + ") — expected " + std::to_string(cells.size()));
     }
-    expected_begin = name.end;
+    expected_begin = cells.end;
+  }
+  if (expected_begin != first.total) {
+    throw std::invalid_argument("missing cells [" + std::to_string(expected_begin) + ", " +
+                                std::to_string(first.total) + ") of " +
+                                std::to_string(first.total));
   }
   return order;
 }
@@ -641,11 +611,6 @@ int check_obs_files(const std::string& timeline_path, const std::string& metrics
   }
 }
 
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
 void print_list(const std::string& tag_filter) {
   const ScenarioRegistry& registry = ScenarioRegistry::global();
   trace::ConsoleTable table({"scenario", "tags", "description"});
@@ -671,7 +636,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "       %s --all [--tag TAG] [options]\n"
                "       %s --plan FILE.json [options]\n"
                "       %s --dump-plan NAME\n"
-               "       %s --merge OUT.csv SHARD.csv [SHARD.csv...]\n"
+               "       %s --merge OUT.csv PART.csv [PART.csv...]\n"
                "       %s --merge OUT.json SHARD.json [...]   (metrics manifests)\n"
                "       %s --cost-report METRICS.json          (report a saved manifest)\n"
                "       %s --check-obs TIMELINE.json METRICS.json\n"
@@ -679,7 +644,8 @@ void print_usage(std::FILE* out, const char* argv0) {
                "  --threads N   sweep worker threads (0 = hardware, 1 = serial)\n"
                "  --scale S     duration scale in (0, 1]\n"
                "  --seed K      base seed for per-run RNG streams\n"
-               "  --csv-dir D   also write <D>/<scenario>.csv\n"
+               "  --csv-dir D   also write <D>/<scenario>.csv, or for the slice [A, B)\n"
+               "                of an M-cell grid <D>/<scenario>.cells<A>-<B>of<M>.csv\n"
                "  --param K=V   override a workload knob on every run (repeatable;\n"
                "                e.g. concurrency=8, duration_s=2, link_gbps=10,\n"
                "                hop1_gbps=5 — see scenario/overrides.hpp)\n"
@@ -701,7 +667,9 @@ void print_usage(std::FILE* out, const char* argv0) {
                "  --metrics-out F     write the per-cell runtime manifest (JSON) to F\n"
                "  --cost-report       print the slowest cells after the run\n"
                "  --phase-timers      host-time phase accounting report on stderr\n"
-               "  --quiet             suppress banner and live progress\n",
+               "  --quiet             suppress banner and live progress\n"
+               "--merge: parts must name one scenario and one M, tile [0, M) without gap\n"
+               "  or overlap, and hold B-A rows each; plain names concatenate in order\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
 }
 
@@ -815,8 +783,8 @@ int main_from_args(int argc, char** argv) {
       const std::string out_path = argv[++i];
       std::vector<std::string> inputs;
       while (++i < argc) inputs.emplace_back(argv[i]);
-      return ends_with(out_path, ".json") ? merge_manifest_files(out_path, inputs)
-                                          : merge_csv_files(out_path, inputs);
+      return out_path.ends_with(".json") ? merge_manifest_files(out_path, inputs)
+                                         : merge_csv_files(out_path, inputs);
     } else if (arg == "--timeline") {
       const char* v = next_value("--timeline");
       if (v == nullptr) return usage(argv[0]);

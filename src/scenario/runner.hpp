@@ -20,14 +20,15 @@ struct RunManifest;  // obs/manifest.hpp
 
 namespace sss::scenario {
 
-// One slice of a sharded sweep.  Two forms:
+// One slice of a sweep grid, in either CLI spelling:
 //   --shard I/N  — shard `index` of `count`, the balanced contiguous block
-//                  partition of shard_range;
+//                  shard_range(I, N, total);
 //   --cells A:B  — an explicit contiguous range [A, B) of GLOBAL grid
 //                  cells (`cells` set), which is what the cost-aware sweep
 //                  orchestrator launches so block boundaries can follow
 //                  measured per-cell wall times instead of cell counts.
-// Either way every cell keeps the RNG stream of its GLOBAL index.
+// Both resolve to one CellRange; every cell keeps the RNG stream of its
+// GLOBAL index, and the part files are named by that range (part_stem).
 struct ShardSpec {
   int index = 0;
   int count = 1;
@@ -36,11 +37,14 @@ struct ShardSpec {
   // The slice of `total` grid cells this spec selects (unchecked against
   // `total`: execute_scenario refuses a range past the grid).
   [[nodiscard]] CellRange resolve(std::size_t total) const;
-
-  // File stem of this slice's part files, "<scenario>.shard<I>of<N>" or
-  // "<scenario>.cells<A>-<B>"; merge_csv_files parses both back.
-  [[nodiscard]] std::string part_stem(const std::string& scenario) const;
 };
+
+// File stem of a slice's part files, "<scenario>.cells<A>-<B>of<N>" for the
+// cells [A, B) of an N-cell grid.  `--shard`, `--cells` and the sweep
+// orchestrator's workers all name parts this way, and merge_csv_files
+// parses it back.
+[[nodiscard]] std::string part_stem(const std::string& scenario, CellRange cells,
+                                    std::size_t total);
 
 // Fault-injection harness (`--inject-fault KIND@cell=K`): deliberately
 // break this worker at global grid cell K so the orchestrator's recovery
@@ -120,13 +124,15 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options);
 // atomically.  Validation (hard errors, never a silent gap):
 //   - headers must agree and every row must match the header width
 //     (truncated shard files are refused);
-//   - when the inputs follow the runner's shard naming
-//     (<scenario>.shard<I>of<N>.csv or <scenario>.cells<A>-<B>.csv), the
-//     scenario prefixes must agree, shard indices must cover 0..N-1
-//     exactly once (block form) or the cell ranges must tile [0, end)
-//     without gap/overlap with row counts matching range sizes (cells
-//     form) — inputs are re-ordered by shard/cell position, so argument
-//     order cannot scramble the merged table.
+//   - parts named <scenario>.cells<A>-<B>of<N>.csv (part_stem) must all
+//     name the same scenario and the same N, tile [0, N) without gap or
+//     overlap once sorted on (A, B), and each hold exactly B - A rows;
+//     they are concatenated in that order, so argument order cannot
+//     scramble the merged table;
+//   - a name that looks like a part but is not in that form (an old
+//     <scenario>.shard<I>of<N>.csv or <scenario>.cells<A>-<B>.csv, or a
+//     range past its grid) is refused, as is a mix of part and plain names;
+//     plain names concatenate in argument order.
 // Returns a process exit code.
 int merge_csv_files(const std::string& out_path, const std::vector<std::string>& inputs);
 
@@ -138,14 +144,15 @@ int merge_manifest_files(const std::string& out_path,
 // The scenario_runner CLI:
 //   scenario_runner --list [--tag <tag>]
 //   scenario_runner --run <name>[,<name>...] [--threads N] [--scale S]
-//                   [--seed K] [--csv-dir DIR] [--param k=v] [--shard I/N]
+//                   [--seed K] [--csv-dir DIR] [--param k=v]
+//                   [--shard I/N | --cells A:B]
 //                   [--timeline FILE [--timeline-cell K]]
 //                   [--metrics-out FILE] [--cost-report] [--phase-timers]
 //                   [--quiet]
 //   scenario_runner --all [--tag <tag>] [...same knobs]
 //   scenario_runner --plan <file.json> [...same knobs]
 //   scenario_runner --dump-plan <name>
-//   scenario_runner --merge <out.csv> <shard.csv> [<shard.csv>...]
+//   scenario_runner --merge <out.csv> <part.csv> [<part.csv>...]
 //   scenario_runner --merge <out.json> <shard.json> [...]   (metrics manifests)
 //   scenario_runner --cost-report <metrics.json>            (standalone report)
 //   scenario_runner --check-obs <timeline.json> <metrics.json>

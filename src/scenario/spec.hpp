@@ -11,8 +11,8 @@
 // Design rules:
 //   - the plan is pure DATA: it can be expanded, inspected, serialized to
 //     JSON (`--dump-plan`), loaded from a config file (`--plan`), and
-//     partitioned across hosts (`--shard i/N`) without running any C++
-//     scenario code;
+//     partitioned across hosts (`--shard I/K`, `--cells A:B`) without
+//     running any C++ scenario code;
 //   - plan expansion is a pure function of (plan, ScenarioContext), so a
 //     spec can be expanded and seeded without running anything;
 //   - hooks receive results in RUN ORDER (index-stable regardless of

@@ -167,6 +167,28 @@ TEST_F(SupervisorTest, ResumeSkipsFinishedShardsEntirely) {
   EXPECT_EQ(read_file(second.merged_csv), read_file(kGolden));
 }
 
+TEST_F(SupervisorTest, ResumeRerunsAShardWhosePromotedPartLostARow) {
+  OrchestratorConfig config = base_config();
+  ASSERT_EQ(orchestrate(config).exit_code, 0);
+
+  // Cut the last row off a promoted part after the ledger recorded it done:
+  // the resumed sweep must not merge 3 rows as 4 cells.
+  const std::string part = config.workdir + "/parts/hop_bottleneck_sweep.cells0-2of4.csv";
+  std::string text = read_file(part);
+  text.erase(text.rfind('\n', text.size() - 2) + 1);
+  std::ofstream(part, std::ios::trunc) << text;
+  config.resume = true;
+  const OrchestratorReport resumed = orchestrate(config);
+  EXPECT_EQ(resumed.exit_code, 0);
+  EXPECT_EQ(read_file(resumed.merged_csv), read_file(kGolden));
+  // Shard 0 was launched again; shard 1 was trusted.
+  const std::string ledger = read_file(config.workdir + "/ledger.jsonl");
+  EXPECT_NE(ledger.find(R"("attempt":2,"event":"launch","shard":0)"), std::string::npos)
+      << ledger;
+  EXPECT_EQ(ledger.find(R"("attempt":2,"event":"launch","shard":1)"), std::string::npos)
+      << ledger;
+}
+
 TEST_F(SupervisorTest, FreshWorkdirRefusesAnExistingLedgerWithoutResume) {
   OrchestratorConfig config = base_config();
   ASSERT_EQ(orchestrate(config).exit_code, 0);
