@@ -8,12 +8,6 @@ namespace sss::obs {
 
 namespace {
 
-std::uint64_t as_uint64(const trace::JsonValue& v, const char* field) {
-  const double d = v.as_double();
-  if (d < 0.0) throw std::runtime_error(std::string("manifest: ") + field + " < 0");
-  return static_cast<std::uint64_t>(d);
-}
-
 std::string format_ms(double ms) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", ms);
@@ -33,7 +27,7 @@ trace::JsonValue RunManifest::to_json() const {
   doc["schema"] = schema;
   doc["scenario"] = scenario;
   doc["scale"] = scale;
-  doc["seed"] = static_cast<double>(seed);
+  doc["seed"] = trace::JsonValue::from_uint64(seed);
   doc["threads"] = threads;
   doc["total_cells"] = total_cells;
   trace::JsonValue cell_array = trace::JsonValue::array();
@@ -66,18 +60,17 @@ RunManifest RunManifest::from_json(const trace::JsonValue& json) {
   }
   m.scenario = json.at("scenario").as_string();
   m.scale = json.at("scale").as_double();
-  m.seed = as_uint64(json.at("seed"), "seed");
+  m.seed = json.at("seed").as_uint64();
   m.threads = static_cast<int>(json.at("threads").as_double());
-  m.total_cells = static_cast<std::size_t>(as_uint64(json.at("total_cells"), "total_cells"));
+  m.total_cells = static_cast<std::size_t>(json.at("total_cells").as_uint64());
   for (const trace::JsonValue& c : json.at("cells").as_array()) {
     CellMetrics cell;
-    cell.index = static_cast<std::size_t>(as_uint64(c.at("index"), "index"));
+    cell.index = static_cast<std::size_t>(c.at("index").as_uint64());
     cell.label = c.at("label").as_string();
     const trace::JsonValue& det = c.at("deterministic");
-    cell.events_processed = as_uint64(det.at("events_processed"), "events_processed");
-    cell.queue_high_water = as_uint64(det.at("queue_high_water"), "queue_high_water");
-    cell.arena_reserved_bytes =
-        as_uint64(det.at("arena_reserved_bytes"), "arena_reserved_bytes");
+    cell.events_processed = det.at("events_processed").as_uint64();
+    cell.queue_high_water = det.at("queue_high_water").as_uint64();
+    cell.arena_reserved_bytes = det.at("arena_reserved_bytes").as_uint64();
     cell.sim_duration_s = det.at("sim_duration_s").as_double();
     cell.wall_ms = c.at("timing").at("wall_ms").as_double();
     m.cells.push_back(std::move(cell));

@@ -33,7 +33,7 @@ trace::JsonValue plan_to_json(const LedgerPlan& plan) {
   trace::JsonValue json = trace::JsonValue::object();
   json["event"] = "plan";
   json["scenario"] = plan.scenario;
-  json["seed"] = plan.seed;
+  json["seed"] = trace::JsonValue::from_uint64(plan.seed);
   json["scale"] = plan.scale;
   json["total_cells"] = plan.total_cells;
   json["shards"] = std::move(shards);
@@ -43,7 +43,7 @@ trace::JsonValue plan_to_json(const LedgerPlan& plan) {
 LedgerPlan plan_from_json(const trace::JsonValue& json) {
   LedgerPlan plan;
   plan.scenario = json.at("scenario").as_string();
-  plan.seed = static_cast<std::uint64_t>(json.at("seed").as_double());
+  plan.seed = json.at("seed").as_uint64();
   plan.scale = json.at("scale").as_double();
   plan.total_cells = static_cast<std::size_t>(json.at("total_cells").as_double());
   for (const trace::JsonValue& range : json.at("shards").as_array()) {

@@ -87,23 +87,13 @@ std::vector<std::string> worker_argv(const OrchestratorConfig& config,
 // else the reason the attempt is rejected.
 std::string validate_attempt(const OrchestratorConfig& config,
                              const CellRange& range, const Attempt& attempt) {
-  std::error_code ec;
-  if (!fs::exists(attempt.csv_path, ec)) return "no CSV written";
-  trace::CsvTable table;
   try {
-    table = trace::read_csv_file(attempt.csv_path);
-  } catch (const std::exception& e) {
-    return std::string("CSV unreadable: ") + e.what();
-  }
-  if (table.header.empty()) return "CSV has no header";
-  if (table.rows.size() != range.size()) {
-    return "CSV has " + std::to_string(table.rows.size()) + " rows, expected " +
-           std::to_string(range.size()) + " (truncated?)";
-  }
-  for (const auto& row : table.rows) {
-    if (row.size() != table.header.size()) return "CSV row width mismatch";
+    (void)scenario::read_part(attempt.csv_path);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
   }
 
+  std::error_code ec;
   if (!fs::exists(attempt.metrics_path, ec)) return "no metrics manifest written";
   obs::RunManifest manifest;
   try {
@@ -413,7 +403,7 @@ OrchestratorReport orchestrate(const OrchestratorConfig& config) {
   OrchestratorReport report;
   report.total_cells = total;
   report.shards.reserve(shards.size());
-  bool any_exhausted = false;
+  std::vector<scenario::Part> parts;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const Shard& shard = shards[i];
     ShardOutcome outcome;
@@ -421,28 +411,26 @@ OrchestratorReport orchestrate(const OrchestratorConfig& config) {
     outcome.done = shard.state == ShardState::kDone;
     outcome.attempts = shard.failures + (outcome.done ? 1 : 0);
     report.shards.push_back(outcome);
-    if (!outcome.done) {
-      any_exhausted = true;
-      for (std::size_t c = shard.range.begin; c < shard.range.end; ++c) {
-        report.missing_cells.push_back(c);
-      }
+    if (outcome.done) {
+      parts.push_back(scenario::read_part(parts_dir + "/" + shard.stem + ".csv"));
     }
   }
 
-  std::vector<trace::CsvTable> tables;
-  for (const Shard& shard : shards) {
-    if (shard.state != ShardState::kDone) continue;
-    tables.push_back(trace::read_csv_file(parts_dir + "/" + shard.stem + ".csv"));
-  }
+  // Until a part covers them, every cell is missing.
+  std::vector<CellRange> gaps = {{0, total}};
   const std::string out_path =
       config.out_path.value_or(config.workdir + "/merged.csv");
-  if (!tables.empty()) {
-    const trace::CsvTable merged = trace::merge_csv_tables(tables);
-    trace::write_csv_file(out_path, merged.header, merged.rows);
+  if (!parts.empty()) {
+    scenario::MergedParts merged = scenario::merge_parts(std::move(parts));
+    trace::write_csv_file(out_path, merged.table.header, merged.table.rows);
     report.merged_csv = out_path;
+    gaps = std::move(merged.missing);
+  }
+  for (const CellRange& gap : gaps) {
+    for (std::size_t c = gap.begin; c < gap.end; ++c) report.missing_cells.push_back(c);
   }
 
-  if (any_exhausted) {
+  if (!report.missing_cells.empty()) {
     // Graceful degradation: say EXACTLY what is missing, machine-readably.
     trace::JsonValue missing = trace::JsonValue::array();
     for (const std::size_t cell : report.missing_cells) missing.push_back(cell);

@@ -13,9 +13,11 @@
 //
 // Robustness decisions, each load-bearing:
 //   - every attempt writes into its own directory and is promoted into
-//     parts/ by rename only after validation (rows parse, row count
-//     matches the range, manifest agrees on scenario/seed/scale/cells) —
-//     a crashed or lying worker can never contribute bytes to the merge;
+//     parts/ by rename only after validation (scenario::read_part, the
+//     check `--merge` applies to each input: header, row count against the
+//     range, row widths; and the manifest agrees on scenario/seed/scale/
+//     cells) — a crashed or lying worker can never contribute bytes to the
+//     merge;
 //   - per-shard deadlines come from --timeout-s, or are derived per shard
 //     from a cost manifest (timeout_factor x estimated wall time), so a
 //     hung worker is killed and retried instead of stalling the sweep;
@@ -31,10 +33,11 @@
 //     a machine-readable missing_cells.json names exactly what is absent
 //     (exit code 3, distinct from hard failures).
 //
-// The final merge concatenates promoted shard CSVs in range order after
-// re-validating headers and row counts; when every shard succeeded the
-// result is byte-identical to the unsharded run — the determinism
-// contract tests/orchestrator/supervisor_test.cpp pins.
+// The final merge re-reads every promoted part through read_part and joins
+// them with scenario::merge_parts, as `--merge` does, in range order; the
+// cells no part covers are what missing_cells.json names.  When every shard
+// succeeded the result is byte-identical to the unsharded run — the
+// determinism contract tests/orchestrator/supervisor_test.cpp pins.
 #pragma once
 
 #include <cstdint>

@@ -438,20 +438,6 @@ long long as_integer(const trace::JsonValue& json, const char* field, long long 
   return static_cast<long long>(v);
 }
 
-// Seeds are 64-bit; JSON numbers are doubles, so they are written as
-// strings and read from either.
-std::uint64_t seed_from_json(const trace::JsonValue& json) {
-  if (json.is_number()) {
-    // Doubles hold integers exactly only up to 2^53; larger seeds must be
-    // given as strings.
-    return static_cast<std::uint64_t>(
-        as_integer(json, "seed (use a string for larger values)", 0, 1LL << 53));
-  }
-  const auto seed = trace::parse_uint64(json.as_string());
-  if (!seed.has_value()) plan_error("seed must be an unsigned integer");
-  return *seed;
-}
-
 // The `base` section is written and read through one field list per struct
 // (the `fields` overloads below), walked by JsonWriter and JsonReader alike:
 // each key, its bounds and its unit are spelled once.  A field's C++ type
@@ -507,7 +493,7 @@ class JsonWriter {
   static trace::JsonValue encode(double v) { return v; }
   static trace::JsonValue encode(bool v) { return v; }
   static trace::JsonValue encode(const std::string& v) { return v; }
-  static trace::JsonValue encode(std::uint64_t v) { return std::to_string(v); }
+  static trace::JsonValue encode(std::uint64_t v) { return trace::JsonValue::from_uint64(v); }
   static trace::JsonValue encode(units::Seconds v) { return v.seconds(); }
   static trace::JsonValue encode(units::Bytes v) { return v.bytes(); }
   static trace::JsonValue encode(units::DataRate v) { return v.bps(); }
@@ -565,9 +551,7 @@ class JsonReader {
   static void decode(const trace::JsonValue& json, double& v) { v = json.as_double(); }
   static void decode(const trace::JsonValue& json, bool& v) { v = json.as_bool(); }
   static void decode(const trace::JsonValue& json, std::string& v) { v = json.as_string(); }
-  static void decode(const trace::JsonValue& json, std::uint64_t& v) {
-    v = seed_from_json(json);
-  }
+  static void decode(const trace::JsonValue& json, std::uint64_t& v) { v = json.as_uint64(); }
   static void decode(const trace::JsonValue& json, units::Seconds& v) {
     v = units::Seconds::of(json.as_double());
   }
@@ -820,7 +804,9 @@ trace::JsonValue ExperimentPlan::to_json() const {
   json["substrate"] = to_string(substrate);
   json["scale_duration"] = scale_duration;
   json["repeat"] = repeat;
-  if (fixed_seed.has_value()) json["fixed_seed"] = std::to_string(*fixed_seed);
+  if (fixed_seed.has_value()) {
+    json["fixed_seed"] = trace::JsonValue::from_uint64(*fixed_seed);
+  }
   json["base"] = JsonWriter::encode(base);
   trace::JsonValue axes_json = trace::JsonValue::array();
   for (const ParamAxis& axis : axes) axes_json.push_back(axis_to_json(axis));
@@ -849,7 +835,7 @@ ExperimentPlan ExperimentPlan::from_json(const trace::JsonValue& json) {
   plan.scale_duration = json.at("scale_duration").as_bool();
   plan.repeat = static_cast<int>(as_integer(json.at("repeat"), "repeat", 0, 1000000000));
   if (const trace::JsonValue* seed = json.find("fixed_seed")) {
-    plan.fixed_seed = seed_from_json(*seed);
+    plan.fixed_seed = seed->as_uint64();
   }
   JsonReader::decode(json.at("base"), plan.base);
   for (const trace::JsonValue& axis : json.at("axes").as_array()) {

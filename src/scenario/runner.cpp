@@ -10,6 +10,7 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <iterator>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -404,128 +405,115 @@ ScenarioSpec spec_from_plan_file(const std::string& path) {
   return spec;
 }
 
-namespace {
-
-// A part-file name as part_stem writes it, <scenario>.cells<A>-<B>of<N>.csv
-// with A <= B <= N.
-struct PartName {
-  std::string scenario;
-  CellRange cells;
-  std::size_t total = 0;
-};
-
-// The part `path` names, or nullopt for a plain name.  A name whose last
-// dotted field is "shard<digit>..." or "cells<digit>..." but not a valid
-// part name (an old shard<I>of<N> or cells<A>-<B> part, or a range past its
-// grid) throws, so it is never concatenated in argument order.
-std::optional<PartName> parse_part_name(std::string_view path) {
-  std::string_view base = path.substr(path.find_last_of('/') + 1);  // npos + 1 == 0
-  if (!base.ends_with(".csv")) return std::nullopt;
-  base.remove_suffix(4);
-  const std::size_t dot = base.find_last_of('.');
-  if (dot == std::string_view::npos || dot == 0) return std::nullopt;
-  const std::string_view tail = base.substr(dot + 1);
-  if ((!tail.starts_with("shard") && !tail.starts_with("cells")) || tail.size() < 6 ||
-      tail[5] < '0' || tail[5] > '9') {
-    return std::nullopt;
+Part read_part(const std::string& path) {
+  // The name: <scenario>.cells<A>-<B>of<N>.csv (part_stem) with A <= B <= N.
+  std::string_view base = std::string_view(path).substr(path.find_last_of('/') + 1);
+  std::size_t dot = std::string_view::npos;
+  if (base.ends_with(".csv")) {
+    base.remove_suffix(4);
+    dot = base.find_last_of('.');
   }
-  const std::size_t dash = tail.find('-');
-  const std::size_t of = tail.find("of");
-  const bool shaped = tail.starts_with("cells") && dash < of && of != std::string_view::npos;
-  const auto begin = shaped ? parse_uint64(tail.substr(5, dash - 5)) : std::nullopt;
-  const auto end = shaped ? parse_uint64(tail.substr(dash + 1, of - dash - 1)) : std::nullopt;
-  const auto total = shaped ? parse_uint64(tail.substr(of + 2)) : std::nullopt;
+  std::optional<std::uint64_t> begin, end, total;
+  if (dot != std::string_view::npos && dot > 0 && base.substr(dot + 1).starts_with("cells")) {
+    const std::string_view range = base.substr(dot + 6);
+    const std::size_t dash = range.find('-');
+    const std::size_t of = range.find("of");
+    if (dash < of && of != std::string_view::npos) {
+      begin = parse_uint64(range.substr(0, dash));
+      end = parse_uint64(range.substr(dash + 1, of - dash - 1));
+      total = parse_uint64(range.substr(of + 2));
+    }
+  }
+  const auto refuse = [&](const std::string& what) {
+    throw std::invalid_argument(path + " " + what);
+  };
   if (!begin.has_value() || !end.has_value() || !total.has_value() || *begin > *end ||
       *end > *total) {
-    throw std::invalid_argument(std::string(path) +
-                                ": not a part name <scenario>.cells<A>-<B>of<N>.csv "
-                                "with A <= B <= N (re-run the slice to write one)");
+    refuse("is not a part name <scenario>.cells<A>-<B>of<N>.csv with A <= B <= N "
+           "(re-run the slice to write one)");
   }
-  return PartName{std::string(base.substr(0, dot)),
-                  CellRange{static_cast<std::size_t>(*begin), static_cast<std::size_t>(*end)},
-                  static_cast<std::size_t>(*total)};
+  Part part;
+  part.path = path;
+  part.scenario = std::string(base.substr(0, dot));
+  part.cells = {static_cast<std::size_t>(*begin), static_cast<std::size_t>(*end)};
+  part.total = static_cast<std::size_t>(*total);
+
+  // The contents: a header and B - A rows as wide as it.
+  try {
+    part.table = trace::read_csv_file(path);
+  } catch (const std::runtime_error&) {
+    refuse("cannot be read");
+  }
+  if (part.table.header.empty()) refuse("has no header");
+  const std::size_t rows = part.table.rows.size();
+  if (rows != part.cells.size()) {
+    refuse("has " + std::to_string(rows) + " rows for cells [" +
+           std::to_string(part.cells.begin) + ", " + std::to_string(part.cells.end) +
+           ") — expected " + std::to_string(part.cells.size()));
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t width = part.table.rows[r].size();
+    if (width != part.table.header.size()) {
+      refuse("row " + std::to_string(r + 1) + " has " + std::to_string(width) +
+             " fields, expected " + std::to_string(part.table.header.size()) +
+             " (truncated?)");
+    }
+  }
+  return part;
 }
 
-// Structural validation for part-named inputs: they must name one scenario
-// and one grid size N, and cover [0, N) exactly once with one row per cell
-// — a part that lost rows to a crash, or a missing part, is refused here,
-// not silently merged.  Returns the order in which the parts must be
-// concatenated (by cell range), so argument order cannot scramble the
-// merged table.
-std::vector<std::size_t> validate_shard_parts(const std::vector<std::string>& inputs,
-                                              const std::vector<trace::CsvTable>& parts) {
-  std::vector<std::optional<PartName>> names;
-  names.reserve(inputs.size());
-  std::size_t named = 0;
-  for (const std::string& input : inputs) {
-    names.push_back(parse_part_name(input));
-    if (names.back().has_value()) ++named;
-  }
-  std::vector<std::size_t> order(inputs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (named == 0) return order;  // plain CSVs: concatenate in argument order
-  if (named != inputs.size()) {
-    throw std::invalid_argument(
-        "mix of part-named and plain inputs — refusing to guess the cell order");
-  }
-  const PartName& first = *names[0];
-  for (std::size_t i = 1; i < names.size(); ++i) {
-    if (names[i]->scenario != first.scenario) {
-      throw std::invalid_argument("scenario names disagree: '" + first.scenario +
-                                  "' vs '" + names[i]->scenario + "'");
-    }
-    if (names[i]->total != first.total) {
-      throw std::invalid_argument("grid sizes disagree: of" + std::to_string(first.total) +
-                                  " vs of" + std::to_string(names[i]->total));
-    }
-  }
-  // Sorted on (begin, end), the ranges must tile [0, N): each begins where
-  // the previous one ended.  An empty range holds no cells, so it can
-  // neither leave a gap nor overlap.
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return std::pair(names[a]->cells.begin, names[a]->cells.end) <
-           std::pair(names[b]->cells.begin, names[b]->cells.end);
+MergedParts merge_parts(std::vector<Part> parts) {
+  if (parts.empty()) throw std::invalid_argument("no parts to merge");
+  // In range order, each part must begin at or after the cell where the
+  // previous one ended: a later begin leaves a gap, an earlier one overlaps.
+  std::sort(parts.begin(), parts.end(), [](const Part& a, const Part& b) {
+    return std::pair(a.cells.begin, a.cells.end) < std::pair(b.cells.begin, b.cells.end);
   });
-  std::size_t expected_begin = 0;
-  for (std::size_t position : order) {
-    const CellRange& cells = names[position]->cells;
-    if (cells.begin != expected_begin) {
-      throw std::invalid_argument(
-          cells.begin > expected_begin
-              ? "missing cells [" + std::to_string(expected_begin) + ", " +
-                    std::to_string(cells.begin) + ")"
-              : "overlapping cell ranges at cell " + std::to_string(cells.begin));
+  const Part& first = parts.front();
+  MergedParts merged;
+  merged.total = first.total;
+  merged.table.header = first.table.header;
+  std::size_t covered = 0;  // cells [0, covered) are accounted for
+  for (Part& part : parts) {
+    if (part.scenario != first.scenario) {
+      throw std::invalid_argument("scenario names disagree: '" + first.scenario + "' vs '" +
+                                  part.scenario + "'");
     }
-    if (parts[position].rows.size() != cells.size()) {
-      throw std::invalid_argument(
-          inputs[position] + " has " + std::to_string(parts[position].rows.size()) +
-          " rows for cells [" + std::to_string(cells.begin) + ", " +
-          std::to_string(cells.end) + ") — expected " + std::to_string(cells.size()));
+    if (part.total != first.total) {
+      throw std::invalid_argument("grid sizes disagree: of" + std::to_string(first.total) +
+                                  " vs of" + std::to_string(part.total));
     }
-    expected_begin = cells.end;
+    if (part.table.header != merged.table.header) {
+      throw std::invalid_argument(part.path + " has a different header than " + first.path);
+    }
+    if (part.cells.begin < covered) {
+      throw std::invalid_argument("overlapping cell ranges at cell " +
+                                  std::to_string(part.cells.begin));
+    }
+    if (part.cells.begin > covered) merged.missing.push_back({covered, part.cells.begin});
+    covered = part.cells.end;
+    merged.table.rows.insert(merged.table.rows.end(),
+                             std::make_move_iterator(part.table.rows.begin()),
+                             std::make_move_iterator(part.table.rows.end()));
   }
-  if (expected_begin != first.total) {
-    throw std::invalid_argument("missing cells [" + std::to_string(expected_begin) + ", " +
-                                std::to_string(first.total) + ") of " +
-                                std::to_string(first.total));
-  }
-  return order;
+  if (covered < first.total) merged.missing.push_back({covered, first.total});
+  return merged;
 }
-
-}  // namespace
 
 int merge_csv_files(const std::string& out_path, const std::vector<std::string>& inputs) {
   try {
-    std::vector<trace::CsvTable> parts;
+    std::vector<Part> parts;
     parts.reserve(inputs.size());
-    for (const std::string& path : inputs) parts.push_back(trace::read_csv_file(path));
-    const std::vector<std::size_t> order = validate_shard_parts(inputs, parts);
-    std::vector<trace::CsvTable> ordered;
-    ordered.reserve(parts.size());
-    for (std::size_t position : order) ordered.push_back(std::move(parts[position]));
-    const trace::CsvTable merged = trace::merge_csv_tables(ordered);
-    trace::write_csv_file(out_path, merged.header, merged.rows);
-    std::printf("merged %zu rows from %zu shard file%s into %s\n", merged.rows.size(),
+    for (const std::string& path : inputs) parts.push_back(read_part(path));
+    const MergedParts merged = merge_parts(std::move(parts));
+    if (!merged.missing.empty()) {
+      const CellRange gap = merged.missing.front();
+      throw std::invalid_argument(
+          "missing cells [" + std::to_string(gap.begin) + ", " + std::to_string(gap.end) +
+          ")" + (gap.end == merged.total ? " of " + std::to_string(merged.total) : ""));
+    }
+    trace::write_csv_file(out_path, merged.table.header, merged.table.rows);
+    std::printf("merged %zu rows from %zu shard file%s into %s\n", merged.table.rows.size(),
                 inputs.size(), inputs.size() == 1 ? "" : "s", out_path.c_str());
     return 0;
   } catch (const std::exception& e) {
@@ -668,8 +656,9 @@ void print_usage(std::FILE* out, const char* argv0) {
                "  --cost-report       print the slowest cells after the run\n"
                "  --phase-timers      host-time phase accounting report on stderr\n"
                "  --quiet             suppress banner and live progress\n"
-               "--merge: parts must name one scenario and one M, tile [0, M) without gap\n"
-               "  or overlap, and hold B-A rows each; plain names concatenate in order\n",
+               "--merge: every input must be a part <scenario>.cells<A>-<B>of<M>.csv of\n"
+               "  one scenario and one M, hold B-A rows, and the parts must tile [0, M)\n"
+               "  without gap or overlap\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
 }
 

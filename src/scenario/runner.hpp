@@ -13,6 +13,7 @@
 
 #include "scenario/plan.hpp"
 #include "scenario/spec.hpp"
+#include "trace/csv.hpp"
 
 namespace sss::obs {
 struct RunManifest;  // obs/manifest.hpp
@@ -41,7 +42,7 @@ struct ShardSpec {
 
 // File stem of a slice's part files, "<scenario>.cells<A>-<B>of<N>" for the
 // cells [A, B) of an N-cell grid.  `--shard`, `--cells` and the sweep
-// orchestrator's workers all name parts this way, and merge_csv_files
+// orchestrator's workers all name parts this way, and read_part
 // parses it back.
 [[nodiscard]] std::string part_stem(const std::string& scenario, CellRange cells,
                                     std::size_t total);
@@ -120,20 +121,39 @@ int run_scenario(const ScenarioSpec& spec, const RunnerOptions& options);
 // when the result could not render any output.
 [[nodiscard]] ScenarioSpec spec_from_plan_file(const std::string& path);
 
-// Merge sharded scenario CSVs through the trace layer and write the result
-// atomically.  Validation (hard errors, never a silent gap):
-//   - headers must agree and every row must match the header width
-//     (truncated shard files are refused);
-//   - parts named <scenario>.cells<A>-<B>of<N>.csv (part_stem) must all
-//     name the same scenario and the same N, tile [0, N) without gap or
-//     overlap once sorted on (A, B), and each hold exactly B - A rows;
-//     they are concatenated in that order, so argument order cannot
-//     scramble the merged table;
-//   - a name that looks like a part but is not in that form (an old
-//     <scenario>.shard<I>of<N>.csv or <scenario>.cells<A>-<B>.csv, or a
-//     range past its grid) is refused, as is a mix of part and plain names;
-//     plain names concatenate in argument order.
-// Returns a process exit code.
+// One slice's part file, as read_part found it.
+struct Part {
+  std::string path;
+  std::string scenario;
+  CellRange cells;         // [A, B)
+  std::size_t total = 0;   // N, the grid's cell count
+  trace::CsvTable table;
+};
+
+// Read and check one part file.  Its name must be
+// <scenario>.cells<A>-<B>of<N>.csv (part_stem) with A <= B <= N; the file
+// must be readable, have a non-empty header and hold exactly B - A rows,
+// each as wide as the header.  Throws std::invalid_argument naming the file
+// and what is wrong.
+[[nodiscard]] Part read_part(const std::string& path);
+
+struct MergedParts {
+  trace::CsvTable table;
+  std::size_t total = 0;           // N
+  std::vector<CellRange> missing;  // ranges of [0, N) no part covers, in order
+};
+
+// Join parts read_part returned.  They must name one scenario and one N,
+// share one header and not overlap (std::invalid_argument otherwise); their
+// rows are concatenated in range order, whatever the order of `parts`.  The
+// cells no part covers are returned in `missing`, not refused: the sweep
+// orchestrator merges what survived, and --merge refuses any gap.
+[[nodiscard]] MergedParts merge_parts(std::vector<Part> parts);
+
+// `--merge` of scenario CSVs: read_part each input, merge_parts them, refuse
+// the first missing range ("missing cells [A, B)"), and write the table
+// atomically.  A name other than a part name, the old shard<I>of<N> and
+// cells<A>-<B> forms included, is refused.  Returns a process exit code.
 int merge_csv_files(const std::string& out_path, const std::vector<std::string>& inputs);
 
 // Merge sharded metrics manifests (obs::merge_manifests: cells re-sorted

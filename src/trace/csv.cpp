@@ -118,31 +118,4 @@ CsvTable read_csv_file(const std::string& path) {
   return parse_csv(buffer.str());
 }
 
-CsvTable merge_csv_tables(const std::vector<CsvTable>& parts) {
-  if (parts.empty()) {
-    throw std::invalid_argument("merge_csv_tables: no tables to merge");
-  }
-  CsvTable merged;
-  merged.header = parts.front().header;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (parts[i].header != merged.header) {
-      throw std::invalid_argument("merge_csv_tables: part " + std::to_string(i) +
-                                  " has a different header");
-    }
-    // A crashed writer can leave a row cut mid-field; refuse to merge it
-    // rather than propagate a silently corrupt table.
-    for (std::size_t r = 0; r < parts[i].rows.size(); ++r) {
-      if (parts[i].rows[r].size() != merged.header.size()) {
-        throw std::invalid_argument(
-            "merge_csv_tables: part " + std::to_string(i) + " row " +
-            std::to_string(r + 1) + " has " + std::to_string(parts[i].rows[r].size()) +
-            " fields, expected " + std::to_string(merged.header.size()) +
-            " (truncated file?)");
-      }
-    }
-    merged.rows.insert(merged.rows.end(), parts[i].rows.begin(), parts[i].rows.end());
-  }
-  return merged;
-}
-
 }  // namespace sss::trace

@@ -57,11 +57,4 @@ void write_csv_file(const std::string& path, const std::vector<std::string>& hea
 // Read and parse a CSV file.  Throws std::runtime_error if unreadable.
 [[nodiscard]] CsvTable read_csv_file(const std::string& path);
 
-// Concatenate tables that share an identical header, preserving part order
-// and row order within each part — the merge step for sharded scenario
-// sweeps (`scenario_runner --merge`).  Throws std::invalid_argument on an
-// empty part list, a header mismatch, or a ragged row (a truncated shard
-// file must fail the merge loudly, never produce a silent gap).
-[[nodiscard]] CsvTable merge_csv_tables(const std::vector<CsvTable>& parts);
-
 }  // namespace sss::trace

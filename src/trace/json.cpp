@@ -129,6 +129,19 @@ double JsonValue::as_double() const {
   return *d;
 }
 
+JsonValue JsonValue::from_uint64(std::uint64_t v) { return JsonValue(std::to_string(v)); }
+
+std::uint64_t JsonValue::as_uint64() const {
+  if (const double* d = std::get_if<double>(&value_)) {
+    if (*d >= 0.0 && *d <= 0x1p53 && *d == std::floor(*d)) {
+      return static_cast<std::uint64_t>(*d);
+    }
+  } else if (const std::string* s = std::get_if<std::string>(&value_)) {
+    if (const auto v = parse_uint64(*s)) return *v;
+  }
+  type_error("an unsigned integer (a decimal string, or an integral number up to 2^53)");
+}
+
 const std::string& JsonValue::as_string() const {
   const std::string* s = std::get_if<std::string>(&value_);
   if (s == nullptr) type_error("a string");

@@ -38,6 +38,9 @@ class JsonValue {
 
   [[nodiscard]] static JsonValue object() { return JsonValue(Object{}); }
   [[nodiscard]] static JsonValue array() { return JsonValue(Array{}); }
+  // A 64-bit unsigned integer (a seed) as a decimal string: a JSON number
+  // is a double, which holds integers exactly only up to 2^53.
+  [[nodiscard]] static JsonValue from_uint64(std::uint64_t v);
 
   // Parse JSON text (objects, arrays, strings with escapes, numbers,
   // true/false/null).  Throws std::runtime_error with a byte offset on
@@ -60,6 +63,9 @@ class JsonValue {
   // different type (the plan loader turns these into field-level errors).
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;
+  // A decimal string as from_uint64 writes it, or an integral number in
+  // [0, 2^53] (files written before seeds were strings).
+  [[nodiscard]] std::uint64_t as_uint64() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] const Object& as_object() const;

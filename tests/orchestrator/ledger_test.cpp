@@ -130,6 +130,30 @@ TEST_F(LedgerTest, ResumeWithDifferentPlanIsRefused) {
   EXPECT_THROW(Ledger(path_, reshard, true), std::invalid_argument);
 }
 
+TEST_F(LedgerTest, SeedPast2To53ResumesExactly) {
+  LedgerPlan plan = sample_plan();
+  plan.seed = (1ULL << 60) + 3;  // past 2^53: a double would round it
+  {
+    Ledger ledger(path_, plan, false);
+    ledger.record_launch(0, 1);
+    ledger.record_done(0, 1, "parts/a.csv");
+  }
+  Ledger resumed(path_, plan, true);
+  EXPECT_TRUE(resumed.resumed());
+  EXPECT_TRUE(resumed.replay()[0].done);
+  // The next seed rounds to the same double; it is still a different sweep.
+  LedgerPlan next = plan;
+  next.seed += 1;
+  EXPECT_THROW(Ledger(path_, next, true), std::invalid_argument);
+}
+
+TEST_F(LedgerTest, NumericSeedOfAnOlderLedgerStillResumes) {
+  std::ofstream(path_) << R"({"event":"plan","scale":0.1,"scenario":"hop_bottleneck_sweep",)"
+                       << R"("seed":42,"shards":[[0,2],[2,4]],"total_cells":4})" << "\n";
+  Ledger resumed(path_, sample_plan(), true);
+  EXPECT_TRUE(resumed.resumed());
+}
+
 TEST_F(LedgerTest, ExistingLedgerWithoutResumeIsRefused) {
   { Ledger ledger(path_, sample_plan(), false); }
   EXPECT_THROW(Ledger(path_, sample_plan(), false), std::invalid_argument);

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -114,13 +116,25 @@ TEST_F(SupervisorTest, TruncatedArtifactIsRejectedAndRetried) {
 }
 
 TEST_F(SupervisorTest, HungWorkerIsKilledAtTheDeadlineAndRetried) {
+  // The deadline follows this host's speed: 4x a timed clean orchestrate of
+  // the same config (at least 1.5 s), so a worker that a slow host or a
+  // sanitizer holds up is not mistaken for a hung one.
+  OrchestratorConfig clean = base_config();
+  clean.workdir = (dir_ / "clean").string();
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(orchestrate(clean).exit_code, 0);
+  const double clean_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+
   arm_fault();
   OrchestratorConfig config = base_config();
   config.worker_args = {"--inject-fault", "hang@cell=2"};
-  config.timeout_s = 1.5;
+  config.timeout_s = std::max(1.5, 4.0 * clean_s);
   const OrchestratorReport report = orchestrate(config);
   EXPECT_EQ(report.exit_code, 0);
   EXPECT_EQ(read_file(report.merged_csv), read_file(kGolden));
+  const std::string ledger = read_file(config.workdir + "/ledger.jsonl");
+  EXPECT_NE(ledger.find(R"("detail":"deadline exceeded)"), std::string::npos) << ledger;
 }
 
 TEST_F(SupervisorTest, ExhaustedShardDegradesToPartialMergeWithReport) {
@@ -150,6 +164,47 @@ TEST_F(SupervisorTest, ExhaustedShardDegradesToPartialMergeWithReport) {
   EXPECT_EQ(missing[0].as_double(), 2.0);
   EXPECT_EQ(missing[1].as_double(), 3.0);
   EXPECT_EQ(report.missing_cells, (std::vector<std::size_t>{2, 3}));
+}
+
+TEST_F(SupervisorTest, PartialMergeLeavesAMiddleGap) {
+  OrchestratorConfig config = base_config();
+  // Four one-cell shards; the one for cell 1 always fails.  The parts on
+  // either side of the gap merge in range order.
+  config.shards = 4;
+  config.command_template = "if [ {begin} -eq 1 ]; then exit 7; fi; {command}";
+  config.retry.max_attempts = 2;
+  const OrchestratorReport report = orchestrate(config);
+  EXPECT_EQ(report.exit_code, 3);
+
+  std::string expected = read_file(kGolden);
+  const std::size_t row1 = expected.find('\n', expected.find('\n') + 1) + 1;
+  expected.erase(row1, expected.find('\n', row1) + 1 - row1);
+  ASSERT_FALSE(report.merged_csv.empty());
+  EXPECT_EQ(read_file(report.merged_csv), expected);
+
+  const trace::JsonValue doc =
+      trace::JsonValue::parse(read_file(report.missing_cells_path));
+  const auto& missing = doc.at("missing_cells").as_array();
+  ASSERT_EQ(missing.size(), 1u);
+  EXPECT_EQ(missing[0].as_double(), 1.0);
+  const auto& exhausted = doc.at("exhausted_shards").as_array();
+  ASSERT_EQ(exhausted.size(), 1u);
+  EXPECT_EQ(exhausted[0].as_double(), 1.0);
+  EXPECT_EQ(report.missing_cells, (std::vector<std::size_t>{1}));
+}
+
+TEST_F(SupervisorTest, SeedPast2To53RunsAndResumes) {
+  OrchestratorConfig config = base_config();
+  config.seed = (1ULL << 60) + 3;  // past 2^53: a double would round it
+  const OrchestratorReport report = orchestrate(config);
+  EXPECT_EQ(report.exit_code, 0);
+  ASSERT_FALSE(report.merged_csv.empty());
+  const std::string merged = read_file(report.merged_csv);
+  EXPECT_EQ(std::count(merged.begin(), merged.end(), '\n'), 5) << merged;  // header + 4
+  config.resume = true;
+  const OrchestratorReport resumed = orchestrate(config);
+  EXPECT_EQ(resumed.exit_code, 0);
+  EXPECT_EQ(read_file(resumed.merged_csv), merged);
 }
 
 TEST_F(SupervisorTest, ResumeSkipsFinishedShardsEntirely) {

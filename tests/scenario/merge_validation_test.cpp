@@ -167,13 +167,23 @@ TEST_F(MergeValidationTest, EmptyRangePartMerges) {
             std::string::npos);
 }
 
-TEST_F(MergeValidationTest, PlainNamedInputsStillConcatenate) {
-  // Non-shard-named files keep the old behavior: concatenate in argv
-  // order (headers still validated).
+TEST_F(MergeValidationTest, PlainNameIsRefused) {
+  // Every input must be a part: a plain name carries no cell range, so it
+  // is refused rather than concatenated in argument order.
   const auto a = write("first.csv", "a,b\n1,2\n");
   const auto b = write("second.csv", "a,b\n3,4\n");
-  EXPECT_EQ(merge_csv_files(out_path(), {a, b}), 0);
-  EXPECT_EQ(trace::read_text_file(out_path()), "a,b\n1,2\n3,4\n");
+  EXPECT_NE(merge_error(out_path(), {a, b}).find("not a part name"), std::string::npos);
+  EXPECT_FALSE(fs::exists(out_path()));
+}
+
+TEST_F(MergeValidationTest, ZeroBytePartIsRefused) {
+  // An empty range holds no rows, but its part still holds the header.
+  const auto empty = write("sweep.cells0-0of2.csv", "");
+  const auto s0 = write("sweep.cells0-1of2.csv", "a,b\n1,2\n");
+  const auto s1 = write("sweep.cells1-2of2.csv", "a,b\n3,4\n");
+  EXPECT_NE(merge_error(out_path(), {s0, empty, s1}).find("sweep.cells0-0of2.csv has no header"),
+            std::string::npos);
+  EXPECT_FALSE(fs::exists(out_path()));
 }
 
 // --- CLI argument hardening (in-process main_from_args) --------------------

@@ -106,21 +106,5 @@ TEST(WriteCsvFile, UnwritablePathThrows) {
                std::runtime_error);
 }
 
-TEST(MergeCsvTables, ConcatenatesInPartOrder) {
-  CsvTable a{{"x", "y"}, {{"1", "a"}, {"2", "b"}}};
-  CsvTable b{{"x", "y"}, {{"3", "c"}}};
-  const CsvTable merged = merge_csv_tables({a, b});
-  EXPECT_EQ(merged.header, a.header);
-  ASSERT_EQ(merged.rows.size(), 3u);
-  EXPECT_EQ(merged.rows[2], (std::vector<std::string>{"3", "c"}));
-}
-
-TEST(MergeCsvTables, RejectsHeaderMismatchAndEmptyInput) {
-  CsvTable a{{"x"}, {}};
-  CsvTable b{{"y"}, {}};
-  EXPECT_THROW(merge_csv_tables({a, b}), std::invalid_argument);
-  EXPECT_THROW(merge_csv_tables({}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace sss::trace

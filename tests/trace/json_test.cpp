@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace sss::trace {
@@ -113,6 +114,21 @@ TEST(JsonParse, DumpParseRoundTripIsExact) {
   EXPECT_EQ(back.dump(), text);
   EXPECT_EQ(back.at("third").as_double(), 1.0 / 3.0);
   EXPECT_EQ(back.at("tiny").as_double(), 5e-324);
+}
+
+// Seeds: written as decimal strings, read from a string or from an
+// integral number up to 2^53 (older files), and nothing else.
+TEST(JsonValue, Uint64IsExactPast2To53) {
+  const std::uint64_t seed = (1ULL << 60) + 3;
+  const JsonValue written = JsonValue::from_uint64(seed);
+  EXPECT_EQ(written.dump(), "\"1152921504606846979\"");
+  EXPECT_EQ(JsonValue::parse(written.dump()).as_uint64(), seed);
+  EXPECT_EQ(JsonValue::parse("42").as_uint64(), 42u);
+  EXPECT_EQ(JsonValue::parse("9007199254740992").as_uint64(), 1ULL << 53);
+  for (const char* bad : {"9007199254740994", "-1", "2.5", "\"-1\"", "\"4x\"", "\"\"",
+                          "\"18446744073709551616\"", "null", "true"}) {
+    EXPECT_THROW((void)JsonValue::parse(bad).as_uint64(), std::runtime_error) << bad;
+  }
 }
 
 }  // namespace
