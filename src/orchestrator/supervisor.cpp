@@ -26,6 +26,13 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+// Cost-model defaults when no --timeout-s/--speculate-after-s is given: a
+// shard is killed past 4x its estimated seconds (never under 10 s), and a
+// straggler is duplicated past 3x.
+constexpr double kTimeoutFactor = 4.0;
+constexpr double kTimeoutFloorS = 10.0;
+constexpr double kSpeculateFactor = 3.0;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -214,14 +221,13 @@ OrchestratorReport orchestrate(const OrchestratorConfig& config) {
   const auto deadline_for = [&](const Shard& shard) -> double {
     if (config.timeout_s > 0.0) return config.timeout_s;
     if (shard.estimate_s > 0.0) {
-      return std::max(config.timeout_floor_s,
-                      config.timeout_factor * shard.estimate_s);
+      return std::max(kTimeoutFloorS, kTimeoutFactor * shard.estimate_s);
     }
     return 0.0;  // no deadline
   };
   const auto speculate_for = [&](const Shard& shard) -> double {
     if (config.speculate_after_s > 0.0) return config.speculate_after_s;
-    if (shard.estimate_s > 0.0) return config.speculate_factor * shard.estimate_s;
+    if (shard.estimate_s > 0.0) return kSpeculateFactor * shard.estimate_s;
     return 0.0;  // speculation off
   };
 

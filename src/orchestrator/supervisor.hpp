@@ -19,9 +19,11 @@
 //     cells) — a crashed or lying worker can never contribute bytes to the
 //     merge;
 //   - per-shard deadlines come from --timeout-s, or are derived per shard
-//     from a cost manifest (timeout_factor x estimated wall time), so a
-//     hung worker is killed and retried instead of stalling the sweep;
-//   - stragglers can be speculatively re-executed: past a threshold a
+//     from a cost manifest (4x the estimated wall time, at least 10 s;
+//     kTimeoutFactor and kTimeoutFloorS in supervisor.cpp), so a hung
+//     worker is killed and retried instead of stalling the sweep;
+//   - stragglers can be speculatively re-executed: past a threshold
+//     (--speculate-after-s, or 3x the estimate, kSpeculateFactor) a
 //     duplicate attempt races the original, first VALID completion wins
 //     and the loser is killed — cells are bit-deterministic, so the two
 //     can never disagree;
@@ -78,15 +80,12 @@ struct OrchestratorConfig {
   // --- robustness knobs ---
   RetryPolicy retry;
   // Hard per-attempt deadline in seconds; 0 = derive from the cost model
-  // (timeout_factor x estimated shard seconds, floored at timeout_floor_s)
-  // when one is set, otherwise no deadline.
+  // (4x the estimated shard seconds, at least 10 s) when one is set,
+  // otherwise no deadline.
   double timeout_s = 0.0;
-  double timeout_factor = 4.0;
-  double timeout_floor_s = 10.0;
   // Speculative re-execution threshold in seconds; 0 = derive from the
-  // cost model (speculate_factor x estimate) when set, otherwise off.
+  // cost model (3x the estimate) when set, otherwise off.
   double speculate_after_s = 0.0;
-  double speculate_factor = 3.0;
 
   // --- bookkeeping ---
   bool resume = false;  // continue an existing workdir ledger

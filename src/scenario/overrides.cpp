@@ -1,329 +1,208 @@
 #include "scenario/overrides.hpp"
 
+#include <optional>
 #include <stdexcept>
 
-#include "simnet/topology.hpp"
 #include "trace/parse.hpp"
 
 namespace sss::scenario {
 
 namespace {
 
+using Config = simnet::WorkloadConfig;
+
 [[noreturn]] void bad_value(const std::string& kv, std::string_view expectation) {
   throw std::invalid_argument("--param " + kv + ": expected " + std::string(expectation));
 }
 
-double require_double(const std::string& kv, const std::string& value,
-                      std::string_view expectation) {
-  const auto parsed = trace::parse_double(value);
-  if (!parsed.has_value()) bad_value(kv, expectation);
-  return *parsed;
-}
+// One "key=value" on its way to a field: the conversions a binding picks
+// from.  Each refuses text that is not of the field's type; the range
+// rules are WorkloadConfig::validate()'s alone.
+struct Text {
+  const std::string& kv;
+  const std::string& value;
 
-int require_int(const std::string& kv, const std::string& value,
-                std::string_view expectation) {
-  const auto parsed = trace::parse_int(value);
-  if (!parsed.has_value()) bad_value(kv, expectation);
-  return *parsed;
-}
+  [[nodiscard]] double number() const {
+    const auto parsed = trace::parse_double(value);
+    if (!parsed.has_value()) bad_value(kv, "a number");
+    return *parsed;
+  }
+  [[nodiscard]] int integer() const {
+    const auto parsed = trace::parse_int(value);
+    if (!parsed.has_value()) bad_value(kv, "an integer");
+    return *parsed;
+  }
+  template <class Enum>
+  [[nodiscard]] Enum choice(std::optional<Enum> (*parse)(std::string_view),
+                            std::string_view spellings) const {
+    const std::optional<Enum> parsed = parse(value);
+    if (!parsed.has_value()) bad_value(kv, spellings);
+    return *parsed;
+  }
+};
 
 // The single-link keys silently do nothing on topology runs (effective_hops
 // ignores config.link once path_hops is set) — reject them instead, in the
 // same spirit as unknown keys.
-void require_single_link(const simnet::WorkloadConfig& config, const std::string& kv,
-                         const std::string& key) {
+const Text& single_link(const Config& config, const Text& text) {
   if (!config.path_hops.empty()) {
-    throw std::invalid_argument("--param " + kv + ": '" + key +
+    throw std::invalid_argument("--param " + text.kv + ": '" +
+                                text.kv.substr(0, text.kv.find('=')) +
                                 "' targets the single link, but this run uses a " +
                                 std::to_string(config.path_hops.size()) +
                                 "-hop path (use hop<k>_gbps)");
   }
+  return text;
 }
 
 // --- the binding table -----------------------------------------------------
 //
-// One entry per exact key.  `apply` mutates the config after validating the
-// value; hop<k>_gbps and storm<j>_* are index patterns resolved before the
-// table lookup, and seed/substrate are special-cased by the callers (seed
-// pins reseeding, substrate lives on the RunPoint).
+// One entry per exact key: `apply` converts the value and stores it.
+// hop<k>_gbps, storm<j>_* and tenant<j>_* are index patterns resolved after
+// the table lookup, and seed/substrate are special-cased (seed pins
+// reseeding, substrate lives on the RunPoint).
 
 struct ParamBinding {
   std::string_view key;
-  void (*apply)(simnet::WorkloadConfig&, const std::string& kv, const std::string& value);
+  void (*apply)(Config&, const Text&);
 };
 
 const ParamBinding kBindings[] = {
-    {"concurrency",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const int v = require_int(kv, value, "an integer >= 1");
-       if (v < 1) bad_value(kv, "an integer >= 1");
-       config.concurrency = v;
-     }},
-    {"parallel_flows",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const int v = require_int(kv, value, "an integer >= 1");
-       if (v < 1) bad_value(kv, "an integer >= 1");
-       config.parallel_flows = v;
-     }},
+    {"concurrency", [](Config& c, const Text& t) { c.concurrency = t.integer(); }},
+    {"parallel_flows", [](Config& c, const Text& t) { c.parallel_flows = t.integer(); }},
     {"duration_s",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a duration > 0");
-       if (!(v > 0.0)) bad_value(kv, "a duration > 0");
+     [](Config& c, const Text& t) {
+       const double seconds = t.number();
        // Hop-local cross-traffic windows were laid out against the ORIGINAL
        // duration; rescale them so a storm covering the second half of a
        // 10 s run still covers the second half of a 2 s one.
-       const double ratio = v / config.duration.seconds();
-       for (simnet::HopCrossTraffic& storm : config.hop_cross_traffic) {
+       const double ratio = seconds / c.duration.seconds();
+       for (simnet::HopCrossTraffic& storm : c.hop_cross_traffic) {
          storm.start = storm.start * ratio;
          storm.until = storm.until * ratio;
        }
-       config.duration = units::Seconds::of(v);
+       c.duration = units::Seconds::of(seconds);
      }},
     {"transfer_size_mb",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a size > 0 (MB)");
-       if (!(v > 0.0)) bad_value(kv, "a size > 0 (MB)");
-       config.transfer_size = units::Bytes::megabytes(v);
-     }},
+     [](Config& c, const Text& t) { c.transfer_size = units::Bytes::megabytes(t.number()); }},
     {"transfer_size_bytes",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a size > 0 (bytes)");
-       if (!(v > 0.0)) bad_value(kv, "a size > 0 (bytes)");
-       config.transfer_size = units::Bytes::of(v);
-     }},
+     [](Config& c, const Text& t) { c.transfer_size = units::Bytes::of(t.number()); }},
     {"link_gbps",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       require_single_link(config, kv, "link_gbps");
-       const double v = require_double(kv, value, "a rate > 0 (Gbps)");
-       if (!(v > 0.0)) bad_value(kv, "a rate > 0 (Gbps)");
-       config.link.capacity = units::DataRate::gigabits_per_second(v);
+     [](Config& c, const Text& t) {
+       c.link.capacity = units::DataRate::gigabits_per_second(single_link(c, t).number());
      }},
     {"rtt_ms",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       require_single_link(config, kv, "rtt_ms");
-       const double v = require_double(kv, value, "an RTT > 0 (ms)");
-       if (!(v > 0.0)) bad_value(kv, "an RTT > 0 (ms)");
-       config.link.propagation_delay = units::Seconds::millis(v / 2.0);
+     [](Config& c, const Text& t) {
+       c.link.propagation_delay = units::Seconds::millis(single_link(c, t).number() / 2.0);
      }},
     {"buffer_mb",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       require_single_link(config, kv, "buffer_mb");
-       const double v = require_double(kv, value, "a buffer >= 0 (MB)");
-       if (v < 0.0) bad_value(kv, "a buffer >= 0 (MB)");
-       config.link.buffer = units::Bytes::megabytes(v);
+     [](Config& c, const Text& t) {
+       c.link.buffer = units::Bytes::megabytes(single_link(c, t).number());
      }},
     {"buffer_bytes",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       require_single_link(config, kv, "buffer_bytes");
-       const double v = require_double(kv, value, "a buffer >= 0 (bytes)");
-       if (v < 0.0) bad_value(kv, "a buffer >= 0 (bytes)");
-       config.link.buffer = units::Bytes::of(v);
+     [](Config& c, const Text& t) {
+       c.link.buffer = units::Bytes::of(single_link(c, t).number());
      }},
-    {"link_name",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       require_single_link(config, kv, "link_name");
-       if (value.empty()) bad_value(kv, "an interface name");
-       config.link.name = value;
-     }},
-    {"background_load",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a load >= 0");
-       if (v < 0.0) bad_value(kv, "a load >= 0");
-       config.background_load = v;
-     }},
+    {"link_name", [](Config& c, const Text& t) { c.link.name = single_link(c, t).value; }},
+    {"background_load", [](Config& c, const Text& t) { c.background_load = t.number(); }},
     {"background_mean_mb",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a size > 0 (MB)");
-       if (!(v > 0.0)) bad_value(kv, "a size > 0 (MB)");
-       config.background_mean_flow_size = units::Bytes::megabytes(v);
+     [](Config& c, const Text& t) {
+       c.background_mean_flow_size = units::Bytes::megabytes(t.number());
      }},
     {"background_shape",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a shape >= 0 (<= 1 = exponential)");
-       if (v < 0.0) bad_value(kv, "a shape >= 0 (<= 1 = exponential)");
-       config.background_pareto_shape = v;
-     }},
-    {"trace_path",
-     [](simnet::WorkloadConfig& config, const std::string&, const std::string& value) {
-       config.calibration.trace_path = value;
-     }},
+     [](Config& c, const Text& t) { c.background_pareto_shape = t.number(); }},
+    {"trace_path", [](Config& c, const Text& t) { c.calibration.trace_path = t.value; }},
     {"fit_operating_util",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a utilization > 0");
-       if (!(v > 0.0)) bad_value(kv, "a utilization > 0");
-       config.calibration.operating_util = v;
-     }},
-    {"fit_true_alpha",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "an efficiency in (0, 1]");
-       if (!(v > 0.0) || v > 1.0) bad_value(kv, "an efficiency in (0, 1]");
-       config.calibration.true_alpha = v;
-     }},
-    {"fit_true_theta",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "an overhead coefficient >= 1");
-       if (!(v >= 1.0)) bad_value(kv, "an overhead coefficient >= 1");
-       config.calibration.true_theta = v;
-     }},
+     [](Config& c, const Text& t) { c.calibration.operating_util = t.number(); }},
+    {"fit_true_alpha", [](Config& c, const Text& t) { c.calibration.true_alpha = t.number(); }},
+    {"fit_true_theta", [](Config& c, const Text& t) { c.calibration.true_theta = t.number(); }},
     {"fit_congestion_slope",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a slope >= 0");
-       if (v < 0.0) bad_value(kv, "a slope >= 0");
-       config.calibration.congestion_slope = v;
-     }},
-    {"zipf_skew",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a Zipf exponent >= 0 (0 = uniform popularity)");
-       if (v < 0.0) bad_value(kv, "a Zipf exponent >= 0 (0 = uniform popularity)");
-       config.storage.zipf_skew = v;
-     }},
-    {"topology",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       if (!value.empty()) {
-         try {
-           (void)simnet::topology_preset(value);
-         } catch (const std::invalid_argument& e) {
-           // The preset catalog's message lists the valid names.
-           throw std::invalid_argument("--param " + kv + ": " + e.what());
-         }
-       }
-       config.topology = value;
-     }},
+     [](Config& c, const Text& t) { c.calibration.congestion_slope = t.number(); }},
+    {"zipf_skew", [](Config& c, const Text& t) { c.storage.zipf_skew = t.number(); }},
+    {"topology", [](Config& c, const Text& t) { c.topology = t.value; }},
     {"sched_policy",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const auto policy = simnet::sched_policy_from_string(value);
-       if (!policy.has_value()) bad_value(kv, "none|fifo|fair|edf|backoff");
-       config.scheduler.policy = *policy;
+     [](Config& c, const Text& t) {
+       c.scheduler.policy =
+           t.choice(simnet::sched_policy_from_string, "none|fifo|fair|edf|backoff");
      }},
-    {"sched_slots",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const int v = require_int(kv, value, "an integer >= 1 (concurrent admitted transfers)");
-       if (v < 1) bad_value(kv, "an integer >= 1 (concurrent admitted transfers)");
-       config.scheduler.slots = v;
-     }},
-    {"sched_deadline_s",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a relative deadline > 0 (s)");
-       if (!(v > 0.0)) bad_value(kv, "a relative deadline > 0 (s)");
-       config.scheduler.deadline_s = v;
-     }},
+    {"sched_slots", [](Config& c, const Text& t) { c.scheduler.slots = t.integer(); }},
+    {"sched_deadline_s", [](Config& c, const Text& t) { c.scheduler.deadline_s = t.number(); }},
     {"sched_burst_window_s",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a window > 0 (s)");
-       if (!(v > 0.0)) bad_value(kv, "a window > 0 (s)");
-       config.scheduler.burst_window_s = v;
-     }},
-    {"sched_burst_limit",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const int v = require_int(kv, value, "an integer >= 1 (admissions per window)");
-       if (v < 1) bad_value(kv, "an integer >= 1 (admissions per window)");
-       config.scheduler.burst_limit = v;
-     }},
-    {"sched_backoff_s",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const double v = require_double(kv, value, "a spacing >= 0 (s)");
-       if (v < 0.0) bad_value(kv, "a spacing >= 0 (s)");
-       config.scheduler.backoff_s = v;
-     }},
+     [](Config& c, const Text& t) { c.scheduler.burst_window_s = t.number(); }},
+    {"sched_burst_limit", [](Config& c, const Text& t) { c.scheduler.burst_limit = t.integer(); }},
+    {"sched_backoff_s", [](Config& c, const Text& t) { c.scheduler.backoff_s = t.number(); }},
     {"mode",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const auto mode = simnet::spawn_mode_from_string(value);
-       if (!mode.has_value()) bad_value(kv, "simultaneous|scheduled");
-       config.mode = *mode;
+     [](Config& c, const Text& t) {
+       c.mode = t.choice(simnet::spawn_mode_from_string, "simultaneous|scheduled");
      }},
     {"arrivals",
-     [](simnet::WorkloadConfig& config, const std::string& kv, const std::string& value) {
-       const auto process = simnet::arrival_process_from_string(value);
-       if (!process.has_value()) bad_value(kv, "batch|deterministic|poisson");
-       config.arrivals = *process;
+     [](Config& c, const Text& t) {
+       c.arrivals = t.choice(simnet::arrival_process_from_string, "batch|deterministic|poisson");
      }},
 };
 
-// storm<j>_<field>: windowed hop-local cross traffic, auto-extending the
-// storm list to index j.
-// Generous bound on storm<j> indices: catches typo'd or hostile indices
-// before they turn into a multi-gigabyte resize of the storm list.
-constexpr std::size_t kMaxStormIndex = 63;
+// storm<j>_* and tenant<j>_* auto-extend their list to index j.  The
+// generous bound catches typo'd or hostile indices before they turn into a
+// multi-gigabyte resize.
+constexpr std::size_t kMaxListIndex = 63;
 
-void apply_storm_field(simnet::WorkloadConfig& config, const std::string& kv,
-                       std::size_t index, const std::string& field,
-                       const std::string& value) {
-  if (index > kMaxStormIndex) {
-    throw std::invalid_argument("--param " + kv + ": storm index " +
+template <class Item>
+Item& list_item(std::vector<Item>& items, const Text& text, std::string_view list,
+                std::size_t index) {
+  if (index > kMaxListIndex) {
+    throw std::invalid_argument("--param " + text.kv + ": " + std::string(list) + " index " +
                                 std::to_string(index) + " exceeds the limit of " +
-                                std::to_string(kMaxStormIndex));
+                                std::to_string(kMaxListIndex));
   }
-  if (config.hop_cross_traffic.size() <= index) {
-    config.hop_cross_traffic.resize(index + 1);
-  }
-  simnet::HopCrossTraffic& storm = config.hop_cross_traffic[index];
+  if (items.size() <= index) items.resize(index + 1);
+  return items[index];
+}
+
+[[noreturn]] void unknown_field(const Text& text, std::string_view list,
+                                const std::string& field) {
+  throw std::invalid_argument("--param " + text.kv + ": unknown " + std::string(list) +
+                              " field '" + field + "' (see scenario/overrides.hpp)");
+}
+
+// storm<j>_<field>: windowed hop-local cross traffic.
+void apply_storm_field(Config& config, const Text& text, std::size_t index,
+                       const std::string& field) {
+  simnet::HopCrossTraffic& storm = list_item(config.hop_cross_traffic, text, "storm", index);
   if (field == "hop") {
-    const int v = require_int(kv, value, "a hop index >= 0");
-    if (v < 0) bad_value(kv, "a hop index >= 0");
-    storm.hop = v;
+    storm.hop = text.integer();
   } else if (field == "load") {
-    const double v = require_double(kv, value, "a load >= 0");
-    if (v < 0.0) bad_value(kv, "a load >= 0");
-    storm.load = v;
+    storm.load = text.number();
   } else if (field == "start_s") {
-    const double v = require_double(kv, value, "a time >= 0 (s)");
-    if (v < 0.0) bad_value(kv, "a time >= 0 (s)");
-    storm.start = units::Seconds::of(v);
+    storm.start = units::Seconds::of(text.number());
   } else if (field == "until_s") {
-    const double v = require_double(kv, value, "a time >= 0 (s)");
-    if (v < 0.0) bad_value(kv, "a time >= 0 (s)");
-    storm.until = units::Seconds::of(v);
+    storm.until = units::Seconds::of(text.number());
   } else if (field == "mean_mb") {
-    const double v = require_double(kv, value, "a size > 0 (MB)");
-    if (!(v > 0.0)) bad_value(kv, "a size > 0 (MB)");
-    storm.mean_flow_size = units::Bytes::megabytes(v);
+    storm.mean_flow_size = units::Bytes::megabytes(text.number());
   } else if (field == "shape") {
-    const double v = require_double(kv, value, "a shape >= 0 (<= 1 = exponential)");
-    if (v < 0.0) bad_value(kv, "a shape >= 0 (<= 1 = exponential)");
-    storm.pareto_shape = v;
+    storm.pareto_shape = text.number();
   } else {
-    throw std::invalid_argument("--param " + kv + ": unknown storm field '" + field +
-                                "' (see scenario/overrides.hpp)");
+    unknown_field(text, "storm", field);
   }
 }
 
-// tenant<j>_<field>: facility tenants, auto-extending the tenant list to
-// index j (same bound rationale as storms).
-constexpr std::size_t kMaxTenantIndex = 63;
-
-void apply_tenant_field(simnet::WorkloadConfig& config, const std::string& kv,
-                        std::size_t index, const std::string& field,
-                        const std::string& value) {
-  if (index > kMaxTenantIndex) {
-    throw std::invalid_argument("--param " + kv + ": tenant index " +
-                                std::to_string(index) + " exceeds the limit of " +
-                                std::to_string(kMaxTenantIndex));
-  }
-  if (config.tenants.size() <= index) {
-    config.tenants.resize(index + 1);
-  }
-  simnet::TenantSpec& tenant = config.tenants[index];
+// tenant<j>_<field>: facility tenants.
+void apply_tenant_field(Config& config, const Text& text, std::size_t index,
+                        const std::string& field) {
+  simnet::TenantSpec& tenant = list_item(config.tenants, text, "tenant", index);
   if (field == "name") {
-    tenant.name = value;
+    tenant.name = text.value;
   } else if (field == "src") {
-    tenant.src = value;  // node names are validated against the topology
+    tenant.src = text.value;
   } else if (field == "dst") {
-    tenant.dst = value;
+    tenant.dst = text.value;
   } else if (field == "concurrency") {
-    const int v = require_int(kv, value, "an integer >= 0 (0 = inherit)");
-    if (v < 0) bad_value(kv, "an integer >= 0 (0 = inherit)");
-    tenant.concurrency = v;
+    tenant.concurrency = text.integer();
   } else if (field == "size_mb") {
-    const double v = require_double(kv, value, "a size >= 0 (MB, 0 = inherit)");
-    if (v < 0.0) bad_value(kv, "a size >= 0 (MB, 0 = inherit)");
-    tenant.transfer_size = units::Bytes::megabytes(v);
+    tenant.transfer_size = units::Bytes::megabytes(text.number());
   } else if (field == "deadline_s") {
-    const double v = require_double(kv, value, "a deadline >= 0 (s, 0 = inherit)");
-    if (v < 0.0) bad_value(kv, "a deadline >= 0 (s, 0 = inherit)");
-    tenant.deadline_s = v;
+    tenant.deadline_s = text.number();
   } else {
-    throw std::invalid_argument("--param " + kv + ": unknown tenant field '" + field +
-                                "' (see scenario/overrides.hpp)");
+    unknown_field(text, "tenant", field);
   }
 }
 
@@ -368,10 +247,11 @@ bool apply_param_override(simnet::WorkloadConfig& config, const std::string& kv)
   }
   const std::string key = kv.substr(0, eq);
   const std::string value = kv.substr(eq + 1);
+  const Text text{kv, value};
 
   for (const ParamBinding& binding : kBindings) {
     if (key == binding.key) {
-      binding.apply(config, kv, value);
+      binding.apply(config, text);
       return false;
     }
   }
@@ -387,17 +267,15 @@ bool apply_param_override(simnet::WorkloadConfig& config, const std::string& kv)
       throw std::invalid_argument("--param " + kv + ": run has " +
                                   std::to_string(config.path_hops.size()) + " path hops");
     }
-    const double v = require_double(kv, value, "a rate > 0 (Gbps)");
-    if (!(v > 0.0)) bad_value(kv, "a rate > 0 (Gbps)");
-    config.path_hops[index].capacity = units::DataRate::gigabits_per_second(v);
+    config.path_hops[index].capacity = units::DataRate::gigabits_per_second(text.number());
     return false;
   }
   if (split_indexed_key(key, "storm", index, field)) {
-    apply_storm_field(config, kv, index, field, value);
+    apply_storm_field(config, text, index, field);
     return false;
   }
   if (split_indexed_key(key, "tenant", index, field)) {
-    apply_tenant_field(config, kv, index, field, value);
+    apply_tenant_field(config, text, index, field);
     return false;
   }
   if (key == "seed") {

@@ -10,9 +10,15 @@
 //     verbatim; the plan's `base` workload is a nested JSON object written
 //     and read from one field list per struct in scenario/plan.cpp, which
 //     reuses only the enum spellings).
-// Values go through the shared strict parsers (trace/parse.hpp): trailing
-// garbage or an out-of-range value raises std::invalid_argument rather
-// than being silently truncated.
+//
+// The table only parses.  Values go through the shared strict parsers
+// (trace/parse.hpp), so trailing garbage raises std::invalid_argument
+// rather than being silently truncated; enum spellings, unknown keys, the
+// storm/tenant index limit (63), a hop<k> past the path and a single-link
+// key on a multi-hop run are refused here too.  Every RANGE rule is
+// WorkloadConfig::validate()'s (simnet/workload.hpp), which execute_scenario
+// runs on every cell before any cell starts, whichever of the three paths
+// set the value.  The bounds below are validate()'s.
 //
 // Key catalog (applied in the order given):
 //   concurrency=<int >= 1>        clients spawned per second
@@ -31,18 +37,20 @@
 //   buffer_mb=<double >= 0>       single-link drop-tail buffer
 //                                 (single-link runs only)
 //   buffer_bytes=<double >= 0>    same, in exact bytes (single-link only)
-//   link_name=<string>            single-link interface name (labels the
+//   link_name=<non-empty string>  single-link interface name (labels the
 //                                 hop column in per-hop CSV groups)
-//   hop<k>_gbps=<double > 0>      capacity of path hop k (topology runs)
+//   hop<k>_gbps=<double > 0>      capacity of path_hops entry k (multi-hop
+//                                 plans; a topology preset's links are fixed)
 //   background_load=<double >= 0> end-to-end cross-traffic load
 //   background_mean_mb=<double > 0>   mean background flow size
 //   background_shape=<double >= 0>    background Pareto tail shape
 //                                 (<= 1 falls back to exponential sizes)
-//   storm<j>_hop=<int >= 0>       hop index of windowed cross-traffic
+//   storm<j>_hop=<int in [0, hops)>   hop index of windowed cross-traffic
 //                                 storm j (storms auto-extend to j+1)
 //   storm<j>_load=<double >= 0>   storm load, fraction of its hop capacity
 //   storm<j>_start_s=<double >= 0>  storm window start (scale-1 seconds)
-//   storm<j>_until_s=<double >= 0>  storm window end (scale-1 seconds)
+//   storm<j>_until_s=<double >= 0>  storm window end (scale-1 seconds;
+//                                 > start when the load is > 0)
 //   storm<j>_mean_mb=<double > 0> storm mean flow size
 //   storm<j>_shape=<double >= 0>  storm Pareto tail shape
 //   trace_path=<path>             per-transfer trace CSV for the
@@ -58,6 +66,20 @@
 //                                 exponent (0 = uniform; staged-transfer
 //                                 scenarios spread bytes across files with
 //                                 weight 1/rank^s)
+//   topology=<preset name>        topology preset ('' = none)
+//   tenant<j>_name|src|dst=<string>   facility tenant j (tenants
+//                                 auto-extend to j+1; src/dst must be
+//                                 nodes of the topology)
+//   tenant<j>_concurrency=<int >= 0>  (0 = inherit concurrency)
+//   tenant<j>_size_mb=<double >= 0>   (0 = inherit transfer size)
+//   tenant<j>_deadline_s=<double >= 0>  (0 = inherit sched_deadline_s)
+//   sched_policy=none|fifo|fair|edf|backoff  admission policy (not none
+//                                 only with tenants)
+//   sched_slots=<int >= 1>        concurrent admitted transfers
+//   sched_deadline_s=<double > 0> default relative EDF deadline
+//   sched_burst_window_s=<double > 0>  backoff admission window
+//   sched_burst_limit=<int >= 1>  admissions per window
+//   sched_backoff_s=<double >= 0> minimum admission spacing
 //   mode=simultaneous|scheduled   spawn mode
 //   arrivals=batch|deterministic|poisson  arrival process
 //   substrate=packet|fluid        simulation substrate (RunPoint-level)
@@ -77,9 +99,11 @@ namespace sss::scenario {
 [[nodiscard]] std::vector<std::string> split_param_list(const std::string& csv);
 
 // Apply one "key=value" override to a workload config.  Throws
-// std::invalid_argument for an unknown key or a malformed/out-of-range
-// value.  Returns true when the override pins the seed (the caller must
-// then disable executor reseeding for the run).
+// std::invalid_argument for an unknown key or a value that does not parse
+// as the field's type; an out-of-range value is stored, for
+// WorkloadConfig::validate() to refuse.  Returns true when the override
+// pins the seed (the caller must then disable executor reseeding for the
+// run).
 bool apply_param_override(simnet::WorkloadConfig& config, const std::string& override_kv);
 
 // Run-level variant: additionally understands `substrate=packet|fluid`.

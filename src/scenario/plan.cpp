@@ -440,10 +440,12 @@ long long as_integer(const trace::JsonValue& json, const char* field, long long 
 
 // The `base` section is written and read through one field list per struct
 // (the `fields` overloads below), walked by JsonWriter and JsonReader alike:
-// each key, its bounds and its unit are spelled once.  A field's C++ type
+// each key and its unit are spelled once.  A field's C++ type
 // picks its conversion (Seconds <-> *_s, Bytes <-> *_bytes, DataRate <->
-// *_bytes_per_s, uint64 seed <-> string); `integer` fields carry their
-// bounds, `choice` fields their enum parser (written with simnet::to_string).
+// *_bytes_per_s, uint64 seed <-> string); `integer` fields carry the bounds
+// that guard the double -> int cast, `choice` fields their enum parser
+// (written with simnet::to_string).  The range rules of WorkloadConfig's own
+// fields are WorkloadConfig::validate()'s: their cast guard is ±kMaxCount.
 // `optional` fields are left out when default or empty and may be absent;
 // every other key is required.  `section` names the struct in errors.
 
@@ -584,7 +586,7 @@ void fields(Io& io, simnet::LinkConfig& link) {
 template <class Io>
 void fields(Io& io, simnet::HopCrossTraffic& storm) {
   io.section("storm");
-  io.integer("hop", storm.hop, 0, 1000000);
+  io.integer("hop", storm.hop, -kMaxCount, kMaxCount);
   io.field("load", storm.load);
   io.field("start_s", storm.start);
   io.field("until_s", storm.until);
@@ -612,7 +614,7 @@ void fields(Io& io, simnet::TenantSpec& tenant) {
   io.field("name", tenant.name);
   io.field("src", tenant.src);
   io.field("dst", tenant.dst);
-  io.integer("concurrency", tenant.concurrency, 0, kMaxCount);
+  io.integer("concurrency", tenant.concurrency, -kMaxCount, kMaxCount);
   io.field("transfer_size_bytes", tenant.transfer_size);
   io.field("deadline_s", tenant.deadline_s);
 }
@@ -621,10 +623,10 @@ template <class Io>
 void fields(Io& io, simnet::SchedulerConfig& scheduler) {
   io.section("scheduler");
   io.choice("policy", scheduler.policy, simnet::sched_policy_from_string);
-  io.integer("slots", scheduler.slots, 1, kMaxCount);
+  io.integer("slots", scheduler.slots, -kMaxCount, kMaxCount);
   io.field("deadline_s", scheduler.deadline_s);
   io.field("burst_window_s", scheduler.burst_window_s);
-  io.integer("burst_limit", scheduler.burst_limit, 1, kMaxCount);
+  io.integer("burst_limit", scheduler.burst_limit, -kMaxCount, kMaxCount);
   io.field("backoff_s", scheduler.backoff_s);
 }
 
@@ -648,8 +650,8 @@ void fields(Io& io, simnet::TcpConfig& tcp) {
 template <class Io>
 void fields(Io& io, simnet::WorkloadConfig& config) {
   io.field("duration_s", config.duration);
-  io.integer("concurrency", config.concurrency, 0, kMaxCount);
-  io.integer("parallel_flows", config.parallel_flows, 0, kMaxCount);
+  io.integer("concurrency", config.concurrency, -kMaxCount, kMaxCount);
+  io.integer("parallel_flows", config.parallel_flows, -kMaxCount, kMaxCount);
   io.field("transfer_size_bytes", config.transfer_size);
   io.choice("mode", config.mode, simnet::spawn_mode_from_string);
   io.choice("arrivals", config.arrivals, simnet::arrival_process_from_string);

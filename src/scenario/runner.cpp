@@ -188,9 +188,22 @@ ScenarioOutput execute_scenario(const ScenarioSpec& spec, const ScenarioContext&
   if (const auto refusal = reducing_slice_refusal(spec, cells)) {
     throw std::invalid_argument(*refusal);
   }
-  std::vector<RunPoint> runs;
-  if (spec.plan != nullptr) runs = spec.plan->expand(context);
+  // Every cell is checked before any of them runs.  A scenario with no grid
+  // checks its --param overrides on one default workload instead, so a bad
+  // key or value fails there as it does on a grid.
+  const bool grid = spec.plan != nullptr;
+  std::vector<RunPoint> runs = grid ? spec.plan->expand(context) : std::vector<RunPoint>(1);
   apply_param_overrides(runs, context.param_overrides);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    try {
+      runs[i].config.validate();
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(
+          (grid ? "cell " + std::to_string(i) + " (" + runs[i].label + ")" : "--param") +
+          ": " + e.what());
+    }
+  }
+  if (!grid) runs.clear();
   const std::size_t total = runs.size();
   const CellRange range = cells.value_or(CellRange{0, total});
   if (const auto refusal = cell_range_refusal(range, total)) {

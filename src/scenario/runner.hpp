@@ -69,8 +69,10 @@ struct FaultSpec {
 [[nodiscard]] std::optional<FaultSpec> parse_fault_spec(std::string_view text);
 
 // Expand, execute (parallel, deterministic), analyze.  Throws on scenario
-// errors.  When `manifest` is non-null it is filled with the per-cell
-// runtime metrics of this run (obs/manifest.hpp).
+// errors.  Before any cell runs, every cell of the grid (with the --param
+// overrides applied) must pass WorkloadConfig::validate(); the error names
+// the first bad cell's index and label.  When `manifest` is non-null it is
+// filled with the per-cell runtime metrics of this run (obs/manifest.hpp).
 //
 // With `cells`, only that slice of the grid runs.  Every cell keeps the
 // Xoshiro jump-stream seed of its GLOBAL grid index, so the concatenation

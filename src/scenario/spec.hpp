@@ -77,8 +77,9 @@ struct ScenarioContext {
   // Worker threads for the sweep; 0 means one per hardware thread.
   int threads = 0;
   // Scenario knob overrides ("key=value" strings from --param), applied
-  // to every expanded RunPoint in order after plan expansion.  See scenario/overrides.hpp for the key catalog;
-  // unknown keys and malformed values abort the run.
+  // to every expanded RunPoint in order after plan expansion.  See
+  // scenario/overrides.hpp for the key catalog; unknown keys, malformed
+  // values and values WorkloadConfig::validate() refuses abort the run.
   std::vector<std::string> param_overrides;
 
   // --- observability attachments (obs/), all off by default.  None of

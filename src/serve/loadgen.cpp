@@ -321,7 +321,7 @@ trace::JsonValue load_result_json(const LoadResult& result) {
   config["cooldown_s"] = result.cooldown_s;
   config["measure_window_s"] = result.measure_window_s;
   config["connections"] = result.connections;
-  config["seed"] = static_cast<double>(result.seed);
+  config["seed"] = trace::JsonValue::from_uint64(result.seed);
   json["config"] = std::move(config);
 
   trace::JsonValue volume = trace::JsonValue::object();

@@ -107,7 +107,8 @@ struct LoadResult {
 
 // Machine-readable report (format "sss.load-report/1"): config echo,
 // volume counters, achieved-vs-offered, exact percentiles.  The reservoir
-// itself is summarized, not dumped.
+// itself is summarized, not dumped.  The seed is a decimal string
+// (JsonValue::from_uint64), so any 64-bit seed reads back exactly.
 [[nodiscard]] trace::JsonValue load_result_json(const LoadResult& result);
 
 // One CSV row per rate for the latency-vs-throughput curve; header first.

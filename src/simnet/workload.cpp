@@ -127,6 +127,18 @@ World normalize(const WorkloadConfig& config) {
   return world;
 }
 
+void require(bool holds, const char* rule) {
+  if (!holds) throw std::invalid_argument(rule);
+}
+
+// `rule` of list entry `index` ("storm 1 load must be >= 0"); the message is
+// built only when the rule breaks.
+void require(bool holds, const char* list, std::size_t index, const char* rule) {
+  if (!holds) {
+    throw std::invalid_argument(std::string(list) + " " + std::to_string(index) + " " + rule);
+  }
+}
+
 }  // namespace
 
 std::vector<LinkConfig> WorkloadConfig::effective_hops() const {
@@ -151,27 +163,17 @@ units::Seconds WorkloadConfig::theoretical_transfer_time() const {
   return transfer_size / bottleneck_capacity();
 }
 
+// One rule per field; each is written so that NaN breaks it.
 void WorkloadConfig::validate() const {
-  if (!(duration.seconds() > 0.0)) throw std::invalid_argument("duration must be > 0");
-  if (concurrency < 1) throw std::invalid_argument("concurrency must be >= 1");
-  if (parallel_flows < 1) throw std::invalid_argument("parallel_flows must be >= 1");
-  if (!(transfer_size.bytes() > 0.0)) {
-    throw std::invalid_argument("transfer_size must be > 0");
-  }
-  if (!(drain_timeout.seconds() > 0.0)) {
-    throw std::invalid_argument("drain_timeout must be > 0");
-  }
-  if (background_load < 0.0) {
-    throw std::invalid_argument("background_load must be >= 0");
-  }
-  if (background_load > 0.0 && !(background_mean_flow_size.bytes() > 0.0)) {
-    throw std::invalid_argument("background_mean_flow_size must be > 0");
-  }
-  for (const LinkConfig& hop : path_hops) {
-    if (!hop.capacity.is_positive()) {
-      throw std::invalid_argument("path hop '" + hop.name + "' capacity must be > 0");
-    }
-  }
+  require(duration.seconds() > 0.0, "duration must be > 0");
+  require(concurrency >= 1, "concurrency must be >= 1");
+  require(parallel_flows >= 1, "parallel_flows must be >= 1");
+  require(transfer_size.bytes() > 0.0, "transfer_size must be > 0");
+  require(start_jitter.seconds() >= 0.0, "start_jitter must be >= 0");
+  require(drain_timeout.seconds() > 0.0, "drain_timeout must be > 0");
+  require(background_load >= 0.0, "background_load must be >= 0");
+  require(background_mean_flow_size.bytes() > 0.0, "background_mean_flow_size must be > 0");
+  require(background_pareto_shape >= 0.0, "background_pareto_shape must be >= 0");
   if (!topology.empty() && !path_hops.empty()) {
     throw std::invalid_argument(
         "topology and path_hops are mutually exclusive (the topology's route "
@@ -184,19 +186,11 @@ void WorkloadConfig::validate() const {
     throw std::invalid_argument(
         "sched_policy requires facility tenants (tenant0_src=... etc.)");
   }
-  if (scheduler.slots < 1) throw std::invalid_argument("scheduler slots must be >= 1");
-  if (!(scheduler.deadline_s > 0.0)) {
-    throw std::invalid_argument("scheduler deadline_s must be > 0");
-  }
-  if (!(scheduler.burst_window_s > 0.0)) {
-    throw std::invalid_argument("scheduler burst_window_s must be > 0");
-  }
-  if (scheduler.burst_limit < 1) {
-    throw std::invalid_argument("scheduler burst_limit must be >= 1");
-  }
-  if (scheduler.backoff_s < 0.0) {
-    throw std::invalid_argument("scheduler backoff_s must be >= 0");
-  }
+  require(scheduler.slots >= 1, "scheduler slots must be >= 1");
+  require(scheduler.deadline_s > 0.0, "scheduler deadline_s must be > 0");
+  require(scheduler.burst_window_s > 0.0, "scheduler burst_window_s must be > 0");
+  require(scheduler.burst_limit >= 1, "scheduler burst_limit must be >= 1");
+  require(scheduler.backoff_s >= 0.0, "scheduler backoff_s must be >= 0");
   if (!topology.empty()) {
     // Constructing the Topology validates the graph; routing every tenant
     // surfaces a typo'd endpoint here, with the named-endpoint message,
@@ -209,46 +203,40 @@ void WorkloadConfig::validate() const {
     }
     for (std::size_t j = 0; j < tenants.size(); ++j) {
       const TenantSpec& tenant = tenants[j];
-      const std::string label = "tenant " + std::to_string(j);
-      if (tenant.concurrency < 0) {
-        throw std::invalid_argument(label + " concurrency must be >= 0");
-      }
-      if (tenant.deadline_s < 0.0) {
-        throw std::invalid_argument(label + " deadline_s must be >= 0");
-      }
-      if (tenant.transfer_size.bytes() < 0.0) {
-        throw std::invalid_argument(label + " transfer_size must be >= 0");
-      }
+      require(tenant.concurrency >= 0, "tenant", j, "concurrency must be >= 0");
+      require(tenant.transfer_size.bytes() >= 0.0, "tenant", j, "transfer_size must be >= 0");
+      require(tenant.deadline_s >= 0.0, "tenant", j, "deadline_s must be >= 0");
       const std::string& src = tenant.src.empty() ? topo.config().source : tenant.src;
       const std::string& dst = tenant.dst.empty() ? topo.config().sink : tenant.dst;
       (void)topo.route(src, dst);
     }
   }
-  const auto hop_count = static_cast<int>(effective_hops().size());
-  for (const HopCrossTraffic& x : hop_cross_traffic) {
-    if (x.hop < 0 || x.hop >= hop_count) {
-      throw std::invalid_argument("hop_cross_traffic hop index out of range");
-    }
-    if (x.load < 0.0) throw std::invalid_argument("hop_cross_traffic load must be >= 0");
-    if (x.load > 0.0 && !(x.mean_flow_size.bytes() > 0.0)) {
-      throw std::invalid_argument("hop_cross_traffic mean_flow_size must be > 0");
-    }
-    if (x.load > 0.0 && (x.start.seconds() < 0.0 || x.start >= x.until)) {
-      throw std::invalid_argument("hop_cross_traffic needs 0 <= start < until");
-    }
+  const std::vector<LinkConfig> hops = effective_hops();
+  for (std::size_t h = 0; h < hops.size(); ++h) {
+    const LinkConfig& hop = hops[h];
+    require(!hop.name.empty(), "hop", h, "name must not be empty");
+    require(hop.capacity.bps() > 0.0, "hop", h, "capacity must be > 0");
+    require(hop.propagation_delay.seconds() > 0.0, "hop", h, "propagation_delay must be > 0");
+    require(hop.buffer.bytes() >= 0.0, "hop", h, "buffer must be >= 0");
   }
-  if (!(calibration.operating_util > 0.0)) {
-    throw std::invalid_argument("calibration operating_util must be > 0");
+  for (std::size_t j = 0; j < hop_cross_traffic.size(); ++j) {
+    const HopCrossTraffic& storm = hop_cross_traffic[j];
+    require(storm.hop >= 0 && static_cast<std::size_t>(storm.hop) < hops.size(), "storm", j,
+            "hop must index a hop of the path");
+    require(storm.load >= 0.0, "storm", j, "load must be >= 0");
+    require(storm.start.seconds() >= 0.0, "storm", j, "start must be >= 0");
+    require(storm.until.seconds() >= 0.0, "storm", j, "until must be >= 0");
+    require(storm.load == 0.0 || storm.start < storm.until, "storm", j,
+            "with load > 0 needs start < until");
+    require(storm.mean_flow_size.bytes() > 0.0, "storm", j, "mean_flow_size must be > 0");
+    require(storm.pareto_shape >= 0.0, "storm", j, "pareto_shape must be >= 0");
   }
-  if (!(calibration.true_alpha > 0.0) || calibration.true_alpha > 1.0) {
-    throw std::invalid_argument("calibration true_alpha must be in (0, 1]");
-  }
-  if (!(calibration.true_theta >= 1.0)) {
-    throw std::invalid_argument("calibration true_theta must be >= 1");
-  }
-  if (calibration.congestion_slope < 0.0) {
-    throw std::invalid_argument("calibration congestion_slope must be >= 0");
-  }
+  require(calibration.operating_util > 0.0, "calibration operating_util must be > 0");
+  require(calibration.true_alpha > 0.0 && calibration.true_alpha <= 1.0,
+          "calibration true_alpha must be in (0, 1]");
+  require(calibration.true_theta >= 1.0, "calibration true_theta must be >= 1");
+  require(calibration.congestion_slope >= 0.0, "calibration congestion_slope must be >= 0");
+  require(storage.zipf_skew >= 0.0, "storage zipf_skew must be >= 0");
 }
 
 std::vector<double> requested_arrival_times(const WorkloadConfig& config,

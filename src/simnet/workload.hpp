@@ -194,6 +194,10 @@ struct WorkloadConfig {
   // Ideal transfer time for one client at full bottleneck rate — the
   // paper's T_theoretical (0.16 s for 0.5 GB at 25 Gbps).
   [[nodiscard]] units::Seconds theoretical_transfer_time() const;
+  // Every range rule on these fields, in one place: throws
+  // std::invalid_argument naming the first broken rule.  The text routes
+  // (--param, plan axes, plan-JSON `base`) only parse; scenario execution
+  // calls this on every cell before any cell runs.
   void validate() const;
 };
 

@@ -294,6 +294,22 @@ TEST(ShardCliValidation, SliceOfReducingScenarioIsRefusedBeforeAnyOutput) {
   }
 }
 
+// A scenario with no grid still refuses a bad --param: an unknown key or an
+// out-of-range value fails with exit 1 and a named error, as on a grid.
+TEST(ParamCli, ScenarioWithNoGridRefusesABadParam) {
+  for (const auto& [kv, expected] :
+       {std::pair<std::string, std::string>{"nonsense=1", "unknown key 'nonsense'"},
+        {"concurrency=0", "concurrency must be >= 1"}}) {
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const int status = run_cli({"--run", "quickstart", "--quiet", "--param", kv});
+    ::testing::internal::GetCapturedStdout();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(status, 1) << kv;
+    EXPECT_NE(err.find(expected), std::string::npos) << kv << ": " << err;
+  }
+}
+
 // Every slice names its part <scenario>.cells<A>-<B>of<N>.csv, so a --shard
 // part and a --cells part of one grid merge into the whole-grid table.
 TEST(SliceParts, ShardAndCellsPartsMergeToTheWholeGrid) {

@@ -116,7 +116,7 @@ TEST(PlanGolden, OutOfRangeIntegerNamesSectionAndField) {
   const std::string text = spec->plan->to_json_text();
   for (const auto& [field, bad, expected] :
        {std::tuple<std::string, std::string, std::string>{
-            "\"slots\": 2", "\"slots\": 0", "scheduler slots"},
+            "\"slots\": 2", "\"slots\": 2e9", "scheduler slots"},
         {"\"concurrency\": 2,", "\"concurrency\": 0.5,", "tenant concurrency"},
         {"\"mss_bytes\": 8948", "\"mss_bytes\": -1", "mss_bytes"}}) {
     std::string mutated = text;

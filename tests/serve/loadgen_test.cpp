@@ -113,6 +113,16 @@ TEST(LoadConfigValidationTest, RejectsNonsenseConfigs) {
   EXPECT_THROW((void)run_load(config), std::exception);
 }
 
+// The report names the run's seed exactly, past 2^53 too, in the uint64
+// codec plan, manifest and ledger JSON share.
+TEST(LoadReportJson, SeedRoundTripsExactly) {
+  LoadResult result;
+  result.seed = (std::uint64_t{1} << 60) + 3;
+  const trace::JsonValue reparsed =
+      trace::JsonValue::parse(load_result_json(result).dump(2));
+  EXPECT_EQ(reparsed.find("config")->find("seed")->as_uint64(), result.seed);
+}
+
 class LoadgenEndToEndTest : public ::testing::Test {
  protected:
   void SetUp() override {
