@@ -194,7 +194,6 @@ ScenarioSpec fig4_spec() {
       if (kv.rfind("substrate=", 0) == 0) continue;
       (void)apply_param_override(knobs, kv);
     }
-    knobs.validate();
     storage::StagedTransferConfig staged_cfg;  // GPFS -> WAN -> Lustre presets
     staged_cfg.object_popularity_skew = knobs.storage.zipf_skew;
     storage::StreamTransferConfig stream_cfg;
