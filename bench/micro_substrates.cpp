@@ -80,10 +80,11 @@ void BM_LinkTransmit(benchmark::State& state) {
   simnet::LinkConfig cfg;
   cfg.buffer = units::Bytes::gigabytes(1.0);  // never drop in the microbench
   simnet::Link link(cfg);
+  const simnet::RouteStep to_sink{nullptr, &sink};
   simnet::Packet p;
   p.size_bytes = 9000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(link.transmit(sim, p, sink));
+    benchmark::DoNotOptimize(link.transmit(sim, p, &to_sink));
     if (sim.events_scheduled() > 1'000'000) {
       state.PauseTiming();
       sim.run();
@@ -103,8 +104,9 @@ void BM_BusyLinkDispatch(benchmark::State& state) {
   // Items = deliveries.
   struct Loopback : simnet::PacketSink {
     simnet::Link* link = nullptr;
+    simnet::RouteStep back{nullptr, this};
     void on_packet(simnet::Simulation& sim, const simnet::Packet& packet) override {
-      (void)link->transmit(sim, packet, *this);
+      (void)link->transmit(sim, packet, &back);
     }
   };
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -118,7 +120,7 @@ void BM_BusyLinkDispatch(benchmark::State& state) {
     cfg.propagation_delay = units::Seconds::of(1e-6 + 1e-9 * static_cast<double>(i));
     links.push_back(std::make_unique<simnet::Link>(cfg));
     sinks[i].link = links.back().get();
-    for (int k = 0; k < 2; ++k) (void)links[i]->transmit(sim, packet, sinks[i]);
+    for (int k = 0; k < 2; ++k) (void)links[i]->transmit(sim, packet, &sinks[i].back);
   }
   // One round: every link delivers once.  Each iteration runs 64 rounds
   // the way Workload::drive runs to its deadline.

@@ -42,12 +42,18 @@ struct Text {
 };
 
 // The single-link keys silently do nothing on topology runs (effective_hops
-// ignores config.link once path_hops is set) — reject them instead, in the
-// same spirit as unknown keys.
+// ignores config.link once path_hops or a topology preset is set) — reject
+// them instead, in the same spirit as unknown keys.
 const Text& single_link(const Config& config, const Text& text) {
+  const std::string key = text.kv.substr(0, text.kv.find('='));
+  if (!config.topology.empty()) {
+    throw std::invalid_argument("--param " + text.kv + ": '" + key +
+                                "' targets the single link, but this run uses the '" +
+                                config.topology +
+                                "' topology preset, whose links come from the preset");
+  }
   if (!config.path_hops.empty()) {
-    throw std::invalid_argument("--param " + text.kv + ": '" +
-                                text.kv.substr(0, text.kv.find('=')) +
+    throw std::invalid_argument("--param " + text.kv + ": '" + key +
                                 "' targets the single link, but this run uses a " +
                                 std::to_string(config.path_hops.size()) +
                                 "-hop path (use hop<k>_gbps)");
@@ -141,20 +147,20 @@ const ParamBinding kBindings[] = {
      }},
 };
 
-// storm<j>_* and tenant<j>_* auto-extend their list to index j.  The
-// generous bound catches typo'd or hostile indices before they turn into a
-// multi-gigabyte resize.
-constexpr std::size_t kMaxListIndex = 63;
-
+// storm<j>_* and tenant<j>_* reach an entry of the list or append the next
+// one; an index past that would leave entries no key set, so it is refused
+// with the index that is missing.
 template <class Item>
-Item& list_item(std::vector<Item>& items, const Text& text, std::string_view list,
+Item& list_item(std::vector<Item>& items, const Text& text, const std::string& list,
                 std::size_t index) {
-  if (index > kMaxListIndex) {
-    throw std::invalid_argument("--param " + text.kv + ": " + std::string(list) + " index " +
-                                std::to_string(index) + " exceeds the limit of " +
-                                std::to_string(kMaxListIndex));
+  if (index > items.size()) {
+    const std::string missing = std::to_string(items.size());
+    throw std::invalid_argument("--param " + text.kv + ": " + list + " " +
+                                std::to_string(index) + " skips " + list + " " + missing +
+                                ", which this run does not define (set " + list + missing +
+                                "_* first)");
   }
-  if (items.size() <= index) items.resize(index + 1);
+  if (index == items.size()) items.emplace_back();
   return items[index];
 }
 

@@ -13,9 +13,10 @@
 //
 // The table only parses.  Values go through the shared strict parsers
 // (trace/parse.hpp), so trailing garbage raises std::invalid_argument
-// rather than being silently truncated; enum spellings, unknown keys, the
-// storm/tenant index limit (63), a hop<k> past the path and a single-link
-// key on a multi-hop run are refused here too.  Every RANGE rule is
+// rather than being silently truncated; enum spellings, unknown keys, a
+// storm<j>/tenant<j> index past the next free entry, a hop<k> past the path
+// and a single-link key on a multi-hop or topology-preset run are refused
+// here too.  Every RANGE rule is
 // WorkloadConfig::validate()'s (simnet/workload.hpp), which execute_scenario
 // runs on every cell before any cell starts, whichever of the three paths
 // set the value.  The bounds below are validate()'s.
@@ -30,8 +31,8 @@
 //   transfer_size_mb=<double > 0> per-client transfer size
 //   transfer_size_bytes=<double > 0>  same, in exact bytes (plan files)
 //   link_gbps=<double > 0>        single-link capacity (config.link;
-//                                 rejected on multi-hop runs — use
-//                                 hop<k>_gbps there)
+//                                 rejected on multi-hop and topology-preset
+//                                 runs — use hop<k>_gbps on multi-hop ones)
 //   rtt_ms=<double > 0>           single-link RTT (one-way = rtt/2;
 //                                 single-link runs only)
 //   buffer_mb=<double >= 0>       single-link drop-tail buffer
@@ -46,7 +47,8 @@
 //   background_shape=<double >= 0>    background Pareto tail shape
 //                                 (<= 1 falls back to exponential sizes)
 //   storm<j>_hop=<int in [0, hops)>   hop index of windowed cross-traffic
-//                                 storm j (storms auto-extend to j+1)
+//                                 storm j (j may name the next storm past
+//                                 the list, which appends it)
 //   storm<j>_load=<double >= 0>   storm load, fraction of its hop capacity
 //   storm<j>_start_s=<double >= 0>  storm window start (scale-1 seconds)
 //   storm<j>_until_s=<double >= 0>  storm window end (scale-1 seconds;
@@ -67,9 +69,9 @@
 //                                 scenarios spread bytes across files with
 //                                 weight 1/rank^s)
 //   topology=<preset name>        topology preset ('' = none)
-//   tenant<j>_name|src|dst=<string>   facility tenant j (tenants
-//                                 auto-extend to j+1; src/dst must be
-//                                 nodes of the topology)
+//   tenant<j>_name|src|dst=<string>   facility tenant j (j may name the
+//                                 next tenant, which appends it; src/dst
+//                                 must be nodes of the topology)
 //   tenant<j>_concurrency=<int >= 0>  (0 = inherit concurrency)
 //   tenant<j>_size_mb=<double >= 0>   (0 = inherit transfer size)
 //   tenant<j>_deadline_s=<double >= 0>  (0 = inherit sched_deadline_s)

@@ -46,6 +46,10 @@ void BackgroundTraffic::schedule(Simulation& sim) {
                                  (config_.pareto_shape - 1.0) / config_.pareto_shape
                            : 0.0;
 
+  // The largest flow: kMaxFlowPackets full packets (exact in a double).
+  const double max_bytes =
+      static_cast<double>(kMaxFlowPackets) * static_cast<double>(config_.tcp.mss_bytes);
+
   double t = config_.start.seconds();
   // Background flows get IDs in a high range to avoid confusing them with
   // foreground clients in logs.
@@ -56,7 +60,8 @@ void BackgroundTraffic::schedule(Simulation& sim) {
     if (t >= config_.until.seconds()) break;
     const double size = heavy ? rng.pareto(x_m, config_.pareto_shape)
                               : config_.mean_flow_size.bytes() * rng.exponential(1.0);
-    const double clamped = std::max(size, 1500.0);  // at least one packet
+    // At least one packet, and at most the packets one flow may number.
+    const double clamped = std::min(std::max(size, 1500.0), max_bytes);
     bytes_offered_ += clamped;
 
     flows_.push_back(alloc.new_object<TcpFlow>(id++, units::Bytes::of(clamped),

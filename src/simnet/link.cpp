@@ -28,8 +28,8 @@ Link::Link(LinkConfig config, std::pmr::memory_resource* mem)
   // The in-flight record is the per-packet, per-hop cost: each link streams
   // one ring of them, written at transmit and read at delivery, so every
   // byte added here is L2 traffic paid by every packet on every hop.
-  static_assert(sizeof(Packet) == 24, "Packet rides in every in-flight record");
-  static_assert(sizeof(InFlight) == 56, "one 56-byte in-flight record per packet per hop");
+  static_assert(sizeof(Packet) == 16, "Packet rides in every in-flight record");
+  static_assert(sizeof(InFlight) == 40, "one 40-byte in-flight record per packet per hop");
   if (!config_.capacity.is_positive()) {
     throw std::invalid_argument("Link capacity must be positive");
   }
@@ -65,8 +65,7 @@ double Link::backlog_bytes(SimTime now) const {
   return backlog_seconds * config_.capacity.bps();
 }
 
-bool Link::transmit(Simulation& sim, const Packet& packet, PacketSink& destination,
-                    Link* const* route) {
+bool Link::transmit(Simulation& sim, const Packet& packet, const RouteStep* next) {
   ++counters_.packets_offered;
   counters_.bytes_offered += packet.size_bytes;
 
@@ -99,7 +98,21 @@ bool Link::transmit(Simulation& sim, const Packet& packet, PacketSink& destinati
   // packet waits behind others in the ring.
   const SimTime arrival = busy_until_ + propagation_ns_;
   const std::uint64_t seq = sim.reserve_event_seq();
-  in_flight_.push_back(InFlight{arrival, seq, packet, &destination, route});
+  InFlight* slot;
+  if (!in_flight_.full()) [[likely]] {
+    slot = &in_flight_.push_slot();
+    slot->packet = packet;
+  } else {
+    // Growth moves the slab, and `packet` may lie in it: a sink handed this
+    // link's front packet can transmit that very reference back onto the
+    // link.  Copy it off the slab first.
+    const Packet copy = packet;
+    slot = &in_flight_.push_slot();
+    slot->packet = copy;
+  }
+  slot->arrival = arrival;
+  slot->seq = seq;
+  slot->next = next;
   if (!delivery_pending_) {
     delivery_pending_ = true;
     sim.arm_link(*this, arrival, seq);
@@ -109,15 +122,17 @@ bool Link::transmit(Simulation& sim, const Packet& packet, PacketSink& destinati
 
 void Link::deliver(Simulation& sim) {
   const obs::ScopedPhase phase(obs::Phase::kLinkDrain);
-  // Hand a delivered packet on: transmit it onto the next hop of its route
-  // (a drop there is silent — the sender discovers it through duplicate
-  // ACKs or RTO), or give it to its sink after the last hop.
+  // Hand the front packet on where it lies in the ring: transmit it onto
+  // the next link of its route (a drop there is silent — the sender
+  // discovers it through duplicate ACKs or RTO), or give it to its sink
+  // after the last hop.  Its slot is dropped only after the hand-off
+  // returns, so a transmit back onto this link never reuses it.
   const auto hand_off = [&sim](const InFlight& entry) {
-    if (entry.route == nullptr) {
-      entry.sink->on_packet(sim, entry.packet);
+    const RouteStep* const next = entry.next;
+    if (next->link == nullptr) {
+      next->sink->on_packet(sim, entry.packet);
     } else {
-      (void)entry.route[0]->transmit(sim, entry.packet, *entry.sink,
-                                     entry.route[1] != nullptr ? entry.route + 1 : nullptr);
+      (void)next->link->transmit(sim, entry.packet, next + 1);
     }
   };
   // Deliver the front packet, then keep delivering for as long as the next
@@ -126,16 +141,17 @@ void Link::deliver(Simulation& sim) {
   // continue_drain advances the clock and the processed count, so dispatch
   // order, timestamps, and event counts are those of one event per packet.
   for (;;) {
-    const InFlight entry = in_flight_.pop_front();
-    if (in_flight_.empty()) {
-      // Drained: leave the busy ring BEFORE the packet is handed on, so a
+    if (in_flight_.size() == 1) {
+      // Draining: leave the busy ring BEFORE the packet is handed on, so a
       // transmit() back onto this link arms a fresh delivery.
       delivery_pending_ = false;
       sim.retire_link();
-      hand_off(entry);
+      hand_off(in_flight_.front());
+      in_flight_.drop_front();
       return;
     }
-    hand_off(entry);
+    hand_off(in_flight_.front());
+    in_flight_.drop_front();
     const InFlight& next = in_flight_.front();
     if (!sim.continue_drain(next.arrival, next.seq)) return;
   }

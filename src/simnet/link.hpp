@@ -14,12 +14,15 @@
 // the packet-level TCP simulator run Table-2 scale sweeps (tens of millions
 // of packets) in seconds.
 //
-// In-flight state is one FIFO ring of records, one per accepted packet:
-// its delivery key, the packet, its final sink, and its route continuation
-// (the hops still ahead, see Path).  At delivery a packet with hops ahead
-// is transmitted straight onto the next one; otherwise its sink receives
-// it.  One ring means one stream of cache lines per link, written at
-// transmit and read once at delivery.
+// In-flight state is one FIFO ring of 40-byte records, one per accepted
+// packet: its delivery key, the 16-byte packet, and the next step of its
+// route (a RouteStep the sending flow owns: the link that carries it on,
+// or the sink that receives it).  transmit() fills the record in a slot
+// at the ring's back; deliver() hands the packet on from the front slot
+// where it lies and only then drops the slot.  So each record is written
+// once and read once, and no packet travels through a temporary on any
+// hop — the one exception is a transmit that grows the ring, which first
+// copies its packet off the slab it may point into.
 //
 // Determinism: each accepted packet reserves its event sequence number at
 // transmit time (Simulation::reserve_event_seq), so every delivery carries
@@ -33,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory_resource>
 #include <string>
 #include <vector>
@@ -49,23 +53,48 @@ class TimelineRecorder;  // obs/timeline.hpp — forward-declared: the probe is
 namespace sss::simnet {
 
 struct Packet {
+  // Original transmission timestamp, echoed by ACKs for RTT sampling.
+  SimTime sent_at = 0;
   // Data packets: packet index within the flow.  ACKs: cumulative index of
-  // the next expected packet.
-  std::uint64_t seq = 0;
-  std::uint32_t size_bytes = 0;
+  // the next expected packet.  A flow has at most 2^32 - 1 packets
+  // (WorkloadConfig::validate, TcpFlow), so both fit.
+  std::uint32_t seq = 0;
+  // Wire bytes, headers included: at most 65535, the IPv4 total-length
+  // ceiling.
+  std::uint16_t size_bytes = 0;
   bool is_ack = false;
   // Set on retransmitted data packets and echoed on the ACKs they trigger,
   // so the sender can apply Karn's rule (skip RTT samples for retransmits).
   bool retransmit = false;
-  // Original transmission timestamp, echoed by ACKs for RTT sampling.
-  SimTime sent_at = 0;
 };
 
-// Endpoint interface: flows implement this to receive packets.
+// Ceilings the narrow Packet fields set: the largest wire size of one
+// packet, and the most packets one flow may number.
+inline constexpr std::uint32_t kMaxPacketBytes =
+    std::numeric_limits<decltype(Packet::size_bytes)>::max();
+inline constexpr std::uint64_t kMaxFlowPackets =
+    std::numeric_limits<decltype(Packet::seq)>::max();
+
+// Endpoint interface: flows implement this to receive packets.  `packet`
+// lies in the delivering link's in-flight ring.  Passing it to transmit()
+// is safe, but once anything went back onto that same link the ring may
+// have grown under the reference: read what you need first.
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void on_packet(Simulation& sim, const Packet& packet) = 0;
+};
+
+class Link;
+
+// One step of a packet's route after a hop: the link that carries it on,
+// or, where `link` is null, the sink that receives it.  A sender keeps its
+// route as an array of steps, one per hop and then the sink's; each
+// in-flight record points at the step after its own hop, so the array must
+// outlive the sender's packets in flight.
+struct RouteStep {
+  Link* link = nullptr;
+  PacketSink* sink = nullptr;
 };
 
 struct LinkConfig {
@@ -103,14 +132,11 @@ class Link final {
   explicit Link(LinkConfig config,
                 std::pmr::memory_resource* mem = std::pmr::get_default_resource());
 
-  // Offer a packet for transmission toward `destination`.  Returns false if
-  // the drop-tail queue rejected it (the packet is silently lost, as on a
-  // real switch; senders learn via duplicate ACKs or RTO).  `route` is the
-  // rest of the packet's path: the hops after this one in a null-terminated
-  // array that outlives the packet (Path owns it), or null when this is the
-  // last hop and delivery goes to `destination`.
-  bool transmit(Simulation& sim, const Packet& packet, PacketSink& destination,
-                Link* const* route = nullptr);
+  // Offer a packet for transmission; after this hop it goes on to `next`
+  // (see RouteStep).  Returns false if the drop-tail queue rejected it (the
+  // packet is silently lost, as on a real switch; senders learn via
+  // duplicate ACKs or RTO).
+  bool transmit(Simulation& sim, const Packet& packet, const RouteStep* next);
 
   [[nodiscard]] const LinkConfig& config() const { return config_; }
   [[nodiscard]] const LinkCounters& counters() const { return counters_; }
@@ -122,7 +148,8 @@ class Link final {
   // last one a packet started in, idle buckets included.
   [[nodiscard]] double mean_utilization() const;
   [[nodiscard]] double loss_rate() const;
-  // Packets accepted but not yet delivered (wire + propagation).
+  // Packets accepted but not yet handed off (wire + propagation); one being
+  // handed off counts until its hand-off returns.
   [[nodiscard]] std::size_t in_flight_count() const { return in_flight_.size(); }
   // True while packets are in flight (the link holds a busy-link entry).
   [[nodiscard]] bool delivery_pending() const { return delivery_pending_; }
@@ -141,13 +168,12 @@ class Link final {
   // pending one.
   void deliver(Simulation& sim);
 
-  // One accepted packet, from transmit until delivery.
+  // One accepted packet, from transmit until its hand-off.
   struct InFlight {
-    SimTime arrival = 0;          // precomputed delivery time
-    std::uint64_t seq = 0;        // event sequence reserved at transmit
+    SimTime arrival = 0;              // precomputed delivery time
+    std::uint64_t seq = 0;            // event sequence reserved at transmit
     Packet packet;
-    PacketSink* sink = nullptr;   // final destination, after the last hop
-    Link* const* route = nullptr; // hops still ahead (null: deliver to sink)
+    const RouteStep* next = nullptr;  // where the packet goes after this hop
   };
 
   LinkConfig config_;
@@ -159,7 +185,7 @@ class Link final {
   // distinct packet sizes (MSS data + fixed-size ACKs), so the double
   // division in transmission_time is paid once per distinct size, not once
   // per packet.  Same function, same operands — bit-identical times.
-  std::uint32_t memo_size_bytes_ = 0;
+  std::uint16_t memo_size_bytes_ = 0;
   SimTime memo_tx_ = 0;
   RingBuffer<InFlight> in_flight_;
   bool delivery_pending_ = false;

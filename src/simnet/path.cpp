@@ -8,24 +8,24 @@ Path::Path(const std::vector<LinkConfig>& hops, std::pmr::memory_resource* mem)
     : mem_(mem), owned_(mem), hops_(mem) {
   if (hops.empty()) throw std::invalid_argument("Path: need at least one hop");
   owned_.reserve(hops.size());
-  hops_.reserve(hops.size() + 1);
+  hops_.reserve(hops.size());
   std::pmr::polymorphic_allocator<> alloc(mem_);
   for (const LinkConfig& cfg : hops) {
     owned_.push_back(alloc.new_object<Link>(cfg, mem_));
     hops_.push_back(owned_.back());
   }
-  init_route();
+  cache_route_facts();
 }
 
 Path::Path(const std::vector<Link*>& hops, std::pmr::memory_resource* mem)
     : mem_(mem), owned_(mem), hops_(mem) {
   if (hops.empty()) throw std::invalid_argument("Path: need at least one hop");
-  hops_.reserve(hops.size() + 1);
+  hops_.reserve(hops.size());
   for (Link* link : hops) {
     if (link == nullptr) throw std::invalid_argument("Path: null hop");
     hops_.push_back(link);
   }
-  init_route();
+  cache_route_facts();
 }
 
 Path::~Path() {
@@ -35,7 +35,7 @@ Path::~Path() {
   for (Link* link : owned_) alloc.delete_object(link);
 }
 
-void Path::init_route() {
+void Path::cache_route_facts() {
   // Hop configs are immutable after construction, so the bottleneck index
   // and summed delay — queried per ACK by TcpFlow's auto-window and per
   // evaluation by the decision layer — are computed exactly once.
@@ -47,14 +47,6 @@ void Path::init_route() {
   for (const Link* link : hops_) {
     total_propagation_delay_ += link->config().propagation_delay;
   }
-  hops_.push_back(nullptr);
-}
-
-bool Path::transmit(Simulation& sim, const Packet& packet, PacketSink& destination) {
-  // A one-hop path passes no route: the exact pre-topology call sequence
-  // (bit-identical behaviour).
-  return hops_[0]->transmit(sim, packet, destination,
-                            hops_[1] != nullptr ? &hops_[1] : nullptr);
 }
 
 double Path::aggregate_loss_rate() const {

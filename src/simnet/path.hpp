@@ -5,19 +5,16 @@
 // Every hop keeps its own FIFO serializer, drop-tail buffer, and
 // LinkCounters, so "which hop saturates first" is directly observable.
 //
-// Mechanics: the route rides with the packet.  The Path keeps its hops in
-// a null-terminated Link* array; a packet enters hop 0 carrying its final
-// PacketSink and a pointer to the hops still ahead.  When hop h delivers
-// it, the link transmits it straight onto hop h+1 (at the delivery instant,
-// with the rest of the route), and the final hop hands it to the sink.
-// Lifetime: a Path must outlive its packets in flight, since their
-// in-flight records point into its hop array.
-//
-// Regression guarantee: a ONE-hop Path calls Link::transmit directly with
-// the final destination — the exact call sequence of the pre-topology
-// single-link simulator — so one-hop runs are bit-identical to the old
-// `TcpFlow(…, Link&, Link&)` behaviour (pinned by the golden scenario test
-// and tests/simnet/path_test.cpp).
+// Mechanics: the Path only owns (or borrows) the hops and caches their
+// bottleneck and summed delay; it forwards nothing itself.  A sender turns
+// it into a route of RouteSteps (see simnet/link.hpp): one step per hop,
+// then the sink.  A packet enters hop 0 pointing at step 1; when hop h
+// delivers it, the link transmits it straight onto hop h+1 (at the
+// delivery instant, pointing one step further), and the final step hands
+// it to the sink.  A one-hop route is hop 0 then the sink: the exact call
+// sequence of the pre-topology single-link simulator, so one-hop runs are
+// bit-identical to the old `TcpFlow(…, Link&, Link&)` behaviour (pinned by
+// the golden scenario test and tests/simnet/path_test.cpp).
 //
 // A drop at ANY hop is silent for the sender, exactly like a mid-path
 // switch: the packet simply never arrives and TCP discovers the loss via
@@ -52,12 +49,7 @@ class Path {
   Path(const Path&) = delete;
   Path& operator=(const Path&) = delete;
 
-  // Offer a packet at the first hop, destined for `destination` after the
-  // last hop.  Returns false if the FIRST hop's drop-tail queue rejected it;
-  // later-hop drops are invisible to the caller (as on a real path).
-  bool transmit(Simulation& sim, const Packet& packet, PacketSink& destination);
-
-  [[nodiscard]] std::size_t hop_count() const { return hops_.size() - 1; }
+  [[nodiscard]] std::size_t hop_count() const { return hops_.size(); }
   [[nodiscard]] Link& hop(std::size_t i) { return *hops_[i]; }
   [[nodiscard]] const Link& hop(std::size_t i) const { return *hops_[i]; }
 
@@ -83,14 +75,12 @@ class Path {
   [[nodiscard]] std::uint64_t packets_dropped_total() const;
 
  private:
-  // Null-terminate the hop array and cache the bottleneck/delay (both ctors).
-  void init_route();
+  // Cache the bottleneck index and summed delay (both ctors).
+  void cache_route_facts();
 
   std::pmr::memory_resource* mem_;
   std::pmr::vector<Link*> owned_;  // allocated from mem_; destroyed in ~Path
-  // The route: every hop in order, then a null terminator.  In-flight
-  // packets point into it (Link::transmit's `route`).
-  std::pmr::vector<Link*> hops_;
+  std::pmr::vector<Link*> hops_;  // every hop, in order
   std::size_t bottleneck_hop_ = 0;
   units::Seconds total_propagation_delay_ = units::Seconds::of(0.0);
 };

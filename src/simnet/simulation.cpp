@@ -13,6 +13,7 @@ void Simulation::schedule_at(SimTime at, EventHandler& handler, int kind, std::u
                              std::uint64_t b) {
   if (at < now_) throw std::invalid_argument("Simulation: cannot schedule in the past");
   queue_.schedule(at, handler, kind, a, b);
+  refresh_stop_key();
   ++pending_;
   note_pending();
 }
@@ -56,22 +57,27 @@ void Simulation::insert_busy(SimTime at, std::uint64_t seq, Link* link) {
 }
 
 bool Simulation::step() {
-  if (busy_count_ != 0 && front_link_precedes_queue()) {
+  // The earliest pending key dispatches, horizon or not: the horizon only
+  // ends a run of deliveries.
+  if (busy_count_ != 0 &&
+      (queue_.empty() || before(busy(0).at, busy(0).seq, queue_.front().at,
+                                queue_.front().seq))) {
     // Dispatch link deliveries back to back while the ring's front precedes
-    // the control queue and the batch horizon: a hand-off from one link to
-    // the next never returns through the driver's loop.  The link stops
-    // counting as pending while its sink runs.
+    // the stop key: a hand-off from one link to the next never returns
+    // through the driver's loop.  The link stops counting as pending while
+    // its sink runs.
     do {
       const BusyLink& front = busy(0);
       now_ = front.at;
       ++processed_;
       --pending_;
       front.link->deliver(*this);
-    } while (busy_count_ != 0 && busy(0).at <= batch_horizon_ && front_link_precedes_queue());
+    } while (busy_count_ != 0 && key(busy(0).at, busy(0).seq) < stop_key_);
     return true;
   }
   if (queue_.empty()) return false;
   const Event e = queue_.pop();
+  refresh_stop_key();
   now_ = e.at;
   ++processed_;
   --pending_;
@@ -94,11 +100,11 @@ void Simulation::run_until(SimTime deadline) {
   // Bound link deliveries at the deadline so neither an inline drain nor
   // step()'s run of deliveries dispatches arrivals past it.
   const SimTime saved_horizon = batch_horizon_;
-  batch_horizon_ = deadline;
+  set_batch_horizon(deadline);
   while (!empty() && next_time() <= deadline) {
     step();
   }
-  batch_horizon_ = saved_horizon;
+  set_batch_horizon(saved_horizon);
   if (now_ < deadline) now_ = deadline;
 }
 

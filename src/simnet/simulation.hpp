@@ -17,8 +17,16 @@
 // Both draw sequence numbers from one counter (a link reserves its
 // delivery's at transmit time), so the total order, events_processed, and
 // every seed-pinned golden are exactly those of one event per packet.
+//
+// A run of deliveries stops at the stop key: the earlier of the control
+// queue's front key and the batch horizon (keyed (horizon, UINT64_MAX), so
+// a delivery at the horizon itself still runs).  The key is cached and
+// refreshed only where either input changes — a schedule, a control pop, a
+// new horizon, a few thousand times per sweep cell — so each of the tens
+// of millions of deliveries checks one 128-bit compare against it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory_resource>
@@ -55,11 +63,14 @@ class Simulation {
   // grows on demand.
   void reserve_links(std::size_t links);
 
-  // Ceiling for dispatching link deliveries back to back (see step() and
-  // Link::deliver).  Drivers that stop at a deadline (Workload::drive,
+  // Ceiling (>= 0) for dispatching link deliveries back to back (see step()
+  // and Link::deliver).  Drivers that stop at a deadline (Workload::drive,
   // run_until) set this so a run of deliveries never passes the point
   // where one-event-per-step dispatch would have stopped.
-  void set_batch_horizon(SimTime horizon) { batch_horizon_ = horizon; }
+  void set_batch_horizon(SimTime horizon) {
+    batch_horizon_ = horizon;
+    refresh_stop_key();
+  }
 
   // Run one control event, or a run of link deliveries: the earliest one,
   // then every delivery that still precedes the control queue's front and
@@ -89,22 +100,26 @@ class Simulation {
     std::uint64_t seq;   // its reserved sequence number
     Link* link;
   };
-  // (at, seq) < (other_at, other_seq) as one 128-bit comparison (times are
-  // never negative): two instructions and no branch.
+  // A (time, seq) key as one 128-bit integer (times are never negative),
+  // so comparing two keys is two instructions and no branch.
+  using Key = unsigned __int128;
+  [[nodiscard]] static Key key(SimTime at, std::uint64_t seq) {
+    return (Key(static_cast<std::uint64_t>(at)) << 64) | seq;
+  }
   [[nodiscard]] static bool before(SimTime at, std::uint64_t seq, SimTime other_at,
                                    std::uint64_t other_seq) {
-    using Key = unsigned __int128;
-    return ((Key(static_cast<std::uint64_t>(at)) << 64) | seq) <
-           ((Key(static_cast<std::uint64_t>(other_at)) << 64) | other_seq);
+    return key(at, seq) < key(other_at, other_seq);
   }
   // The i-th busy link in key order (0: the front).
   [[nodiscard]] BusyLink& busy(std::size_t i) { return ring_[(head_ + i) & mask_]; }
-  // The ring's front key precedes the control queue's.  Precondition: a
-  // link is busy.
-  [[nodiscard]] bool front_link_precedes_queue() {
-    const BusyLink& front = busy(0);
-    return queue_.empty() ||
-           before(front.at, front.seq, queue_.front().at, queue_.front().seq);
+  // Recompute stop_key_ from the batch horizon and the control queue's
+  // front; called wherever either changes.
+  void refresh_stop_key() {
+    stop_key_ = key(batch_horizon_, std::numeric_limits<std::uint64_t>::max());
+    if (!queue_.empty()) {
+      const Event& front = queue_.front();
+      stop_key_ = std::min(stop_key_, key(front.at, front.seq));
+    }
   }
 
   // An idle link went busy with its front delivery keyed (at, seq).
@@ -116,10 +131,10 @@ class Simulation {
     --busy_count_;
   }
   // The delivering link's sink returned and its next packet is keyed
-  // (at, seq).  If that key still precedes the runner-up link, the control
-  // queue and the batch horizon, advance the clock, count the event and
-  // return true: the link delivers it inline.  Otherwise re-key the link:
-  // it leaves the front and is inserted again behind every earlier key.
+  // (at, seq).  If that key still precedes the stop key and the runner-up
+  // link, advance the clock, count the event and return true: the link
+  // delivers it inline.  Otherwise re-key the link: it leaves the front and
+  // is inserted again behind every earlier key.
   //
   // While a link drains inline its front entry keeps the key it was
   // dispatched with.  That is harmless: keys only grow along a link, and a
@@ -127,8 +142,7 @@ class Simulation {
   // behind that entry, which stays in front until the re-key or
   // retire_link removes it.
   bool continue_drain(SimTime at, std::uint64_t seq) {
-    if (at <= batch_horizon_ &&
-        (queue_.empty() || before(at, seq, queue_.front().at, queue_.front().seq)) &&
+    if (key(at, seq) < stop_key_ &&
         (busy_count_ < 2 || before(at, seq, busy(1).at, busy(1).seq))) {
       now_ = at;
       ++processed_;
@@ -161,6 +175,9 @@ class Simulation {
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
   SimTime batch_horizon_ = std::numeric_limits<SimTime>::max();
+  // min((batch_horizon_, UINT64_MAX), the control queue's front key): a run
+  // of deliveries continues while its next key is below this.
+  Key stop_key_ = key(batch_horizon_, std::numeric_limits<std::uint64_t>::max());
   // pending_events().  Not adjacent to processed_: step() updates both, and
   // the compiler would otherwise merge them into one 16-byte load that
   // stalls behind the separate 8-byte stores.

@@ -18,6 +18,16 @@ constexpr int kRtoEvent = 1;
 // probe_phase_ as the index of the currently open span.
 enum ProbePhase : std::uint8_t { kPhaseSlowStart = 0, kPhaseSteady, kPhaseRecovery };
 
+// `path`'s hops as route steps, then `sink` as the terminal step.
+std::pmr::vector<RouteStep> route_through(Path& path, PacketSink& sink,
+                                          std::pmr::memory_resource* mem) {
+  std::pmr::vector<RouteStep> route(mem);
+  route.reserve(path.hop_count() + 1);
+  for (std::size_t h = 0; h < path.hop_count(); ++h) route.push_back({&path.hop(h), nullptr});
+  route.push_back({nullptr, &sink});
+  return route;
+}
+
 const char* probe_phase_name(std::uint8_t phase) {
   switch (phase) {
     case kPhaseSlowStart:
@@ -31,12 +41,16 @@ const char* probe_phase_name(std::uint8_t phase) {
 }
 }  // namespace
 
+double flow_packets(units::Bytes total, std::uint32_t mss_bytes) {
+  return std::ceil(total.bytes() / static_cast<double>(mss_bytes));
+}
+
 TcpFlow::TcpFlow(std::uint32_t id, units::Bytes total, const TcpConfig& config, Path& forward,
                  Path& reverse, FlowObserver* observer, std::pmr::memory_resource* mem)
     : id_(id),
       config_(config),
-      forward_(forward),
-      reverse_(reverse),
+      forward_route_(route_through(forward, *this, mem)),
+      reverse_route_(route_through(reverse, *this, mem)),
       observer_(observer),
       total_bytes_(total),
       cwnd_(config.initial_cwnd),
@@ -45,9 +59,15 @@ TcpFlow::TcpFlow(std::uint32_t id, units::Bytes total, const TcpConfig& config, 
       received_(mem) {
   if (!(total.bytes() > 0.0)) throw std::invalid_argument("TcpFlow: total bytes must be > 0");
   if (config_.mss_bytes == 0) throw std::invalid_argument("TcpFlow: MSS must be > 0");
-
-  total_packets_ = static_cast<std::uint64_t>(
-      std::ceil(total.bytes() / static_cast<double>(config_.mss_bytes)));
+  if (std::uint64_t{config_.mss_bytes} + config_.header_bytes > kMaxPacketBytes ||
+      config_.ack_bytes > kMaxPacketBytes) {
+    throw std::invalid_argument("TcpFlow: packets are at most 65535 bytes on the wire");
+  }
+  const double packets = flow_packets(total, config_.mss_bytes);
+  if (packets > static_cast<double>(kMaxFlowPackets)) {
+    throw std::invalid_argument("TcpFlow: a flow carries at most 2^32 - 1 packets");
+  }
+  total_packets_ = static_cast<std::uint64_t>(packets);
   retransmitted_.assign(total_packets_);
   received_.assign(total_packets_);
   // Final-segment payload, computed once: payload_of sits on the
@@ -60,8 +80,8 @@ TcpFlow::TcpFlow(std::uint32_t id, units::Bytes total, const TcpConfig& config, 
   if (config_.max_cwnd_packets <= 0.0) {
     // Auto receiver window: 2 x bandwidth-delay product of the forward path
     // (bottleneck capacity at the summed one-way delay).
-    const double rtt_s = 2.0 * forward_.total_propagation_delay().seconds();
-    const double bdp_bytes = forward_.bottleneck_capacity().bps() * rtt_s;
+    const double rtt_s = 2.0 * forward.total_propagation_delay().seconds();
+    const double bdp_bytes = forward.bottleneck_capacity().bps() * rtt_s;
     config_.max_cwnd_packets =
         std::max(4.0, 2.0 * bdp_bytes / static_cast<double>(config_.mss_bytes));
   }
@@ -94,8 +114,8 @@ void TcpFlow::start(Simulation& sim) {
 
 void TcpFlow::send_packet(Simulation& sim, std::uint64_t seq, bool is_retransmit) {
   Packet p;
-  p.seq = seq;
-  p.size_bytes = payload_of(seq) + config_.header_bytes;
+  p.seq = static_cast<std::uint32_t>(seq);
+  p.size_bytes = static_cast<std::uint16_t>(payload_of(seq) + config_.header_bytes);
   p.is_ack = false;
   p.retransmit = is_retransmit;
   p.sent_at = sim.now();
@@ -110,7 +130,7 @@ void TcpFlow::send_packet(Simulation& sim, std::uint64_t seq, bool is_retransmit
   }
   // Drop result intentionally ignored: a real sender cannot observe a
   // drop-tail loss; it discovers it through dupacks or RTO.
-  (void)forward_.transmit(sim, p, *this);
+  send_on(sim, p, forward_route_.data());
   arm_timer(sim);
 }
 
@@ -174,7 +194,7 @@ void TcpFlow::on_packet(Simulation& sim, const Packet& packet) {
 void TcpFlow::handle_data(Simulation& sim, const Packet& packet) {
   if (packet.seq < total_packets_ && !received_.test(packet.seq)) {
     received_.set(packet.seq);
-    highest_received_end_ = std::max(highest_received_end_, packet.seq + 1);
+    highest_received_end_ = std::max(highest_received_end_, std::uint64_t{packet.seq} + 1);
     if (packet.retransmit && retx_unconfirmed_ > 0) --retx_unconfirmed_;
     if (packet.seq == rcv_next_) {
       // Drain the out-of-order buffer behind the new edge in one bitmap
@@ -188,12 +208,12 @@ void TcpFlow::handle_data(Simulation& sim, const Packet& packet) {
     }
   }
   Packet ack;
-  ack.seq = rcv_next_;
-  ack.size_bytes = config_.ack_bytes;
+  ack.seq = static_cast<std::uint32_t>(rcv_next_);
+  ack.size_bytes = static_cast<std::uint16_t>(config_.ack_bytes);
   ack.is_ack = true;
   ack.retransmit = packet.retransmit;
   ack.sent_at = packet.sent_at;
-  (void)reverse_.transmit(sim, ack, *this);
+  send_on(sim, ack, reverse_route_.data());
 }
 
 void TcpFlow::handle_ack(Simulation& sim, const Packet& packet) {

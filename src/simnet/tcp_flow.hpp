@@ -24,8 +24,14 @@
 //
 // Flows send over multi-hop Paths (instrument -> DTN -> WAN -> HPC); a
 // one-hop Path reproduces the former single-Link behaviour bit-identically
-// (see simnet/path.hpp).  The auto-derived receiver window uses the PATH
+// (see simnet/path.hpp).  The flow turns each Path into its own route of
+// RouteSteps at construction, ending in itself, so its packets carry their
+// route in one pointer.  The auto-derived receiver window uses the PATH
 // bottleneck capacity and the summed one-way delay.
+//
+// Packet fields are narrow (see Packet): a flow numbers at most
+// kMaxFlowPackets packets and sends packets of at most kMaxPacketBytes, and
+// the constructor refuses a flow or TcpConfig that would not fit.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +70,11 @@ struct TcpConfig {
   units::Seconds hystart_delay_min = units::Seconds::millis(4.0);
   units::Seconds hystart_delay_max = units::Seconds::millis(16.0);
 };
+
+// Packets a flow of `total` bytes needs at `mss_bytes` per packet, the
+// count TcpFlow numbers them with.  A double: it may exceed
+// kMaxFlowPackets, which callers check.
+[[nodiscard]] double flow_packets(units::Bytes total, std::uint32_t mss_bytes);
 
 class TcpFlow;
 
@@ -123,8 +134,10 @@ class TcpFlow final : public PacketSink, public EventHandler {
   // --- identity & wiring ---
   std::uint32_t id_;
   TcpConfig config_;
-  Path& forward_;
-  Path& reverse_;
+  // The two routes: one step per hop of the path, then this flow as the
+  // sink.  Data enters forward_route_[0].link, ACKs reverse_route_[0].link.
+  std::pmr::vector<RouteStep> forward_route_;
+  std::pmr::vector<RouteStep> reverse_route_;
   FlowObserver* observer_;
 
   // --- sender state ---
@@ -217,6 +230,10 @@ class TcpFlow final : public PacketSink, public EventHandler {
   [[nodiscard]] double effective_window() const;
 
   [[nodiscard]] SimTime timer_deadline() const;
+  // Offer `packet` at the first hop of `route`.
+  static void send_on(Simulation& sim, const Packet& packet, const RouteStep* route) {
+    (void)route->link->transmit(sim, packet, route + 1);
+  }
   void send_packet(Simulation& sim, std::uint64_t seq, bool is_retransmit);
   void maybe_send(Simulation& sim);
   void handle_data(Simulation& sim, const Packet& packet);

@@ -169,6 +169,21 @@ void WorkloadConfig::validate() const {
   require(concurrency >= 1, "concurrency must be >= 1");
   require(parallel_flows >= 1, "parallel_flows must be >= 1");
   require(transfer_size.bytes() > 0.0, "transfer_size must be > 0");
+  // Packet fields are narrow (simnet/link.hpp): a wire size fits 16 bits and
+  // a flow's packet count 32.
+  require(tcp.mss_bytes >= 1, "tcp mss_bytes must be >= 1");
+  require(std::uint64_t{tcp.mss_bytes} + tcp.header_bytes <= kMaxPacketBytes,
+          "tcp mss_bytes + header_bytes must be <= 65535 (the IPv4 total-length ceiling)");
+  require(tcp.ack_bytes <= kMaxPacketBytes,
+          "tcp ack_bytes must be <= 65535 (the IPv4 total-length ceiling)");
+  // A client's transfer is split evenly over its parallel flows (as
+  // Workload spawns them).
+  const auto fits_in_flows = [this](units::Bytes size) {
+    return flow_packets(size / static_cast<double>(parallel_flows), tcp.mss_bytes) <=
+           static_cast<double>(kMaxFlowPackets);
+  };
+  require(fits_in_flows(transfer_size),
+          "transfer_size must fit in 2^32 - 1 packets per flow (of mss_bytes each)");
   require(start_jitter.seconds() >= 0.0, "start_jitter must be >= 0");
   require(drain_timeout.seconds() > 0.0, "drain_timeout must be > 0");
   require(background_load >= 0.0, "background_load must be >= 0");
@@ -205,6 +220,8 @@ void WorkloadConfig::validate() const {
       const TenantSpec& tenant = tenants[j];
       require(tenant.concurrency >= 0, "tenant", j, "concurrency must be >= 0");
       require(tenant.transfer_size.bytes() >= 0.0, "tenant", j, "transfer_size must be >= 0");
+      require(fits_in_flows(tenant.transfer_size), "tenant", j,
+              "transfer_size must fit in 2^32 - 1 packets per flow (of mss_bytes each)");
       require(tenant.deadline_s >= 0.0, "tenant", j, "deadline_s must be >= 0");
       const std::string& src = tenant.src.empty() ? topo.config().source : tenant.src;
       const std::string& dst = tenant.dst.empty() ? topo.config().sink : tenant.dst;

@@ -126,7 +126,8 @@ TEST(Overrides, StormKeysBuildWindowedCrossTraffic) {
   simnet::WorkloadConfig cfg = base_config();
   cfg.path_hops = simnet::Topology(simnet::topology_preset("edge_dtn_wan_hpc"))
                       .canonical_route();
-  // storm1_* auto-extends the storm list to two entries.
+  // storm0_* appends the first storm, then storm1_* the second.
+  EXPECT_FALSE(apply_param_override(cfg, "storm0_hop=0"));
   EXPECT_FALSE(apply_param_override(cfg, "storm1_hop=1"));
   EXPECT_FALSE(apply_param_override(cfg, "storm1_load=0.6"));
   EXPECT_FALSE(apply_param_override(cfg, "storm1_start_s=5"));
@@ -145,6 +146,63 @@ TEST(Overrides, StormKeysBuildWindowedCrossTraffic) {
   // A typo'd huge index must be a validation error, not a giant resize.
   EXPECT_THROW(apply_param_override(cfg, "storm2000000000_hop=1"),
                std::invalid_argument);
+}
+
+// The message a refused override throws, or "" when it applies.
+std::string override_error(simnet::WorkloadConfig& cfg, const std::string& kv) {
+  try {
+    (void)apply_param_override(cfg, kv);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A storm<j>/tenant<j> key may append the next entry, but an index past it
+// would leave entries that no key set (a default 20%-load storm, say): it
+// is refused with the missing index, and the lists stay as they were.
+TEST(Overrides, ListIndexPastTheNextEntryIsRefused) {
+  simnet::WorkloadConfig cfg = base_config();
+  ASSERT_TRUE(cfg.hop_cross_traffic.empty());
+  EXPECT_EQ(override_error(cfg, "storm1_load=0"),
+            "--param storm1_load=0: storm 1 skips storm 0, which this run does not "
+            "define (set storm0_* first)");
+  EXPECT_TRUE(cfg.hop_cross_traffic.empty());
+  EXPECT_EQ(override_error(cfg, "storm0_load=0"), "");
+  EXPECT_EQ(override_error(cfg, "storm3_load=0"),
+            "--param storm3_load=0: storm 3 skips storm 1, which this run does not "
+            "define (set storm1_* first)");
+  EXPECT_EQ(cfg.hop_cross_traffic.size(), 1u);
+
+  cfg.topology = "dual_facility_fanout";
+  EXPECT_EQ(override_error(cfg, "tenant2_name=late"),
+            "--param tenant2_name=late: tenant 2 skips tenant 0, which this run does "
+            "not define (set tenant0_* first)");
+  EXPECT_TRUE(cfg.tenants.empty());
+  EXPECT_EQ(override_error(cfg, "tenant0_name=a"), "");
+  EXPECT_EQ(override_error(cfg, "tenant1_name=b"), "");
+  ASSERT_EQ(cfg.tenants.size(), 2u);
+  EXPECT_EQ(cfg.tenants[1].name, "b");
+}
+
+// On a topology-preset run config.link is never read, so the single-link
+// keys would do nothing: each is refused with the preset's name.
+TEST(Overrides, SingleLinkKeysAreRefusedOnTopologyPresetRuns) {
+  simnet::WorkloadConfig cfg = base_config();
+  cfg.topology = "dual_facility_fanout";
+  const simnet::LinkConfig link = cfg.link;
+  for (const std::string kv :
+       {"link_gbps=0.001", "rtt_ms=500", "buffer_mb=8", "buffer_bytes=8", "link_name=x"}) {
+    const std::string key = kv.substr(0, kv.find('='));
+    EXPECT_EQ(override_error(cfg, kv),
+              "--param " + kv + ": '" + key +
+                  "' targets the single link, but this run uses the "
+                  "'dual_facility_fanout' topology preset, whose links come from the "
+                  "preset");
+  }
+  EXPECT_EQ(cfg.link.capacity.bps(), link.capacity.bps());
+  EXPECT_EQ(cfg.link.propagation_delay.seconds(), link.propagation_delay.seconds());
+  EXPECT_EQ(cfg.link.name, link.name);
 }
 
 TEST(Overrides, CalibrationKnobsReachTheConfig) {
@@ -334,6 +392,54 @@ TEST(WorkloadBounds, ParamAxisAndPlanBaseRefuseWithTheSameText) {
     EXPECT_EQ(by_axis, by_param) << c.kv;
     EXPECT_EQ(by_base, by_param) << c.kv;
   }
+}
+
+// The narrow packet fields (simnet/link.hpp) bound three values: the data
+// packet's wire size, the ACK's, and the packets one flow numbers.  Each
+// bound admits its ceiling, and one past it is refused by its own rule
+// whichever way the value arrives — plan-JSON `base`, and --param where a
+// key exists — before any cell starts.
+TEST(WorkloadBounds, NarrowPacketFieldsBoundSizesAndFlowLength) {
+  ScenarioSpec spec;
+  spec.name = "bounds_fixture";
+  const ExperimentPlan clean = fixture_plan(World::kLink);
+  ASSERT_EQ(clean.base.parallel_flows, 2);
+  ASSERT_EQ(clean.base.tcp.mss_bytes, 8948u);
+  const auto with_base = [&](const std::function<void(simnet::WorkloadConfig&)>& edit) {
+    ExperimentPlan plan = clean;
+    edit(plan.base);
+    return through_json(plan);
+  };
+  // (2^32 - 1) packets of 8948 bytes on each of 2 flows, and 2^32 packets.
+  const std::string largest = "transfer_size_bytes=76862734711320";
+  const std::string too_large = "transfer_size_bytes=76862734729216";
+  const std::string packets_rule =
+      "transfer_size must fit in 2^32 - 1 packets per flow (of mss_bytes each)";
+
+  // At the ceilings: accepted.
+  EXPECT_NO_THROW(with_base([](simnet::WorkloadConfig& c) {
+                    c.tcp.mss_bytes = 65483;
+                    c.tcp.header_bytes = 52;
+                    c.tcp.ack_bytes = 65535;
+                  }).base.validate());
+  ExperimentPlan at_limit = clean;
+  EXPECT_FALSE(apply_param_override(at_limit.base, largest));
+  EXPECT_NO_THROW(through_json(at_limit).base.validate());
+
+  // One past each: refused, one message per rule.
+  EXPECT_EQ(refusal(spec, with_base([](simnet::WorkloadConfig& c) {
+                      c.tcp.mss_bytes = 65484;
+                      c.tcp.header_bytes = 52;
+                    })),
+            "tcp mss_bytes + header_bytes must be <= 65535 (the IPv4 total-length ceiling)");
+  EXPECT_EQ(refusal(spec, with_base([](simnet::WorkloadConfig& c) {
+                      c.tcp.ack_bytes = 65536;
+                    })),
+            "tcp ack_bytes must be <= 65535 (the IPv4 total-length ceiling)");
+  EXPECT_EQ(refusal(spec, clean, {too_large}), packets_rule);
+  ExperimentPlan past_limit = clean;
+  EXPECT_FALSE(apply_param_override(past_limit.base, too_large));
+  EXPECT_EQ(refusal(spec, through_json(past_limit)), packets_rule);
 }
 
 // Plan-JSON values no --param key reaches used to run unchecked: each is

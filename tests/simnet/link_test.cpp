@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@ namespace {
 
 class CollectingSink : public PacketSink {
  public:
+  const RouteStep route{nullptr, this};  // the terminal step: deliver here
   std::vector<std::pair<SimTime, Packet>> deliveries;
   void on_packet(Simulation& sim, const Packet& packet) override {
     deliveries.emplace_back(sim.now(), packet);
@@ -46,7 +48,7 @@ TEST(Link, DeliveryTimeIsSerializationPlusPropagation) {
   CollectingSink sink;
   Packet p;
   p.size_bytes = 1250;
-  ASSERT_TRUE(link.transmit(sim, p, sink));
+  ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   sim.run();
   ASSERT_EQ(sink.deliveries.size(), 1u);
   EXPECT_EQ(sink.deliveries[0].first, 10'000 + 1'000'000);  // 10 us + 1 ms
@@ -58,9 +60,9 @@ TEST(Link, BackToBackPacketsSerializeSequentially) {
   CollectingSink sink;
   Packet p;
   p.size_bytes = 1250;  // 10 us each at 1 Gbps
-  ASSERT_TRUE(link.transmit(sim, p, sink));
-  ASSERT_TRUE(link.transmit(sim, p, sink));
-  ASSERT_TRUE(link.transmit(sim, p, sink));
+  ASSERT_TRUE(link.transmit(sim, p, &sink.route));
+  ASSERT_TRUE(link.transmit(sim, p, &sink.route));
+  ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   sim.run();
   ASSERT_EQ(sink.deliveries.size(), 3u);
   EXPECT_EQ(sink.deliveries[0].first, 10'000);
@@ -76,7 +78,7 @@ TEST(Link, FifoOrderPreserved) {
     Packet p;
     p.seq = i;
     p.size_bytes = 9000;
-    ASSERT_TRUE(link.transmit(sim, p, sink));
+    ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   }
   sim.run();
   ASSERT_EQ(sink.deliveries.size(), 50u);
@@ -94,7 +96,7 @@ TEST(Link, DropTailWhenBacklogExceedsBuffer) {
   for (int i = 0; i < 100; ++i) {
     Packet p;
     p.size_bytes = 1250;
-    if (link.transmit(sim, p, sink)) {
+    if (link.transmit(sim, p, &sink.route)) {
       ++accepted;
     } else {
       ++dropped;
@@ -113,8 +115,8 @@ TEST(Link, BacklogDrainsOverTime) {
   Link link(test_link(1.0, 0.0, 1.0));
   CollectingSink sink;
   Packet p;
-  p.size_bytes = 125'000;  // 1 ms of serialization at 1 Gbps
-  ASSERT_TRUE(link.transmit(sim, p, sink));
+  p.size_bytes = 62'500;  // 0.5 ms of serialization at 1 Gbps
+  ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   EXPECT_GT(link.backlog_bytes(sim.now()), 0.0);
   sim.run();
   EXPECT_DOUBLE_EQ(link.backlog_bytes(sim.now()), 0.0);
@@ -126,8 +128,8 @@ TEST(Link, CountersTrackBytes) {
   CollectingSink sink;
   Packet p;
   p.size_bytes = 1000;
-  ASSERT_TRUE(link.transmit(sim, p, sink));
-  ASSERT_TRUE(link.transmit(sim, p, sink));
+  ASSERT_TRUE(link.transmit(sim, p, &sink.route));
+  ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   EXPECT_EQ(link.counters().bytes_offered, 2000u);
   EXPECT_EQ(link.counters().bytes_forwarded, 2000u);
   EXPECT_EQ(link.counters().bytes_dropped, 0u);
@@ -139,11 +141,11 @@ TEST(Link, UtilizationSeriesMeasuresLoad) {
   Simulation sim;
   Link link(test_link(1.0, 0.0, 100.0));
   CollectingSink sink;
-  const int packets = 500;  // 500 x 125 KB = 62.5 MB
+  const int packets = 1000;  // 1000 x 62.5 KB = 62.5 MB
   for (int i = 0; i < packets; ++i) {
     Packet p;
-    p.size_bytes = 125'000;
-    ASSERT_TRUE(link.transmit(sim, p, sink));
+    p.size_bytes = 62'500;
+    ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   }
   sim.run();
   EXPECT_EQ(link.counters().bytes_forwarded, 62'500'000u);
@@ -154,19 +156,19 @@ TEST(Link, UtilizationSeriesMeasuresLoad) {
 // Transmits one packet of `a` bytes at each scheduled instant.
 class TimedSender : public EventHandler {
  public:
-  TimedSender(Link& link, PacketSink& sink) : link_(link), sink_(sink) {}
+  TimedSender(Link& link, const RouteStep& next) : link_(link), next_(next) {}
   void send_at(Simulation& sim, SimTime at, std::uint32_t size_bytes) {
     sim.schedule_at(at, *this, 0, size_bytes);
   }
   void on_event(Simulation& sim, int, std::uint64_t a, std::uint64_t) override {
     Packet p;
-    p.size_bytes = static_cast<std::uint32_t>(a);
-    EXPECT_TRUE(link_.transmit(sim, p, sink_));
+    p.size_bytes = static_cast<std::uint16_t>(a);
+    EXPECT_TRUE(link_.transmit(sim, p, &next_));
   }
 
  private:
   Link& link_;
-  PacketSink& sink_;
+  const RouteStep& next_;
 };
 
 // 8 Gbps is 1e9 bytes/s, so a bucket's utilization is its bytes / 1e9.
@@ -176,7 +178,7 @@ TEST(Link, UtilizationBucketsSplitAtOneSecond) {
   Simulation sim;
   Link link(test_link(8.0, 0.0));
   CollectingSink sink;
-  TimedSender sender(link, sink);
+  TimedSender sender(link, sink.route);
   sender.send_at(sim, 999'999'000, 1);  // starts at 0.999999 s: bucket 0
   sender.send_at(sim, kNanosPerSecond, 2);
   sim.run();
@@ -190,7 +192,7 @@ TEST(Link, PeakAndMeanUtilizationOverBucketsWithIdleGap) {
   Simulation sim;
   Link link(test_link(8.0, 0.0));
   CollectingSink sink;
-  TimedSender sender(link, sink);
+  TimedSender sender(link, sink.route);
   sender.send_at(sim, 0, 10);
   sender.send_at(sim, 500'000'000, 5);
   sender.send_at(sim, 2 * kNanosPerSecond, 30);
@@ -212,7 +214,7 @@ TEST(Link, LossRateReflectsDrops) {
   for (int i = 0; i < 10; ++i) {
     Packet p;
     p.size_bytes = 1250;
-    (void)link.transmit(sim, p, sink);
+    (void)link.transmit(sim, p, &sink.route);
   }
   EXPECT_GT(link.loss_rate(), 0.0);
   EXPECT_LE(link.loss_rate(), 1.0);
@@ -229,7 +231,7 @@ TEST(Link, OneOutstandingDeliveryEventPerBusyLink) {
     Packet p;
     p.seq = i;
     p.size_bytes = 1250;
-    ASSERT_TRUE(link.transmit(sim, p, sink));
+    ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   }
   EXPECT_EQ(link.in_flight_count(), 50u);
   EXPECT_TRUE(link.delivery_pending());
@@ -249,11 +251,11 @@ TEST(Link, DeliveryChainRearmsAfterIdle) {
   CollectingSink sink;
   Packet p;
   p.size_bytes = 1250;
-  ASSERT_TRUE(link.transmit(sim, p, sink));
+  ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   sim.run();
   ASSERT_EQ(sink.deliveries.size(), 1u);
   EXPECT_FALSE(link.delivery_pending());
-  ASSERT_TRUE(link.transmit(sim, p, sink));
+  ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   EXPECT_TRUE(link.delivery_pending());
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.run();
@@ -268,10 +270,10 @@ TEST(Link, ZeroBufferStillPassesOnePacketAtATime) {
   CollectingSink sink;
   Packet p;
   p.size_bytes = 1250;
-  EXPECT_TRUE(link.transmit(sim, p, sink));
-  EXPECT_FALSE(link.transmit(sim, p, sink));  // wire busy, no queue
+  EXPECT_TRUE(link.transmit(sim, p, &sink.route));
+  EXPECT_FALSE(link.transmit(sim, p, &sink.route));  // wire busy, no queue
   sim.run();
-  EXPECT_TRUE(link.transmit(sim, p, sink));
+  EXPECT_TRUE(link.transmit(sim, p, &sink.route));
   sim.run();
   EXPECT_EQ(sink.deliveries.size(), 2u);
 }
@@ -285,6 +287,7 @@ TEST(Link, SameInstantDeliveriesAndEventsDispatchInReservationOrder) {
     std::vector<std::pair<SimTime, std::string>> entries;
   } log;
   struct TaggedSink : PacketSink {
+    const RouteStep route{nullptr, this};
     Log* log;
     std::string tag;
     TaggedSink(Log* l, std::string t) : log(l), tag(std::move(t)) {}
@@ -310,13 +313,13 @@ TEST(Link, SameInstantDeliveriesAndEventsDispatchInReservationOrder) {
   Packet p;
   p.size_bytes = 1250;
   p.seq = 0;
-  ASSERT_TRUE(l1.transmit(sim, p, s1));          // seq 0 @ kFirst
+  ASSERT_TRUE(l1.transmit(sim, p, &s1.route));          // seq 0 @ kFirst
   sim.schedule_at(kFirst, handler, 100);         // seq 1 @ kFirst
-  ASSERT_TRUE(l2.transmit(sim, p, s2));          // seq 2 @ kFirst
+  ASSERT_TRUE(l2.transmit(sim, p, &s2.route));          // seq 2 @ kFirst
   p.seq = 1;
-  ASSERT_TRUE(l1.transmit(sim, p, s1));          // seq 3 @ kSecond
+  ASSERT_TRUE(l1.transmit(sim, p, &s1.route));          // seq 3 @ kSecond
   sim.schedule_at(kSecond, handler, 101);        // seq 4 @ kSecond
-  ASSERT_TRUE(l2.transmit(sim, p, s2));          // seq 5 @ kSecond
+  ASSERT_TRUE(l2.transmit(sim, p, &s2.route));          // seq 5 @ kSecond
   sim.schedule_at(kFirst, handler, 102);         // seq 6 @ kFirst
   EXPECT_EQ(sim.events_scheduled(), 7u);
   EXPECT_EQ(sim.pending_events(), 5u) << "one per busy link plus three events";
@@ -338,6 +341,7 @@ TEST(Link, SameInstantDeliveriesAndEventsDispatchInReservationOrder) {
 class ReentrantSink : public PacketSink {
  public:
   explicit ReentrantSink(Link& link) : link_(link) {}
+  const RouteStep route{nullptr, this};
   std::vector<std::pair<SimTime, std::uint64_t>> deliveries;
   std::vector<std::size_t> pending_in_sink;
   std::vector<bool> chain_pending_in_sink;
@@ -348,7 +352,7 @@ class ReentrantSink : public PacketSink {
     if (packet.seq < 100) {
       Packet echo = packet;
       echo.seq = packet.seq + 100;
-      EXPECT_TRUE(link_.transmit(sim, echo, *this));
+      EXPECT_TRUE(link_.transmit(sim, echo, &route));
     }
   }
 
@@ -362,7 +366,7 @@ TEST(Link, SinkReentersTransmitOnDrainedRing) {
   ReentrantSink sink(link);
   Packet p;
   p.size_bytes = 1250;
-  ASSERT_TRUE(link.transmit(sim, p, sink));
+  ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   sim.run();
   const std::vector<std::pair<SimTime, std::uint64_t>> expected = {
       {1'010'000, 0}, {2'020'000, 100}};
@@ -383,7 +387,7 @@ TEST(Link, SinkReentersTransmitWithPacketsInFlight) {
   p.size_bytes = 1250;
   for (std::uint64_t i = 0; i < 3; ++i) {
     p.seq = i;
-    ASSERT_TRUE(link.transmit(sim, p, sink));
+    ASSERT_TRUE(link.transmit(sim, p, &sink.route));
   }
   sim.run();
   // Each original packet's echo is transmitted at its delivery instant,
@@ -400,6 +404,124 @@ TEST(Link, SinkReentersTransmitWithPacketsInFlight) {
   EXPECT_EQ(sim.events_scheduled(), 6u);
   EXPECT_EQ(sim.queue_high_water(), 1u);
   EXPECT_FALSE(link.delivery_pending());
+}
+
+// A delivered packet is handed off from its slot in the ring, and a sink
+// may transmit that very reference back onto the delivering link.  When
+// the ring is exactly full at that moment, the transmit grows the ring and
+// moves the slab under the reference.  Here each of the first kRounds
+// deliveries sends one fresh twin and then hands its packet back: two in,
+// one out, so the in-flight count climbs by one per delivery, and the
+// hand-back is always the first transmit to meet each new count.  So it
+// is the hand-back that finds the ring exactly full at every size the ring
+// passes through (Link pre-sizes it to at most 1024).
+//
+// Every packet is bracketed by two control events at its expected arrival,
+// scheduled just before and just after its transmit.  So the log must read
+// before/delivery/after for each packet in transmit order, which pins each
+// delivery's (arrival, seq) key as well as its order.  Payloads are checked
+// against copies taken at transmit, and in_flight_count() is checked during
+// and right after each hand-off.
+class HandBackHarness : public PacketSink, public EventHandler {
+ public:
+  static constexpr int kRounds = 1100;
+
+  // 1 Gbps, 1 ms, 2 MB: the whole climb stays within the drop-tail buffer.
+  HandBackHarness() : link_(test_link(1.0, 1.0, 2.0)) {}
+
+  void run() {
+    Packet first;
+    first.size_bytes = 1250;
+    send(first);
+    sim_.run();
+  }
+
+  void on_packet(Simulation& sim, const Packet& packet) override {
+    ASSERT_FALSE(expected_.empty());
+    const Expected want = expected_.front();
+    expected_.pop_front();
+    log_.push_back({sim.now(), 'D', want.index});
+    EXPECT_EQ(sim.now(), want.arrival) << want.index;
+    EXPECT_EQ(packet.sent_at, want.packet.sent_at) << want.index;
+    EXPECT_EQ(packet.seq, want.packet.seq) << want.index;
+    EXPECT_EQ(packet.size_bytes, want.packet.size_bytes) << want.index;
+    EXPECT_EQ(packet.is_ack, want.packet.is_ack) << want.index;
+    EXPECT_EQ(packet.retransmit, want.packet.retransmit) << want.index;
+    // The packet keeps its slot until its hand-off returns.
+    EXPECT_EQ(link_.in_flight_count(), expected_.size() + 1) << want.index;
+    if (delivered_++ >= kRounds) return;
+    Packet twin;
+    twin.seq = static_cast<std::uint32_t>(sent_);
+    twin.size_bytes = static_cast<std::uint16_t>(1000 + 50 * (sent_ % 7));
+    twin.sent_at = 3 * static_cast<SimTime>(sent_);
+    twin.is_ack = sent_ % 2 == 1;
+    twin.retransmit = sent_ % 3 == 0;
+    send(twin);    // never meets a full ring: the last hand-back grew it
+    send(packet);  // the reference into the ring: not read after this
+  }
+
+  void on_event(Simulation& sim, int kind, std::uint64_t index, std::uint64_t) override {
+    log_.push_back({sim.now(), static_cast<char>(kind), index});
+    // Right after a hand-off its slot is gone.
+    if (kind == 'A') {
+      EXPECT_EQ(link_.in_flight_count(), expected_.size()) << index;
+    }
+  }
+
+  struct Entry {
+    SimTime at;
+    char what;  // 'B'efore, 'D'elivery, 'A'fter
+    std::uint64_t index;
+    bool operator==(const Entry&) const = default;
+  };
+  std::vector<Entry> log_;
+  std::vector<SimTime> arrivals_;
+  std::size_t sent_ = 0;
+  int delivered_ = 0;
+  Simulation sim_;
+  Link link_;
+
+ private:
+  struct Expected {
+    std::uint64_t index;
+    SimTime arrival;
+    Packet packet;
+  };
+
+  // Transmit `packet` (possibly a reference into the ring) with its
+  // expected arrival bracketed by control events.
+  void send(const Packet& packet) {
+    const Packet copy = packet;
+    busy_until_ = std::max(sim_.now(), busy_until_) +
+                  transmission_time(copy.size_bytes, link_.config().capacity);
+    const SimTime arrival = busy_until_ + to_simtime(link_.config().propagation_delay);
+    const std::uint64_t index = sent_++;
+    sim_.schedule_at(arrival, *this, 'B', index);
+    EXPECT_TRUE(link_.transmit(sim_, packet, &route_)) << index;
+    sim_.schedule_at(arrival, *this, 'A', index);
+    expected_.push_back({index, arrival, copy});
+    arrivals_.push_back(arrival);
+  }
+
+  const RouteStep route_{nullptr, this};
+  std::deque<Expected> expected_;
+  SimTime busy_until_ = 0;
+};
+
+TEST(Link, HandBackOntoAFullRingKeepsKeysPayloadsAndOrder) {
+  HandBackHarness h;
+  h.run();
+  ASSERT_EQ(h.sent_, 2u * HandBackHarness::kRounds + 1);
+  std::vector<HandBackHarness::Entry> expected;
+  for (std::uint64_t k = 0; k < h.sent_; ++k) {
+    ASSERT_GT(h.arrivals_[k], k == 0 ? 0 : h.arrivals_[k - 1]) << k;
+    for (const char what : {'B', 'D', 'A'}) expected.push_back({h.arrivals_[k], what, k});
+  }
+  EXPECT_EQ(h.log_, expected);
+  EXPECT_EQ(h.link_.counters().packets_dropped, 0u);
+  EXPECT_EQ(h.link_.in_flight_count(), 0u);
+  EXPECT_FALSE(h.link_.delivery_pending());
+  EXPECT_EQ(h.sim_.events_processed(), 3 * h.sent_);
 }
 
 }  // namespace

@@ -182,10 +182,10 @@ TEST(Path, HopCsvHeaderAndValuesAreRectangular) {
 }
 
 // Two routes share a small-buffer middle link and their packets interleave
-// there while it drops some of them.  The route rides with each packet, so
-// a drop of one path's packet must not shift the other's: each sink gets
-// only its own packets, in send order, and exactly as many as its last hop
-// forwarded.
+// there while it drops some of them.  Each in-flight packet points at its
+// own route's next step, so a drop of one route's packet must not shift
+// the other's: each sink gets only its own packets, in send order, and
+// exactly as many as its last hop forwarded.
 TEST(Path, SharedHopDropsKeepEachRouteOwnPackets) {
   struct RecordingSink : PacketSink {
     std::vector<std::uint64_t> seqs;
@@ -196,10 +196,11 @@ TEST(Path, SharedHopDropsKeepEachRouteOwnPackets) {
   Link shared(make_link("shared", 10.0, 1.0, 0.05));
   Link a_tail(make_link("a-tail", 10.0, 0.4, 50.0));
   Link b_tail(make_link("b-tail", 10.0, 0.4, 50.0));
-  Path a(std::vector<Link*>{&a_edge, &shared, &a_tail});
-  Path b(std::vector<Link*>{&b_edge, &shared, &b_tail});
   RecordingSink a_sink;
   RecordingSink b_sink;
+  // Each route past its first hop: the shared hop, its own tail, its sink.
+  const RouteStep a_route[] = {{&shared, nullptr}, {&a_tail, nullptr}, {nullptr, &a_sink}};
+  const RouteStep b_route[] = {{&shared, nullptr}, {&b_tail, nullptr}, {nullptr, &b_sink}};
 
   // The edges feed the shared hop at 1.7x its rate, at different paces, so
   // the two routes' packets interleave unevenly and both lose some.
@@ -209,10 +210,10 @@ TEST(Path, SharedHopDropsKeepEachRouteOwnPackets) {
   Packet p;
   p.size_bytes = 9000;
   for (std::uint64_t i = 0; i < kPackets; ++i) {
-    p.seq = i;
-    ASSERT_TRUE(a.transmit(sim, p, a_sink));
-    p.seq = kBOffset + i;
-    ASSERT_TRUE(b.transmit(sim, p, b_sink));
+    p.seq = static_cast<std::uint32_t>(i);
+    ASSERT_TRUE(a_edge.transmit(sim, p, a_route));
+    p.seq = static_cast<std::uint32_t>(kBOffset + i);
+    ASSERT_TRUE(b_edge.transmit(sim, p, b_route));
   }
   sim.run();
 

@@ -165,6 +165,7 @@ class DispatchHarness : public EventHandler {
       undelivered_.push_back(0);
       armed_.push_back(false);
     }
+    for (Sink& sink : sinks_) steps_.push_back(RouteStep{nullptr, &sink});
   }
 
   // Seed the world with control events on a 200 ns grid; each starts a
@@ -214,11 +215,11 @@ class DispatchHarness : public EventHandler {
   void send(Simulation& sim, std::size_t link, std::uint32_t hops) {
     const std::uint64_t seq = sim.events_scheduled();
     Packet packet;
-    packet.seq = packet_keys_.size();
-    packet.size_bytes = 1000 * static_cast<std::uint32_t>(1 + pick(9));
+    packet.seq = static_cast<std::uint32_t>(packet_keys_.size());
+    packet.size_bytes = static_cast<std::uint16_t>(1000 * (1 + pick(9)));
     packet_keys_.push_back(Key{0, 0});
     packet_hops_.push_back(hops);
-    if (!links_[link]->transmit(sim, packet, sinks_[link])) {
+    if (!links_[link]->transmit(sim, packet, &steps_[link])) {
       ++drops;
       return;
     }
@@ -288,6 +289,7 @@ class DispatchHarness : public EventHandler {
   std::mt19937_64 rng_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Sink> sinks_;
+  std::vector<RouteStep> steps_;         // terminal step to each sink
   std::vector<SimTime> busy_until_;      // model of each link's serializer
   std::vector<std::size_t> undelivered_;
   std::vector<bool> armed_;              // link holds a busy-link entry
@@ -380,7 +382,7 @@ class HorizonWorld {
       for (int k = 0; k < 8; ++k) {
         Packet p;
         p.size_bytes = 8000;
-        EXPECT_TRUE(link->transmit(sim, p, sink_));
+        EXPECT_TRUE(link->transmit(sim, p, &to_sink_));
       }
     }
     sim.schedule_at(kDeadline - 1, timer_, 0);
@@ -404,6 +406,7 @@ class HorizonWorld {
     void on_packet(Simulation& s, const Packet&) override { seen.push_back(s.now()); }
   };
   Sink sink_;
+  const RouteStep to_sink_{nullptr, &sink_};
   ClockRecorder timer_;
   std::vector<std::unique_ptr<Link>> links_;
 };

@@ -36,6 +36,30 @@ TEST(TcpFlow, RejectsBadConstruction) {
                std::invalid_argument);
 }
 
+// Packet's 16-bit size and 32-bit seq bound what a flow may send: past
+// either ceiling the constructor refuses rather than truncate a field.
+TEST(TcpFlow, RejectsPacketsPastTheNarrowFields) {
+  Path fwd({fast_link()}), rev({fast_link()});
+  TcpConfig widest;
+  widest.mss_bytes = 65483;
+  widest.header_bytes = 52;
+  widest.ack_bytes = 65535;
+  EXPECT_NO_THROW(TcpFlow(0, units::Bytes::megabytes(1.0), widest, fwd, rev));
+  TcpConfig bad = widest;
+  bad.header_bytes = 53;
+  EXPECT_THROW(TcpFlow(0, units::Bytes::megabytes(1.0), bad, fwd, rev),
+               std::invalid_argument);
+  bad = widest;
+  bad.ack_bytes = 65536;
+  EXPECT_THROW(TcpFlow(0, units::Bytes::megabytes(1.0), bad, fwd, rev),
+               std::invalid_argument);
+  // 2^32 packets of 1000 bytes (refused before any scoreboard is sized).
+  TcpConfig small;
+  small.mss_bytes = 1000;
+  EXPECT_THROW(TcpFlow(0, units::Bytes::of(4294967296.0 * 1000.0), small, fwd, rev),
+               std::invalid_argument);
+}
+
 TEST(TcpFlow, StartTwiceThrows) {
   Simulation sim;
   Path fwd({fast_link()}), rev({fast_link()});
