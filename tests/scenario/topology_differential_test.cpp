@@ -10,7 +10,10 @@
 // admission over a single link, ablation_background_traffic pins
 // single-link background load, and the two facility_* scenarios pin
 // multi-tenant worlds whose routes share links (facility_dispatch_choice
-// drops packets on shared hops mid-route).  Each scenario runs in-process,
+// drops packets on shared hops mid-route).  fig2a_simultaneous,
+// headline_claims, degraded_link_failover and ablation_buffer_sizing pin
+// the columns that read the network back from the world: SSS, capacity,
+// RTT and buffer.  Each scenario runs in-process,
 // serializes through the same trace::CsvWriter the scenario_runner CLI
 // uses, and the result is compared byte-for-byte against the committed
 // golden file.  Any drift in event order, float arithmetic, or formatting
@@ -34,10 +37,14 @@ namespace {
 
 const char* const kScenarios[] = {
     "ablation_background_traffic",
+    "ablation_buffer_sizing",
+    "degraded_link_failover",
     "dtn_nic_undersizing",
     "facility_dispatch_choice",
     "facility_policy_matrix",
+    "fig2a_simultaneous",
     "fig2b_scheduled",
+    "headline_claims",
     "hop_bottleneck_sweep",
     "lcls_streaming_feasibility",
     "moving_bottleneck",
