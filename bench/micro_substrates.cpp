@@ -141,7 +141,9 @@ void BM_TcpTransfer(benchmark::State& state) {
   std::uint64_t packets = 0;
   for (auto _ : state) {
     simnet::Simulation sim;
-    simnet::Path fwd({simnet::LinkConfig{}}), rev({simnet::LinkConfig{}});
+    simnet::Link fwd_link(simnet::LinkConfig{}), rev_link(simnet::LinkConfig{});
+    simnet::Link* const fwd[] = {&fwd_link};
+    simnet::Link* const rev[] = {&rev_link};
     simnet::TcpFlow flow(1, units::Bytes::megabytes(mb), simnet::TcpConfig{}, fwd, rev);
     flow.start(sim);
     sim.run();
@@ -154,11 +156,13 @@ BENCHMARK(BM_TcpTransfer)->Arg(8)->Arg(64);
 void BM_TcpTransferMultiHop(benchmark::State& state) {
   // BM_TcpTransfer/64 over an idle 3-hop chain each way: two hop hand-offs
   // per packet in each direction.  Items = packets moved.
-  const std::vector<simnet::LinkConfig> chain(3);
+  const simnet::LinkConfig hop;
   std::uint64_t packets = 0;
   for (auto _ : state) {
     simnet::Simulation sim;
-    simnet::Path fwd(chain), rev(chain);
+    simnet::Link f0(hop), f1(hop), f2(hop), r0(hop), r1(hop), r2(hop);
+    simnet::Link* const fwd[] = {&f0, &f1, &f2};
+    simnet::Link* const rev[] = {&r0, &r1, &r2};
     simnet::TcpFlow flow(1, units::Bytes::megabytes(64.0), simnet::TcpConfig{}, fwd, rev);
     flow.start(sim);
     sim.run();
@@ -182,12 +186,14 @@ void BM_TcpTransferLossy(benchmark::State& state) {
   std::uint64_t runs = 0;
   for (auto _ : state) {
     simnet::Simulation sim;
-    simnet::Path fwd({lossy}), rev({simnet::LinkConfig{}});
+    simnet::Link fwd_link(lossy), rev_link(simnet::LinkConfig{});
+    simnet::Link* const fwd[] = {&fwd_link};
+    simnet::Link* const rev[] = {&rev_link};
     simnet::TcpFlow flow(1, units::Bytes::megabytes(8.0), simnet::TcpConfig{}, fwd, rev);
     flow.start(sim);
     sim.run();
     packets += flow.total_packets();
-    loss += fwd.aggregate_loss_rate();
+    loss += fwd_link.loss_rate();
     ++runs;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(packets));

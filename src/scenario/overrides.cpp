@@ -41,26 +41,6 @@ struct Text {
   }
 };
 
-// The single-link keys silently do nothing on topology runs (effective_hops
-// ignores config.link once path_hops or a topology preset is set) — reject
-// them instead, in the same spirit as unknown keys.
-const Text& single_link(const Config& config, const Text& text) {
-  const std::string key = text.kv.substr(0, text.kv.find('='));
-  if (!config.topology.empty()) {
-    throw std::invalid_argument("--param " + text.kv + ": '" + key +
-                                "' targets the single link, but this run uses the '" +
-                                config.topology +
-                                "' topology preset, whose links come from the preset");
-  }
-  if (!config.path_hops.empty()) {
-    throw std::invalid_argument("--param " + text.kv + ": '" + key +
-                                "' targets the single link, but this run uses a " +
-                                std::to_string(config.path_hops.size()) +
-                                "-hop path (use hop<k>_gbps)");
-  }
-  return text;
-}
-
 // --- the binding table -----------------------------------------------------
 //
 // One entry per exact key: `apply` converts the value and stores it.
@@ -95,21 +75,17 @@ const ParamBinding kBindings[] = {
      [](Config& c, const Text& t) { c.transfer_size = units::Bytes::of(t.number()); }},
     {"link_gbps",
      [](Config& c, const Text& t) {
-       c.link.capacity = units::DataRate::gigabits_per_second(single_link(c, t).number());
+       c.link.capacity = units::DataRate::gigabits_per_second(t.number());
      }},
     {"rtt_ms",
      [](Config& c, const Text& t) {
-       c.link.propagation_delay = units::Seconds::millis(single_link(c, t).number() / 2.0);
+       c.link.propagation_delay = units::Seconds::millis(t.number() / 2.0);
      }},
     {"buffer_mb",
-     [](Config& c, const Text& t) {
-       c.link.buffer = units::Bytes::megabytes(single_link(c, t).number());
-     }},
+     [](Config& c, const Text& t) { c.link.buffer = units::Bytes::megabytes(t.number()); }},
     {"buffer_bytes",
-     [](Config& c, const Text& t) {
-       c.link.buffer = units::Bytes::of(single_link(c, t).number());
-     }},
-    {"link_name", [](Config& c, const Text& t) { c.link.name = single_link(c, t).value; }},
+     [](Config& c, const Text& t) { c.link.buffer = units::Bytes::of(t.number()); }},
+    {"link_name", [](Config& c, const Text& t) { c.link.name = t.value; }},
     {"background_load", [](Config& c, const Text& t) { c.background_load = t.number(); }},
     {"background_mean_mb",
      [](Config& c, const Text& t) {

@@ -14,12 +14,13 @@
 // The table only parses.  Values go through the shared strict parsers
 // (trace/parse.hpp), so trailing garbage raises std::invalid_argument
 // rather than being silently truncated; enum spellings, unknown keys, a
-// storm<j>/tenant<j> index past the next free entry, a hop<k> past the path
-// and a single-link key on a multi-hop or topology-preset run are refused
-// here too.  Every RANGE rule is
+// storm<j>/tenant<j> index past the next free entry and a hop<k> past the
+// path are refused here too.  Every RANGE rule is
 // WorkloadConfig::validate()'s (simnet/workload.hpp), which execute_scenario
 // runs on every cell before any cell starts, whichever of the three paths
-// set the value.  The bounds below are validate()'s.
+// set the value.  The bounds below are validate()'s.  execute_scenario also
+// refuses, in any order of keys and axes, a single-link key that changed
+// `link` on a run whose network comes from path_hops or a topology preset.
 //
 // Key catalog (applied in the order given):
 //   concurrency=<int >= 1>        clients spawned per second
@@ -31,7 +32,7 @@
 //   transfer_size_mb=<double > 0> per-client transfer size
 //   transfer_size_bytes=<double > 0>  same, in exact bytes (plan files)
 //   link_gbps=<double > 0>        single-link capacity (config.link;
-//                                 rejected on multi-hop and topology-preset
+//                                 refused on multi-hop and topology-preset
 //                                 runs — use hop<k>_gbps on multi-hop ones)
 //   rtt_ms=<double > 0>           single-link RTT (one-way = rtt/2;
 //                                 single-link runs only)

@@ -287,25 +287,25 @@ const std::map<std::string, MetricFn, std::less<>>& metric_catalog() {
       {"within_1s_budget", [](const RunPoint&, const simnet::ExperimentResult& r) {
          return yes_no(r.t_worst_s() <= 1.0);
        }},
+      // The network columns read the world the run simulated: capacity and
+      // buffer of its bottleneck hop, RTT of its canonical route.
       {"capacity_gbps", [](const RunPoint&, const simnet::ExperimentResult& r) {
-         return pretty(r.config.link.capacity.gbit_per_s());
+         return pretty(simnet::normalize(r.config).bottleneck().capacity.gbit_per_s());
        }},
       {"rtt_ms", [](const RunPoint&, const simnet::ExperimentResult& r) {
-         return pretty(r.config.link.propagation_delay.ms() * 2.0);
+         return pretty(simnet::normalize(r.config).rtt().ms());
        }},
       {"buffer_mb", [](const RunPoint&, const simnet::ExperimentResult& r) {
-         return pretty(r.config.link.buffer.mb());
+         return pretty(simnet::normalize(r.config).bottleneck().buffer.mb());
        }},
       // Buffer depth relative to the Table-1 bandwidth-delay product
       // (25 Gbps x 16 ms = 50 MB), the x-axis of the buffer ablation.
       {"buffer_bdp", [](const RunPoint&, const simnet::ExperimentResult& r) {
-         return pretty(r.config.link.buffer.mb() / 50.0);
+         return pretty(simnet::normalize(r.config).bottleneck().buffer.mb() / 50.0);
        }},
       {"hop0_gbps", [](const RunPoint&, const simnet::ExperimentResult& r) {
-         if (r.config.path_hops.empty()) {
-           throw std::invalid_argument("metric 'hop0_gbps' needs a multi-hop run");
-         }
-         return pretty(r.config.path_hops.front().capacity.gbit_per_s());
+         const simnet::World world = simnet::normalize(r.config);
+         return pretty(world.edges[world.canonical.front()].capacity.gbit_per_s());
        }},
       {"bottleneck_hop", [](const RunPoint&, const simnet::ExperimentResult& r) {
          return core::profile_path(r.config.effective_hops()).bottleneck_name;

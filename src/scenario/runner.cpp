@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <iterator>
 #include <stdexcept>
+#include <string>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -23,6 +24,7 @@
 #include "scenario/executor.hpp"
 #include "scenario/overrides.hpp"
 #include "scenario/registry.hpp"
+#include "simnet/fluid.hpp"
 #include "trace/atomic_io.hpp"
 #include "trace/csv.hpp"
 #include "trace/json.hpp"
@@ -152,6 +154,23 @@ std::optional<std::string> cell_range_refusal(CellRange range, std::size_t total
          ") is not a range inside this grid (" + std::to_string(total) + " cells)";
 }
 
+// The single-link keys (link_gbps, rtt_ms, buffer_mb, buffer_bytes,
+// link_name) set `link`, which a world built from path_hops or a topology
+// preset never reads.  Checked after every axis point and --param of the
+// run is applied, so the order of keys and axes does not matter: such a run
+// must carry its plan base's `link` unchanged.
+void refuse_ignored_link(const simnet::WorkloadConfig& config,
+                         const simnet::LinkConfig& base_link) {
+  const simnet::World world = simnet::normalize(config);
+  if (world.source == simnet::World::Source::kLink || config.link == base_link) return;
+  throw std::invalid_argument(
+      "a single-link key (link_gbps, rtt_ms, buffer_mb, buffer_bytes, link_name) changed "
+      "the link, but this run's network is " +
+      (world.source == simnet::World::Source::kTopology
+           ? "the '" + config.topology + "' topology preset, whose links come from the preset"
+           : "a " + std::to_string(world.edges.size()) + "-hop path (use hop<k>_gbps)"));
+}
+
 }  // namespace
 
 CellRange ShardSpec::resolve(std::size_t total) const {
@@ -194,9 +213,12 @@ ScenarioOutput execute_scenario(const ScenarioSpec& spec, const ScenarioContext&
   const bool grid = spec.plan != nullptr;
   std::vector<RunPoint> runs = grid ? spec.plan->expand(context) : std::vector<RunPoint>(1);
   apply_param_overrides(runs, context.param_overrides);
+  const simnet::LinkConfig base_link = grid ? spec.plan->base.link : simnet::LinkConfig{};
   for (std::size_t i = 0; i < runs.size(); ++i) {
     try {
       runs[i].config.validate();
+      refuse_ignored_link(runs[i].config, base_link);
+      if (runs[i].substrate == Substrate::kFluid) (void)simnet::fluid_world(runs[i].config);
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument(
           (grid ? "cell " + std::to_string(i) + " (" + runs[i].label + ")" : "--param") +

@@ -263,7 +263,8 @@ ScenarioSpec headline_claims_spec() {
     double worst_s = 0.0;
     for (const auto& r : results) {
       const auto score = core::compute_sss(units::Seconds::of(r.t_worst_s()),
-                                           r.config.transfer_size, r.config.link.capacity);
+                                           r.config.transfer_size,
+                                           r.config.bottleneck_capacity());
       if (score.value() > max_sss) {
         max_sss = score.value();
         worst_s = r.t_worst_s();

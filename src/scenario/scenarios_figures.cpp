@@ -25,14 +25,17 @@ namespace {
 
 using detail::fmt;
 
+// The network the run simulated: its bottleneck hop's capacity and buffer
+// and its canonical route's RTT.
 std::string testbed_note(const simnet::WorkloadConfig& cfg, double scale) {
+  const simnet::World world = simnet::normalize(cfg);
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "testbed: %.0f Gbps link, %.0f ms RTT, %.0f MB drop-tail buffer, "
                 "0.5 GB per client, duration %.1f s x scale %.2f\n"
                 "theoretical transfer time (0.5 GB @ 25 Gbps): %.3f s",
-                cfg.link.capacity.gbit_per_s(), cfg.link.propagation_delay.ms() * 2.0,
-                cfg.link.buffer.mb(), cfg.duration.seconds() / scale, scale,
+                world.bottleneck().capacity.gbit_per_s(), world.rtt().ms(),
+                world.bottleneck().buffer.mb(), cfg.duration.seconds() / scale, scale,
                 cfg.theoretical_transfer_time().seconds());
   return buf;
 }

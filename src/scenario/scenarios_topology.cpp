@@ -229,7 +229,7 @@ ScenarioSpec lcls_streaming_feasibility_spec() {
                     const std::vector<simnet::ExperimentResult>& results,
                     ScenarioOutput& out) {
     const auto& r = results.front();
-    const auto profile = core::profile_path(r.config.path_hops);
+    const auto profile = core::profile_path(r.config.effective_hops());
 
     core::DecisionInput input;
     input.params.s_unit = r.config.transfer_size;

@@ -9,8 +9,8 @@ namespace {
 constexpr int kStartFlow = 1;
 }  // namespace
 
-BackgroundTraffic::BackgroundTraffic(BackgroundTrafficConfig config, Path& forward,
-                                     Path& reverse, std::pmr::memory_resource* mem)
+BackgroundTraffic::BackgroundTraffic(BackgroundTrafficConfig config, Route forward,
+                                     Route reverse, std::pmr::memory_resource* mem)
     : config_(std::move(config)), forward_(forward), reverse_(reverse), mem_(mem),
       flows_(mem) {
   if (config_.target_load < 0.0) {
@@ -36,7 +36,7 @@ void BackgroundTraffic::schedule(Simulation& sim) {
   if (config_.target_load == 0.0) return;
   stats::Random rng(config_.seed);
 
-  const double capacity = forward_.bottleneck_capacity().bps();
+  const double capacity = forward_[bottleneck_hop_index(forward_)]->config().capacity.bps();
   const double lambda =
       config_.target_load * capacity / config_.mean_flow_size.bytes();  // flows/s
 

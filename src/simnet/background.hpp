@@ -8,8 +8,8 @@
 // future work.  The foreground workload's metrics are unchanged — the
 // background flows simply consume capacity and queue space.
 //
-// Cross-traffic rides a Path: end-to-end storms share every hop with the
-// foreground, while a one-hop Path over a single mid-path link models
+// Cross-traffic rides a Route: end-to-end storms share every hop with the
+// foreground, while a one-hop Route over a single mid-path link models
 // traffic that enters and leaves at adjacent nodes (the moving-bottleneck
 // scenarios).  The `start`/`until` window makes the storm schedulable, so
 // the saturating hop can shift mid-run.
@@ -19,7 +19,7 @@
 #include <memory_resource>
 #include <vector>
 
-#include "simnet/path.hpp"
+#include "simnet/link.hpp"
 #include "simnet/simulation.hpp"
 #include "simnet/tcp_flow.hpp"
 #include "stats/rng.hpp"
@@ -28,7 +28,7 @@
 namespace sss::simnet {
 
 struct BackgroundTrafficConfig {
-  // Long-run average offered load as a fraction of the path's bottleneck
+  // Long-run average offered load as a fraction of the route's bottleneck
   // capacity.
   double target_load = 0.2;
   // Mean flow size; arrival rate is derived as
@@ -47,12 +47,13 @@ struct BackgroundTrafficConfig {
 };
 
 // Schedules background flows on `forward`/`reverse` within `sim`.  The
-// returned object owns the flows and must outlive the simulation run.
+// returned object owns the flows and must outlive the simulation run; the
+// routes' links must outlive it.
 // Flow objects are allocated from `mem` (a per-cell Arena keeps them off
 // the heap), and flow starts ride the non-allocating typed event queue.
 class BackgroundTraffic : public FlowObserver, public EventHandler {
  public:
-  BackgroundTraffic(BackgroundTrafficConfig config, Path& forward, Path& reverse,
+  BackgroundTraffic(BackgroundTrafficConfig config, Route forward, Route reverse,
                     std::pmr::memory_resource* mem = std::pmr::get_default_resource());
   ~BackgroundTraffic() override;
 
@@ -70,8 +71,8 @@ class BackgroundTraffic : public FlowObserver, public EventHandler {
 
  private:
   BackgroundTrafficConfig config_;
-  Path& forward_;
-  Path& reverse_;
+  Route forward_;
+  Route reverse_;
   std::pmr::memory_resource* mem_;
   std::pmr::vector<TcpFlow*> flows_;  // allocated from mem_
   std::size_t completed_ = 0;

@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 namespace sss::simnet {
 
@@ -112,21 +113,43 @@ std::vector<FluidFlowRecord> FluidSimulator::run() {
   return done;
 }
 
-ExperimentResult run_fluid_experiment(const WorkloadConfig& config) {
-  config.validate();
+World fluid_world(const WorkloadConfig& config) {
   if (config.facility_mode()) {
     // Per-tenant routing has no single bottleneck pipe to collapse onto;
     // facility workloads are packet-substrate only.
     throw std::invalid_argument(
         "fluid substrate does not support facility workloads (tenants set)");
   }
+  // The fluid pipe carries only the workload's own clients: cross-traffic
+  // and admission waits would be silently dropped from its figures.
+  if (config.background_load > 0.0) {
+    throw std::invalid_argument(
+        "fluid substrate does not simulate cross-traffic (background_load > 0)");
+  }
+  for (std::size_t j = 0; j < config.hop_cross_traffic.size(); ++j) {
+    if (config.hop_cross_traffic[j].load > 0.0) {
+      throw std::invalid_argument("fluid substrate does not simulate cross-traffic (storm " +
+                                  std::to_string(j) + " load > 0)");
+    }
+  }
+  World world = normalize(config);
+  if (world.admission.policy != SchedPolicy::kNone) {
+    throw std::invalid_argument(
+        "fluid substrate does not simulate admission (mode=scheduled admits one "
+        "transfer at a time)");
+  }
+  return world;
+}
 
+ExperimentResult run_fluid_experiment(const WorkloadConfig& config) {
+  config.validate();
   // The fluid model sees the path as its bottleneck pipe: slowest hop's
   // capacity, summed one-way propagation delay.  (Single-link configs
   // reduce to the former link figures exactly.)
+  const World world = fluid_world(config);
   FluidConfig fluid_cfg;
-  fluid_cfg.capacity = config.bottleneck_capacity();
-  fluid_cfg.propagation_delay = total_propagation_delay(config.effective_hops());
+  fluid_cfg.capacity = world.bottleneck().capacity;
+  fluid_cfg.propagation_delay = total_propagation_delay(world.hops(world.canonical));
   FluidSimulator sim(fluid_cfg);
 
   // Mirror the packet orchestrator's spawn schedule exactly (without
@@ -181,7 +204,7 @@ ExperimentResult run_fluid_experiment(const WorkloadConfig& config) {
   // Analytic utilization: bytes delivered over the active span.
   if (last_end > 0.0) {
     result.metrics.mean_utilization =
-        total_bytes / (last_end * config.bottleneck_capacity().bps());
+        total_bytes / (last_end * fluid_cfg.capacity.bps());
     result.metrics.peak_utilization =
         std::min(1.0, result.offered_load);  // fluid never exceeds capacity
   }

@@ -66,6 +66,14 @@ class FluidSimulator {
   std::vector<Pending> pending_;
 };
 
+// The World of `config` (normalize()), refusing with a named
+// std::invalid_argument what the fluid substrate cannot simulate: facility
+// tenants, cross-traffic (background_load or a storm with load > 0), and
+// any admission policy in the world (mode=scheduled's one-slot FIFO
+// included).  run_fluid_experiment starts here; scenario execution calls it
+// on every fluid cell before any cell starts.
+[[nodiscard]] World fluid_world(const WorkloadConfig& config);
+
 // Runs the same workload as run_experiment but under the fluid model,
 // producing comparable metrics (client FCTs; utilization computed
 // analytically; zero losses by construction).

@@ -8,19 +8,11 @@
 
 namespace sss::simnet {
 
-std::size_t bottleneck_hop_index(const std::vector<LinkConfig>& hops) {
-  if (hops.empty()) throw std::invalid_argument("bottleneck_hop_index: empty hop list");
-  std::size_t slowest = 0;
-  for (std::size_t h = 1; h < hops.size(); ++h) {
-    if (hops[h].capacity.bps() < hops[slowest].capacity.bps()) slowest = h;
-  }
-  return slowest;
-}
-
-units::Seconds total_propagation_delay(const std::vector<LinkConfig>& hops) {
-  units::Seconds total = units::Seconds::of(0.0);
-  for (const LinkConfig& hop : hops) total += hop.propagation_delay;
-  return total;
+LinkConfig reverse_link(const LinkConfig& forward) {
+  LinkConfig cfg = forward;
+  cfg.name += "-reverse";
+  cfg.buffer = units::Bytes::megabytes(256.0);
+  return cfg;
 }
 
 Link::Link(LinkConfig config, std::pmr::memory_resource* mem)

@@ -38,8 +38,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory_resource>
+#include <span>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "simnet/ring_buffer.hpp"
 #include "simnet/simulation.hpp"
@@ -87,11 +88,16 @@ class PacketSink {
 
 class Link;
 
+// A route: the live links a packet crosses, in hop order.  Routes are plain
+// arrays owned by whoever built the links (a Workload cell keeps them in
+// its arena); senders only borrow them.
+using Route = std::span<Link* const>;
+
 // One step of a packet's route after a hop: the link that carries it on,
-// or, where `link` is null, the sink that receives it.  A sender keeps its
-// route as an array of steps, one per hop and then the sink's; each
-// in-flight record points at the step after its own hop, so the array must
-// outlive the sender's packets in flight.
+// or, where `link` is null, the sink that receives it.  A TcpFlow turns
+// each of its Routes into an array of steps, one per hop and then its own;
+// each in-flight record points at the step after its own hop, so the array
+// must outlive the sender's packets in flight.
 struct RouteStep {
   Link* link = nullptr;
   PacketSink* sink = nullptr;
@@ -104,16 +110,14 @@ struct LinkConfig {
   // Drop-tail buffer.  Default is one bandwidth-delay product at 16 ms RTT,
   // a common switch sizing rule.
   units::Bytes buffer = units::Bytes::megabytes(50.0);
+
+  friend bool operator==(const LinkConfig&, const LinkConfig&) = default;
 };
 
-// Index of the slowest hop in a path's config list (first on ties) — the
-// one bottleneck rule shared by Path, WorkloadConfig, and the decision
-// layer's profile_path.  Throws std::invalid_argument on an empty list.
-[[nodiscard]] std::size_t bottleneck_hop_index(const std::vector<LinkConfig>& hops);
-
-// Summed one-way propagation delay across a path's hops — the matching
-// shared rule for the fluid substrate and profile_path's RTT.
-[[nodiscard]] units::Seconds total_propagation_delay(const std::vector<LinkConfig>& hops);
+// The ACK/return-direction twin of a forward link: same capacity and
+// delay, named "<name>-reverse", with a generous buffer so ACK loss never
+// originates on the return path (the paper's uncontended server side).
+[[nodiscard]] LinkConfig reverse_link(const LinkConfig& forward);
 
 struct LinkCounters {
   std::uint64_t packets_offered = 0;
@@ -210,5 +214,37 @@ class Link final {
   void probe_sample(SimTime now);
   void probe_drop(SimTime now);
 };
+
+// The config of one hop, whether a route holds configs or live links.
+inline const LinkConfig& hop_config(const LinkConfig& hop) { return hop; }
+inline const LinkConfig& hop_config(const Link* hop) { return hop->config(); }
+
+// Index of the slowest hop (first on ties), over a config list or a live
+// Route — the one bottleneck rule shared by TcpFlow's auto-window, the
+// World views (simnet/workload.hpp) and the decision layer's profile_path.
+// Throws std::invalid_argument on an empty list.
+template <class Hops>
+[[nodiscard]] std::size_t bottleneck_hop_index(const Hops& hops) {
+  if (std::size(hops) == 0) {
+    throw std::invalid_argument("bottleneck_hop_index: empty hop list");
+  }
+  std::size_t slowest = 0;
+  for (std::size_t h = 1; h < std::size(hops); ++h) {
+    if (hop_config(hops[h]).capacity.bps() < hop_config(hops[slowest]).capacity.bps()) {
+      slowest = h;
+    }
+  }
+  return slowest;
+}
+
+// Summed one-way propagation delay across the hops, in hop order — the
+// matching rule for TcpFlow's auto-window, the fluid substrate and
+// profile_path's RTT.
+template <class Hops>
+[[nodiscard]] units::Seconds total_propagation_delay(const Hops& hops) {
+  units::Seconds total = units::Seconds::of(0.0);
+  for (const auto& hop : hops) total += hop_config(hop).propagation_delay;
+  return total;
+}
 
 }  // namespace sss::simnet

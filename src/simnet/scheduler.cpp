@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "simnet/metrics.hpp"
-#include "simnet/topology.hpp"
 #include "simnet/workload.hpp"
 #include "stats/percentile.hpp"
 
@@ -166,43 +165,21 @@ double jain_fairness(const std::vector<double>& shares) {
   return (sum * sum) / (static_cast<double>(shares.size()) * sum_sq);
 }
 
-namespace {
-
-std::string tenant_display_name(const TenantSpec& tenant, std::size_t index) {
-  return tenant.name.empty() ? "tenant" + std::to_string(index) : tenant.name;
-}
-
-}  // namespace
-
 std::vector<TenantStat> facility_tenant_stats(const WorkloadConfig& config,
                                               const ExperimentMetrics& metrics) {
-  // Tenant partitions and their theoretical times.  Non-facility runs
-  // collapse to one pseudo-tenant over the whole population so the derived
-  // metrics stay evaluable on any run.
+  // One entry per world tenant, theoretical time at its route's bottleneck.
+  // A non-facility run has one default tenant ("all") over the whole
+  // population, so the derived metrics stay evaluable on any run.
+  const World world = normalize(config);
   std::vector<TenantStat> out;
   std::vector<double> t_th;
-  if (config.facility_mode()) {
-    const Topology topo(topology_preset(config.topology));
-    out.reserve(config.tenants.size());
-    t_th.reserve(config.tenants.size());
-    for (std::size_t j = 0; j < config.tenants.size(); ++j) {
-      const TenantSpec& tenant = config.tenants[j];
-      TenantStat stat;
-      stat.name = tenant_display_name(tenant, j);
-      const units::Bytes size =
-          tenant.transfer_size.bytes() > 0.0 ? tenant.transfer_size : config.transfer_size;
-      const std::string& src = tenant.src.empty() ? topo.config().source : tenant.src;
-      const std::string& dst = tenant.dst.empty() ? topo.config().sink : tenant.dst;
-      const auto hops = topo.route(src, dst);
-      const units::DataRate bottleneck = hops[bottleneck_hop_index(hops)].capacity;
-      stat.t_theoretical_s = (size / bottleneck).seconds();
-      t_th.push_back(stat.t_theoretical_s);
-      out.push_back(std::move(stat));
-    }
-  } else {
+  out.reserve(world.tenants.size());
+  t_th.reserve(world.tenants.size());
+  for (const WorldTenant& tenant : world.tenants) {
     TenantStat stat;
-    stat.name = "all";
-    stat.t_theoretical_s = config.theoretical_transfer_time().seconds();
+    stat.name = tenant.name;
+    stat.t_theoretical_s =
+        (tenant.transfer_size / world.bottleneck(tenant.route).capacity).seconds();
     t_th.push_back(stat.t_theoretical_s);
     out.push_back(std::move(stat));
   }

@@ -18,14 +18,18 @@ constexpr int kRtoEvent = 1;
 // probe_phase_ as the index of the currently open span.
 enum ProbePhase : std::uint8_t { kPhaseSlowStart = 0, kPhaseSteady, kPhaseRecovery };
 
-// `path`'s hops as route steps, then `sink` as the terminal step.
-std::pmr::vector<RouteStep> route_through(Path& path, PacketSink& sink,
+// `route`'s links as route steps, then `sink` as the terminal step.
+std::pmr::vector<RouteStep> route_through(Route route, PacketSink& sink,
                                           std::pmr::memory_resource* mem) {
-  std::pmr::vector<RouteStep> route(mem);
-  route.reserve(path.hop_count() + 1);
-  for (std::size_t h = 0; h < path.hop_count(); ++h) route.push_back({&path.hop(h), nullptr});
-  route.push_back({nullptr, &sink});
-  return route;
+  if (route.empty()) throw std::invalid_argument("TcpFlow: a route needs at least one hop");
+  std::pmr::vector<RouteStep> steps(mem);
+  steps.reserve(route.size() + 1);
+  for (Link* link : route) {
+    if (link == nullptr) throw std::invalid_argument("TcpFlow: null hop in a route");
+    steps.push_back({link, nullptr});
+  }
+  steps.push_back({nullptr, &sink});
+  return steps;
 }
 
 const char* probe_phase_name(std::uint8_t phase) {
@@ -45,8 +49,8 @@ double flow_packets(units::Bytes total, std::uint32_t mss_bytes) {
   return std::ceil(total.bytes() / static_cast<double>(mss_bytes));
 }
 
-TcpFlow::TcpFlow(std::uint32_t id, units::Bytes total, const TcpConfig& config, Path& forward,
-                 Path& reverse, FlowObserver* observer, std::pmr::memory_resource* mem)
+TcpFlow::TcpFlow(std::uint32_t id, units::Bytes total, const TcpConfig& config, Route forward,
+                 Route reverse, FlowObserver* observer, std::pmr::memory_resource* mem)
     : id_(id),
       config_(config),
       forward_route_(route_through(forward, *this, mem)),
@@ -78,10 +82,11 @@ TcpFlow::TcpFlow(std::uint32_t id, units::Bytes total, const TcpConfig& config, 
       static_cast<std::uint32_t>(std::max(1.0, total_bytes_.bytes() - whole));
 
   if (config_.max_cwnd_packets <= 0.0) {
-    // Auto receiver window: 2 x bandwidth-delay product of the forward path
-    // (bottleneck capacity at the summed one-way delay).
-    const double rtt_s = 2.0 * forward.total_propagation_delay().seconds();
-    const double bdp_bytes = forward.bottleneck_capacity().bps() * rtt_s;
+    // Auto receiver window: 2 x bandwidth-delay product of the forward
+    // route (bottleneck capacity at the summed one-way delay).
+    const double rtt_s = 2.0 * total_propagation_delay(forward).seconds();
+    const double bdp_bytes =
+        forward[bottleneck_hop_index(forward)]->config().capacity.bps() * rtt_s;
     config_.max_cwnd_packets =
         std::max(4.0, 2.0 * bdp_bytes / static_cast<double>(config_.mss_bytes));
   }

@@ -22,12 +22,15 @@
 // into the sender half.  Sequence numbers are packet indices (1 MSS each);
 // byte counts are tracked separately so partial final segments are exact.
 //
-// Flows send over multi-hop Paths (instrument -> DTN -> WAN -> HPC); a
-// one-hop Path reproduces the former single-Link behaviour bit-identically
-// (see simnet/path.hpp).  The flow turns each Path into its own route of
-// RouteSteps at construction, ending in itself, so its packets carry their
-// route in one pointer.  The auto-derived receiver window uses the PATH
-// bottleneck capacity and the summed one-way delay.
+// Flows send over multi-hop Routes (instrument -> DTN -> WAN -> HPC: the
+// live links in hop order, see simnet/link.hpp).  Every hop keeps its own
+// serializer, drop-tail buffer and counters, and a drop at any hop is
+// silent, like a mid-path switch: TCP finds out through duplicate ACKs or
+// an RTO.  The flow turns each Route into its own array of RouteSteps at
+// construction, ending in itself, so its packets carry their route in one
+// pointer; a one-hop Route is the exact call sequence of a single link.
+// The auto-derived receiver window uses the route's bottleneck capacity and
+// its summed one-way delay.
 //
 // Packet fields are narrow (see Packet): a flow numbers at most
 // kMaxFlowPackets packets and sends packets of at most kMaxPacketBytes, and
@@ -39,7 +42,6 @@
 
 #include "simnet/bitmap.hpp"
 #include "simnet/link.hpp"
-#include "simnet/path.hpp"
 #include "simnet/simulation.hpp"
 #include "units/units.hpp"
 
@@ -89,10 +91,11 @@ class FlowObserver {
 class TcpFlow final : public PacketSink, public EventHandler {
  public:
   // `forward` carries data from sender to receiver; `reverse` carries ACKs.
-  // The per-segment scoreboards are sized once here, from `mem` (pass a
-  // per-cell Arena to bump-allocate them; default heap otherwise).
-  TcpFlow(std::uint32_t id, units::Bytes total, const TcpConfig& config, Path& forward,
-          Path& reverse, FlowObserver* observer = nullptr,
+  // Both must be non-empty with no null link, and their links must outlive
+  // the flow.  The per-segment scoreboards are sized once here, from `mem`
+  // (pass a per-cell Arena to bump-allocate them; default heap otherwise).
+  TcpFlow(std::uint32_t id, units::Bytes total, const TcpConfig& config, Route forward,
+          Route reverse, FlowObserver* observer = nullptr,
           std::pmr::memory_resource* mem = std::pmr::get_default_resource());
 
   // Begin transmitting.  May only be called once.
@@ -134,8 +137,8 @@ class TcpFlow final : public PacketSink, public EventHandler {
   // --- identity & wiring ---
   std::uint32_t id_;
   TcpConfig config_;
-  // The two routes: one step per hop of the path, then this flow as the
-  // sink.  Data enters forward_route_[0].link, ACKs reverse_route_[0].link.
+  // The two routes: one step per hop, then this flow as the sink.  Data
+  // enters forward_route_[0].link, ACKs reverse_route_[0].link.
   std::pmr::vector<RouteStep> forward_route_;
   std::pmr::vector<RouteStep> reverse_route_;
   FlowObserver* observer_;

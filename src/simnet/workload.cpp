@@ -67,65 +67,68 @@ WorkloadConfig WorkloadConfig::paper_table2(int concurrency, int parallel_flows,
   return cfg;
 }
 
-namespace {
-
-// The one internal description of the world a WorkloadConfig simulates.
-// Every config normalizes into this form, and Workload::prepare() builds
-// only from it: one live Link per edge, and per-tenant routes over those
-// shared links.
-struct World {
-  // Forward links.  A topology with declared tenants contributes its whole
-  // graph, in declaration order.  Every other config is a chain: the
-  // preset's canonical route, or path_hops, or the single `link`.
-  std::vector<LinkConfig> edges;
-  // Edge indices of the canonical source -> sink route, in hop order (the
-  // effective_hops() order hop_cross_traffic indexes into).
-  std::vector<std::size_t> canonical;
-  // The declared tenants, or else one default tenant on the canonical route
-  // that inherits every workload knob.
-  std::vector<TenantSpec> tenants;
-  std::vector<std::vector<std::size_t>> routes;  // edge indices, per tenant
-  // Admission: the configured scheduler, except that mode=scheduled (slotted
-  // arrivals, one transfer on the network at a time) is FIFO with one slot.
-  SchedulerConfig admission;
-};
-
-// The only place that decides which of `link`, `path_hops` and `topology`
-// describes the network.  Plain LinkConfig chains are taken as given:
-// path_hops may repeat or omit hop names, which Topology would reject.
 World normalize(const WorkloadConfig& config) {
   World world;
+  world.admission = config.scheduler;
+  if (config.mode == SpawnMode::kScheduled) {
+    world.admission.policy = SchedPolicy::kFifo;
+    world.admission.slots = 1;
+  }
+  const auto resolve = [&](const TenantSpec& tenant, std::string name,
+                           std::vector<std::size_t> route) {
+    WorldTenant out;
+    out.name = std::move(name);
+    out.route = std::move(route);
+    out.concurrency = tenant.concurrency > 0 ? tenant.concurrency : config.concurrency;
+    out.transfer_size =
+        tenant.transfer_size.bytes() > 0.0 ? tenant.transfer_size : config.transfer_size;
+    out.deadline_s = tenant.deadline_s > 0.0 ? tenant.deadline_s : world.admission.deadline_s;
+    return out;
+  };
   if (!config.topology.empty()) {
+    world.source = World::Source::kTopology;
     const Topology topo(topology_preset(config.topology));
     if (config.tenants.empty()) {
       world.edges = topo.canonical_route();
     } else {
       for (const TopologyLink& edge : topo.config().links) world.edges.push_back(edge.link);
       world.canonical = topo.route_indices(topo.config().source, topo.config().sink);
-      world.tenants = config.tenants;
-      for (const TenantSpec& tenant : world.tenants) {
+      for (std::size_t j = 0; j < config.tenants.size(); ++j) {
+        const TenantSpec& tenant = config.tenants[j];
         const std::string& src = tenant.src.empty() ? topo.config().source : tenant.src;
         const std::string& dst = tenant.dst.empty() ? topo.config().sink : tenant.dst;
-        world.routes.push_back(topo.route_indices(src, dst));
+        world.tenants.push_back(
+            resolve(tenant, tenant.name.empty() ? "tenant" + std::to_string(j) : tenant.name,
+                    topo.route_indices(src, dst)));
       }
     }
   } else if (config.path_hops.empty()) {
     world.edges = {config.link};
   } else {
+    world.source = World::Source::kPathHops;
     world.edges = config.path_hops;
   }
   if (world.tenants.empty()) {
     for (std::size_t h = 0; h < world.edges.size(); ++h) world.canonical.push_back(h);
-    world.tenants.emplace_back();
-    world.routes.push_back(world.canonical);
-  }
-  world.admission = config.scheduler;
-  if (config.mode == SpawnMode::kScheduled) {
-    world.admission.policy = SchedPolicy::kFifo;
-    world.admission.slots = 1;
+    world.tenants.push_back(resolve(TenantSpec{}, "all", world.canonical));
   }
   return world;
 }
+
+std::vector<LinkConfig> World::hops(const std::vector<std::size_t>& route) const {
+  std::vector<LinkConfig> out;
+  out.reserve(route.size());
+  for (const std::size_t idx : route) out.push_back(edges[idx]);
+  return out;
+}
+
+const LinkConfig& World::bottleneck(const std::vector<std::size_t>& route) const {
+  return edges[route[bottleneck_hop_index(hops(route))]];
+}
+
+units::Seconds World::rtt() const { return total_propagation_delay(hops(canonical)) * 2.0; }
+
+namespace {
 
 void require(bool holds, const char* rule) {
   if (!holds) throw std::invalid_argument(rule);
@@ -143,15 +146,11 @@ void require(bool holds, const char* list, std::size_t index, const char* rule) 
 
 std::vector<LinkConfig> WorkloadConfig::effective_hops() const {
   const World world = normalize(*this);
-  std::vector<LinkConfig> hops;
-  hops.reserve(world.canonical.size());
-  for (const std::size_t idx : world.canonical) hops.push_back(world.edges[idx]);
-  return hops;
+  return world.hops(world.canonical);
 }
 
 units::DataRate WorkloadConfig::bottleneck_capacity() const {
-  const std::vector<LinkConfig> hops = effective_hops();
-  return hops[bottleneck_hop_index(hops)].capacity;
+  return normalize(*this).bottleneck().capacity;
 }
 
 double WorkloadConfig::offered_load() const {
@@ -206,29 +205,24 @@ void WorkloadConfig::validate() const {
   require(scheduler.burst_window_s > 0.0, "scheduler burst_window_s must be > 0");
   require(scheduler.burst_limit >= 1, "scheduler burst_limit must be >= 1");
   require(scheduler.backoff_s >= 0.0, "scheduler backoff_s must be >= 0");
-  if (!topology.empty()) {
-    // Constructing the Topology validates the graph; routing every tenant
-    // surfaces a typo'd endpoint here, with the named-endpoint message,
-    // instead of deep inside prepare().
-    const Topology topo(topology_preset(topology));
-    if (!tenants.empty() && mode == SpawnMode::kScheduled) {
-      throw std::invalid_argument(
-          "facility tenants cannot use scheduled spawning; use the admission "
-          "scheduler instead (sched_policy=fifo sched_slots=1)");
-    }
-    for (std::size_t j = 0; j < tenants.size(); ++j) {
-      const TenantSpec& tenant = tenants[j];
-      require(tenant.concurrency >= 0, "tenant", j, "concurrency must be >= 0");
-      require(tenant.transfer_size.bytes() >= 0.0, "tenant", j, "transfer_size must be >= 0");
-      require(fits_in_flows(tenant.transfer_size), "tenant", j,
-              "transfer_size must fit in 2^32 - 1 packets per flow (of mss_bytes each)");
-      require(tenant.deadline_s >= 0.0, "tenant", j, "deadline_s must be >= 0");
-      const std::string& src = tenant.src.empty() ? topo.config().source : tenant.src;
-      const std::string& dst = tenant.dst.empty() ? topo.config().sink : tenant.dst;
-      (void)topo.route(src, dst);
-    }
+  if (!tenants.empty() && mode == SpawnMode::kScheduled) {
+    throw std::invalid_argument(
+        "facility tenants cannot use scheduled spawning; use the admission "
+        "scheduler instead (sched_policy=fifo sched_slots=1)");
   }
-  const std::vector<LinkConfig> hops = effective_hops();
+  for (std::size_t j = 0; j < tenants.size(); ++j) {
+    const TenantSpec& tenant = tenants[j];
+    require(tenant.concurrency >= 0, "tenant", j, "concurrency must be >= 0");
+    require(tenant.transfer_size.bytes() >= 0.0, "tenant", j, "transfer_size must be >= 0");
+    require(fits_in_flows(tenant.transfer_size), "tenant", j,
+            "transfer_size must fit in 2^32 - 1 packets per flow (of mss_bytes each)");
+    require(tenant.deadline_s >= 0.0, "tenant", j, "deadline_s must be >= 0");
+  }
+  // Resolving the world validates the preset's graph and routes every
+  // tenant, so a typo'd endpoint fails here, with the named-endpoint
+  // message, instead of deep inside prepare().
+  const World world = normalize(*this);
+  const std::vector<LinkConfig> hops = world.hops(world.canonical);
   for (std::size_t h = 0; h < hops.size(); ++h) {
     const LinkConfig& hop = hops[h];
     require(!hop.name.empty(), "hop", h, "name must not be empty");
@@ -319,8 +313,8 @@ struct ClientPlan {
   double deadline_s = 0.0;  // absolute EDF deadline (requested + relative)
   std::uint16_t tenant = 0;
   units::Bytes size = units::Bytes::of(0.0);
-  Path* forward = nullptr;
-  Path* reverse = nullptr;
+  Route forward;
+  Route reverse;
 };
 
 // Spawns the planned clients (directly, or through the admission
@@ -424,8 +418,8 @@ class Orchestrator : public FlowObserver, public EventHandler {
     for (int f = 0; f < config_.parallel_flows; ++f) {
       const auto flow_id = static_cast<std::uint32_t>(flows_.size());
       flow_client_.push_back(client_id);
-      flows_.push_back(alloc.new_object<TcpFlow>(flow_id, per_flow, config_.tcp,
-                                                 *plan.forward, *plan.reverse, this, mem_));
+      flows_.push_back(alloc.new_object<TcpFlow>(flow_id, per_flow, config_.tcp, plan.forward,
+                                                 plan.reverse, this, mem_));
       if (probe_ != nullptr) {
         // Track names allocate from the recorder's heap, not the arena;
         // timeline capture is opt-in and outside the zero-alloc contract.
@@ -540,18 +534,16 @@ class Orchestrator : public FlowObserver, public EventHandler {
 }  // namespace detail
 
 // The world one experiment cell simulates: ONE live Link per world edge
-// (`links`, plus matching ACK-direction twins in `rlinks`) and non-owning
-// routed Paths over them (`paths`), so every flow crossing the same hop —
-// any tenant's, or background traffic's — contends on the same queue.
-// Everything here draws from the cell's memory resource; the destructor
-// tears down background traffic and flows before the paths they ride on,
-// and paths before the links.
+// (`links`, plus matching ACK-direction twins in `rlinks`) and routes over
+// them, so every flow crossing the same hop — any tenant's, or background
+// traffic's — contends on the same queue.  Everything here draws from the
+// cell's memory resource; the destructor tears down background traffic and
+// flows before the links they ride on.
 struct Workload::Cell {
   Simulation sim;
   stats::Random rng;
   std::pmr::vector<Link*> links;   // live forward links, world-edge order
   std::pmr::vector<Link*> rlinks;  // reverse (ACK) twins, same order
-  std::pmr::vector<Path*> paths;   // non-owning routed paths
   // Distinct terminal-hop link indices (one per tenant route end).
   std::pmr::vector<std::size_t> last_hop_links;
   detail::Orchestrator* orchestrator = nullptr;
@@ -565,7 +557,6 @@ struct Workload::Cell {
         rng(config.seed),
         links(m),
         rlinks(m),
-        paths(m),
         last_hop_links(m),
         backgrounds(m),
         mem(m) {}
@@ -575,33 +566,30 @@ struct Workload::Cell {
     for (BackgroundTraffic* bg : backgrounds) alloc.delete_object(bg);
     if (orchestrator != nullptr) alloc.delete_object(orchestrator);
     if (scheduler != nullptr) alloc.delete_object(scheduler);
-    for (Path* path : paths) alloc.delete_object(path);
     for (Link* link : links) alloc.delete_object(link);
     for (Link* link : rlinks) alloc.delete_object(link);
   }
 
-  // Forward and reverse non-owning Paths over `route` (edge indices): data
-  // crosses the live links in route order, ACKs return over their twins.
-  std::pair<Path*, Path*> route_paths(const std::vector<std::size_t>& route) {
-    std::vector<Link*> fwd;
-    std::vector<Link*> rev;
-    fwd.reserve(route.size());
-    rev.reserve(route.size());
-    for (const std::size_t idx : route) fwd.push_back(links[idx]);
-    for (auto it = route.rbegin(); it != route.rend(); ++it) rev.push_back(rlinks[*it]);
-    std::pmr::polymorphic_allocator<> alloc(mem);
-    paths.push_back(alloc.new_object<Path>(fwd, mem));
-    Path* forward = paths.back();
-    paths.push_back(alloc.new_object<Path>(rev, mem));
-    return {forward, paths.back()};
+  // Forward and reverse Routes over `route` (edge indices): data crosses
+  // the live links in route order, ACKs return over their twins.  Both
+  // arrays live in the cell's arena, released with it.
+  std::pair<Route, Route> routes_over(const std::vector<std::size_t>& route) {
+    const std::size_t n = route.size();
+    Link** const forward = std::pmr::polymorphic_allocator<Link*>(mem).allocate(2 * n);
+    Link** const reverse = forward + n;
+    for (std::size_t h = 0; h < n; ++h) {
+      forward[h] = links[route[h]];
+      reverse[h] = rlinks[route[n - 1 - h]];
+    }
+    return {Route(forward, n), Route(reverse, n)};
   }
 
   // Cross-traffic over `route`, scheduled immediately.
   void add_background(const BackgroundTrafficConfig& bg,
                       const std::vector<std::size_t>& route) {
-    const auto [forward, reverse] = route_paths(route);
+    const auto [forward, reverse] = routes_over(route);
     std::pmr::polymorphic_allocator<> alloc(mem);
-    backgrounds.push_back(alloc.new_object<BackgroundTraffic>(bg, *forward, *reverse, mem));
+    backgrounds.push_back(alloc.new_object<BackgroundTraffic>(bg, forward, reverse, mem));
     backgrounds.back()->schedule(sim);
   }
 };
@@ -615,7 +603,7 @@ Workload::~Workload() {
 }
 
 // Build the normalized world: one live Link per edge (plus reverse ACK
-// twins), every tenant routed over the SHARED links via non-owning Paths,
+// twins), every tenant routed over the SHARED links,
 // the tenants' arrival processes merged into one client plan, and the plan
 // handed to the orchestrator — gated by a TransferScheduler when the world
 // has an admission policy.
@@ -632,7 +620,8 @@ void Workload::prepare() {
 
   cell_ = alloc.new_object<Cell>(config_, &arena_);
   Cell& cell = *cell_;
-  const World world = normalize(config_);
+  world_ = normalize(config_);
+  const World& world = world_;
 
   cell.links.reserve(world.edges.size());
   cell.rlinks.reserve(world.edges.size());
@@ -659,13 +648,13 @@ void Workload::prepare() {
     }
   }
 
-  std::vector<std::pair<Path*, Path*>> tenant_paths;
-  tenant_paths.reserve(world.tenants.size());
-  for (const std::vector<std::size_t>& route : world.routes) {
-    tenant_paths.push_back(cell.route_paths(route));
-    if (std::find(cell.last_hop_links.begin(), cell.last_hop_links.end(), route.back()) ==
-        cell.last_hop_links.end()) {
-      cell.last_hop_links.push_back(route.back());
+  std::vector<std::pair<Route, Route>> tenant_routes;
+  tenant_routes.reserve(world.tenants.size());
+  for (const WorldTenant& tenant : world.tenants) {
+    tenant_routes.push_back(cell.routes_over(tenant.route));
+    if (std::find(cell.last_hop_links.begin(), cell.last_hop_links.end(),
+                  tenant.route.back()) == cell.last_hop_links.end()) {
+      cell.last_hop_links.push_back(tenant.route.back());
     }
   }
 
@@ -683,7 +672,7 @@ void Workload::prepare() {
   std::vector<std::pair<double, std::size_t>> merged;
   for (std::size_t j = 0; j < world.tenants.size(); ++j) {
     WorkloadConfig tenant_cfg = config_;
-    if (world.tenants[j].concurrency > 0) tenant_cfg.concurrency = world.tenants[j].concurrency;
+    tenant_cfg.concurrency = world.tenants[j].concurrency;
     for (const double at : requested_arrival_times(tenant_cfg, cell.rng)) {
       merged.emplace_back(at, j);
     }
@@ -697,16 +686,13 @@ void Workload::prepare() {
   std::vector<detail::ClientPlan> plans;
   plans.reserve(merged.size());
   for (const auto& [at, j] : merged) {
-    const TenantSpec& tenant = world.tenants[j];
     detail::ClientPlan plan;
     plan.requested_s = at;
-    plan.deadline_s =
-        at + (tenant.deadline_s > 0.0 ? tenant.deadline_s : world.admission.deadline_s);
+    plan.deadline_s = at + world.tenants[j].deadline_s;
     plan.tenant = static_cast<std::uint16_t>(j);
-    plan.size =
-        tenant.transfer_size.bytes() > 0.0 ? tenant.transfer_size : config_.transfer_size;
-    plan.forward = tenant_paths[j].first;
-    plan.reverse = tenant_paths[j].second;
+    plan.size = world.tenants[j].transfer_size;
+    plan.forward = tenant_routes[j].first;
+    plan.reverse = tenant_routes[j].second;
     plans.push_back(plan);
   }
   cell.orchestrator->spawn(cell.sim, plans, cell.scheduler);
@@ -783,15 +769,13 @@ ExperimentResult Workload::finish() {
     // client that waited for admission, so policy head-of-line blocking is
     // visible on the timeline. The tracks are keyed on declared tenants, so
     // scheduled-mode timelines (one default tenant) get none.
-    if (!config_.tenants.empty()) {
-      std::vector<int> tenant_tracks(config_.tenants.size(), -1);
+    if (config_.facility_mode()) {
+      std::vector<int> tenant_tracks(world_.tenants.size(), -1);
       for (const ClientRecord& client : result.metrics.clients) {
         if (client.queue_wait_s() <= 1e-9) continue;
-        const std::size_t j = std::min<std::size_t>(client.tenant, config_.tenants.size() - 1);
+        const std::size_t j = std::min<std::size_t>(client.tenant, world_.tenants.size() - 1);
         if (tenant_tracks[j] < 0) {
-          const std::string& name = config_.tenants[j].name;
-          tenant_tracks[j] =
-              rec.add_track("sched " + (name.empty() ? "tenant" + std::to_string(j) : name));
+          tenant_tracks[j] = rec.add_track("sched " + world_.tenants[j].name);
         }
         rec.complete_span(tenant_tracks[j], "queued",
                           to_simtime(units::Seconds::of(client.requested_s)),

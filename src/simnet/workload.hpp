@@ -19,11 +19,15 @@
 // sub-second and fractional durations spawn the exact pro-rata client
 // count), or a Poisson process at `concurrency` arrivals per second.
 //
-// The network is a single `link`, a `path_hops` chain (instrument -> DTN ->
-// WAN -> HPC), or a `topology` preset, optionally shared by several facility
-// `tenants`.  Every form normalizes into one world of live links and
-// per-tenant routes, built the same way.  Per-hop cross-traffic windows
-// (`hop_cross_traffic`) let scenarios shift the saturating hop mid-run.
+// A config describes its network as a single `link`, a `path_hops` chain
+// (instrument -> DTN -> WAN -> HPC), or a `topology` preset, optionally
+// shared by several facility `tenants`.  normalize() resolves every form
+// into one World: the edge list, the canonical route, and each tenant's
+// route, size, concurrency and deadline with its defaults filled in.  It is
+// the only reader of those fields; validation, the packet and fluid
+// substrates, the tenant statistics and every reported capacity, RTT or
+// SSS read the World.  Per-hop cross-traffic windows (`hop_cross_traffic`)
+// let scenarios shift the saturating hop mid-run.
 //
 // `WorkloadConfig::paper_table2` transcribes Table 2 (duration 10 s,
 // concurrency 1-8, parallel flows {2,4,8}, 0.5 GB per client, 25 Gbps link,
@@ -41,7 +45,6 @@
 #include "simnet/arena.hpp"
 #include "simnet/link.hpp"
 #include "simnet/metrics.hpp"
-#include "simnet/path.hpp"
 #include "simnet/scheduler.hpp"
 #include "simnet/simulation.hpp"
 #include "simnet/tcp_flow.hpp"
@@ -128,9 +131,11 @@ struct WorkloadConfig {
   units::Bytes transfer_size = units::Bytes::gigabytes(0.5);  // per client
   SpawnMode mode = SpawnMode::kSimultaneousBatches;
   ArrivalProcess arrivals = ArrivalProcess::kPerSecondBatch;
-  LinkConfig link;           // forward (data) direction, single-hop runs
-  // Multi-hop forward path, in order (instrument side first).  Empty =
-  // one-hop path over `link` (the historical single-bottleneck setup).
+  // The network (read only by normalize()).  `link` is the forward (data)
+  // direction of a single-hop run; `path_hops` is a multi-hop forward
+  // path, in order (instrument side first).  Empty path_hops = one hop over
+  // `link` (the historical single-bottleneck setup).
+  LinkConfig link;
   std::vector<LinkConfig> path_hops;
   TcpConfig tcp;
   std::uint64_t seed = 42;
@@ -183,10 +188,11 @@ struct WorkloadConfig {
   // True when this is a facility workload (per-tenant routing over a
   // branched topology; see `tenants` above).
   [[nodiscard]] bool facility_mode() const { return !tenants.empty(); }
-  // The forward path's hop configs: the topology's canonical route when
-  // `topology` is set, else path_hops when set, else {link}.
+  // Views over normalize(): the canonical route's hop configs (the
+  // topology's canonical route when `topology` is set, else path_hops when
+  // set, else {link}), and the capacity of its slowest hop — the path's
+  // effective bandwidth ceiling.
   [[nodiscard]] std::vector<LinkConfig> effective_hops() const;
-  // Capacity of the slowest hop — the path's effective bandwidth ceiling.
   [[nodiscard]] units::DataRate bottleneck_capacity() const;
   // Offered load as a fraction of the bottleneck capacity (concurrency x
   // size per second over capacity).
@@ -200,6 +206,55 @@ struct WorkloadConfig {
   // calls this on every cell before any cell runs.
   void validate() const;
 };
+
+// One tenant of a resolved World: its route and the knobs it runs with,
+// every default it inherits from the WorkloadConfig filled in.
+struct WorldTenant {
+  std::string name;                // declared, else "tenant<j>"; "all" for the default
+  std::vector<std::size_t> route;  // edge indices, in hop order
+  int concurrency = 0;             // clients per second
+  units::Bytes transfer_size = units::Bytes::of(0.0);  // per client
+  double deadline_s = 0.0;         // relative EDF deadline
+};
+
+// The one resolved description of the network and tenants a WorkloadConfig
+// simulates.  Workload::prepare() builds one live Link per edge and routes
+// every tenant over those shared links.
+struct World {
+  // Which config field described the network.
+  enum class Source { kLink, kPathHops, kTopology };
+  Source source = Source::kLink;
+  // Forward links.  A topology with declared tenants contributes its whole
+  // graph, in declaration order.  Every other config is a chain: the
+  // preset's canonical route, or path_hops, or the single `link`.
+  std::vector<LinkConfig> edges;
+  // Edge indices of the canonical source -> sink route, in hop order (the
+  // effective_hops() order hop_cross_traffic indexes into).
+  std::vector<std::size_t> canonical;
+  // The declared tenants, or else one default tenant ("all") on the
+  // canonical route that inherits every workload knob.
+  std::vector<WorldTenant> tenants;
+  // Admission: the configured scheduler, except that mode=scheduled (slotted
+  // arrivals, one transfer on the network at a time) is FIFO with one slot.
+  SchedulerConfig admission;
+
+  // The hop configs along `route` (edge indices), in hop order.
+  [[nodiscard]] std::vector<LinkConfig> hops(const std::vector<std::size_t>& route) const;
+  // The slowest hop along `route` (first on ties), by default the
+  // canonical route's: the capacity and buffer every SSS is judged by.
+  [[nodiscard]] const LinkConfig& bottleneck(const std::vector<std::size_t>& route) const;
+  [[nodiscard]] const LinkConfig& bottleneck() const { return bottleneck(canonical); }
+  // Twice the canonical route's summed one-way propagation delay.
+  [[nodiscard]] units::Seconds rtt() const;
+};
+
+// Resolve `config` into its World: the only code that reads `link`,
+// `path_hops` and `topology`, and the only code that fills in tenant
+// defaults.  Throws std::invalid_argument for an unknown preset or a tenant
+// endpoint the preset cannot route (Topology::route_indices' messages).
+// Plain LinkConfig chains are taken as given: path_hops may repeat or omit
+// hop names, which Topology would reject.
+[[nodiscard]] World normalize(const WorkloadConfig& config);
 
 // Requested client start times in spawn order, shared by the packet and
 // fluid substrates so both realize the same arrival schedule.  `rng` is
@@ -245,7 +300,7 @@ struct TimelineProbe {
 
 // One experiment cell with an owned allocation arena.
 //
-// The entire simulated world — event queue, paths, links, ring buffers,
+// The entire simulated world — event queue, links, routes, ring buffers,
 // TcpFlow objects, scoreboard bitmaps, orchestrator bookkeeping — is
 // bump-allocated from the cell's Arena during prepare() and freed wholesale
 // afterwards (destructors run; memory release is one reset()).  Because the
@@ -285,6 +340,7 @@ class Workload {
 
   WorkloadConfig config_;
   Arena arena_;
+  World world_;  // resolved by prepare()
   TimelineProbe probe_;
   int probe_workload_track_ = 0;  // "workload" summary track, set by prepare()
   Cell* cell_ = nullptr;  // allocated from arena_; rebuilt by prepare()

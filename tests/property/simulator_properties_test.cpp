@@ -24,6 +24,18 @@ WorkloadConfig random_workload(std::uint64_t seed) {
   return cfg;
 }
 
+// The fluid substrate refuses any admission policy, mode=scheduled's
+// one-slot FIFO included; its property runs take the same workload with
+// simultaneous batches instead.
+WorkloadConfig fluid_workload(std::uint64_t seed) {
+  WorkloadConfig cfg = random_workload(seed);
+  if (cfg.mode == SpawnMode::kScheduled) {
+    EXPECT_THROW((void)run_fluid_experiment(cfg), std::invalid_argument);
+    cfg.mode = SpawnMode::kSimultaneousBatches;
+  }
+  return cfg;
+}
+
 class SimulatorProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SimulatorProperty, NoFlowBeatsPhysics) {
@@ -96,14 +108,14 @@ TEST_P(SimulatorProperty, FluidLowerBoundsPacketWorstCase) {
   // The fluid model ignores losses, retransmissions and queues, so its
   // worst case can only be optimistic (within numerical slack) relative to
   // the TCP packet model.
-  const WorkloadConfig cfg = random_workload(GetParam());
+  const WorkloadConfig cfg = fluid_workload(GetParam());
   const auto fluid = run_fluid_experiment(cfg);
   const auto packet = run_experiment(cfg);
   EXPECT_LE(fluid.t_worst_s(), packet.t_worst_s() * 1.10 + 0.05);
 }
 
 TEST_P(SimulatorProperty, FluidConservesBytes) {
-  const WorkloadConfig cfg = random_workload(GetParam());
+  const WorkloadConfig cfg = fluid_workload(GetParam());
   const auto fluid = run_fluid_experiment(cfg);
   double total = 0.0;
   for (const auto& f : fluid.metrics.flows) total += f.bytes;

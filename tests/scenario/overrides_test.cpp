@@ -70,11 +70,11 @@ TEST(Overrides, HopCapacityTargetsPathHops) {
   EXPECT_THROW(apply_param_override(cfg, "hop9_gbps=5"), std::invalid_argument);
   simnet::WorkloadConfig single = base_config();
   EXPECT_THROW(apply_param_override(single, "hop0_gbps=5"), std::invalid_argument);
-  // ... and single-link keys are rejected on topology runs instead of
-  // silently mutating the unused config.link.
-  EXPECT_THROW(apply_param_override(cfg, "link_gbps=10"), std::invalid_argument);
-  EXPECT_THROW(apply_param_override(cfg, "rtt_ms=20"), std::invalid_argument);
-  EXPECT_THROW(apply_param_override(cfg, "buffer_mb=8"), std::invalid_argument);
+  // The table only parses: a single-link key sets config.link on any run,
+  // and execute_scenario refuses the run (see
+  // WorkloadBounds.SingleLinkKeysAreRefusedInAnyOrder).
+  EXPECT_FALSE(apply_param_override(cfg, "link_gbps=10"));
+  EXPECT_DOUBLE_EQ(cfg.link.capacity.gbit_per_s(), 10.0);
 }
 
 TEST(Overrides, DurationOverrideRescalesStormWindows) {
@@ -183,26 +183,6 @@ TEST(Overrides, ListIndexPastTheNextEntryIsRefused) {
   EXPECT_EQ(override_error(cfg, "tenant1_name=b"), "");
   ASSERT_EQ(cfg.tenants.size(), 2u);
   EXPECT_EQ(cfg.tenants[1].name, "b");
-}
-
-// On a topology-preset run config.link is never read, so the single-link
-// keys would do nothing: each is refused with the preset's name.
-TEST(Overrides, SingleLinkKeysAreRefusedOnTopologyPresetRuns) {
-  simnet::WorkloadConfig cfg = base_config();
-  cfg.topology = "dual_facility_fanout";
-  const simnet::LinkConfig link = cfg.link;
-  for (const std::string kv :
-       {"link_gbps=0.001", "rtt_ms=500", "buffer_mb=8", "buffer_bytes=8", "link_name=x"}) {
-    const std::string key = kv.substr(0, kv.find('='));
-    EXPECT_EQ(override_error(cfg, kv),
-              "--param " + kv + ": '" + key +
-                  "' targets the single link, but this run uses the "
-                  "'dual_facility_fanout' topology preset, whose links come from the "
-                  "preset");
-  }
-  EXPECT_EQ(cfg.link.capacity.bps(), link.capacity.bps());
-  EXPECT_EQ(cfg.link.propagation_delay.seconds(), link.propagation_delay.seconds());
-  EXPECT_EQ(cfg.link.name, link.name);
 }
 
 TEST(Overrides, CalibrationKnobsReachTheConfig) {
@@ -328,6 +308,37 @@ std::string refusal(ScenarioSpec spec, ExperimentPlan plan,
 // read back through the `base` section's field lists.
 ExperimentPlan through_json(const ExperimentPlan& plan) {
   return ExperimentPlan::from_json(trace::JsonValue::parse(plan.to_json_text()));
+}
+
+// A world built from path_hops or a topology preset never reads
+// config.link, so a single-link key would do nothing.  execute_scenario
+// refuses it once every axis point and --param is applied, whatever their
+// order, naming the preset or the hop count.
+TEST(WorkloadBounds, SingleLinkKeysAreRefusedInAnyOrder) {
+  const std::string preset =
+      "a single-link key (link_gbps, rtt_ms, buffer_mb, buffer_bytes, link_name) changed "
+      "the link, but this run's network is the 'edge_dtn_wan_hpc' topology preset, whose "
+      "links come from the preset";
+  const ScenarioSpec spec;
+  for (const std::string kv :
+       {"link_gbps=0.5", "rtt_ms=500", "buffer_mb=8", "buffer_bytes=8", "link_name=x"}) {
+    SCOPED_TRACE(kv);
+    EXPECT_EQ(refusal(spec, fixture_plan(World::kLink), {kv, "topology=edge_dtn_wan_hpc"}),
+              preset);
+    EXPECT_EQ(refusal(spec, fixture_plan(World::kLink), {"topology=edge_dtn_wan_hpc", kv}),
+              preset);
+  }
+  EXPECT_EQ(refusal(spec, fixture_plan(World::kHops), {"link_gbps=5"}),
+            "a single-link key (link_gbps, rtt_ms, buffer_mb, buffer_bytes, link_name) "
+            "changed the link, but this run's network is a 3-hop path (use hop<k>_gbps)");
+  // The axis form: axes apply before --param, so the link an axis point
+  // set is still refused once --param moves the run onto a preset.
+  ExperimentPlan axis = fixture_plan(World::kLink);
+  axis.axes.push_back(ParamAxis::tuples("link", {AxisPoint{"5g", {"link_gbps=5"}}}));
+  EXPECT_EQ(refusal(spec, axis, {"topology=edge_dtn_wan_hpc"}), preset);
+  // A preset alone, with the plan base's link untouched, still runs.
+  EXPECT_THROW((void)refusal(spec, fixture_plan(World::kLink), {"topology=edge_dtn_wan_hpc"}),
+               std::logic_error);
 }
 
 TEST(WorkloadBounds, ParamAxisAndPlanBaseRefuseWithTheSameText) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "owned_route.hpp"
 #include "simnet/workload.hpp"
 
 namespace sss::simnet {
@@ -18,7 +19,7 @@ LinkConfig small_link() {
 
 TEST(BackgroundTraffic, ValidatesConfig) {
   Simulation sim;
-  Path fwd({small_link()}), rev({small_link()});
+  OwnedRoute fwd({small_link()}), rev({small_link()});
   BackgroundTrafficConfig bad;
   bad.target_load = -0.1;
   EXPECT_THROW(BackgroundTraffic(bad, fwd, rev), std::invalid_argument);
@@ -32,7 +33,7 @@ TEST(BackgroundTraffic, ValidatesConfig) {
 
 TEST(BackgroundTraffic, ZeroLoadSchedulesNothing) {
   Simulation sim;
-  Path fwd({small_link()}), rev({small_link()});
+  OwnedRoute fwd({small_link()}), rev({small_link()});
   BackgroundTrafficConfig cfg;
   cfg.target_load = 0.0;
   BackgroundTraffic bg(cfg, fwd, rev);
@@ -43,7 +44,7 @@ TEST(BackgroundTraffic, ZeroLoadSchedulesNothing) {
 
 TEST(BackgroundTraffic, OfferedLoadNearTarget) {
   Simulation sim;
-  Path fwd({small_link()}), rev({small_link()});
+  OwnedRoute fwd({small_link()}), rev({small_link()});
   BackgroundTrafficConfig cfg;
   cfg.target_load = 0.3;
   cfg.mean_flow_size = units::Bytes::megabytes(4.0);
@@ -54,7 +55,7 @@ TEST(BackgroundTraffic, OfferedLoadNearTarget) {
   sim.run();
   // Offered bytes over the window should be within ~35 % of the target
   // (stochastic; seeded so this is deterministic in practice).
-  const double target_bytes = 0.3 * fwd.bottleneck_capacity().bps() * 20.0;
+  const double target_bytes = 0.3 * fwd.hop(0).config().capacity.bps() * 20.0;
   EXPECT_NEAR(bg.bytes_offered().bytes(), target_bytes, target_bytes * 0.35);
   EXPECT_GT(bg.flows_started(), 0u);
   EXPECT_EQ(bg.flows_completed(), bg.flows_started());
@@ -62,7 +63,7 @@ TEST(BackgroundTraffic, OfferedLoadNearTarget) {
 
 TEST(BackgroundTraffic, HeavyTailProducesElephants) {
   Simulation sim;
-  Path fwd({small_link()}), rev({small_link()});
+  OwnedRoute fwd({small_link()}), rev({small_link()});
   BackgroundTrafficConfig cfg;
   cfg.target_load = 0.3;
   cfg.mean_flow_size = units::Bytes::megabytes(2.0);
@@ -78,7 +79,7 @@ TEST(BackgroundTraffic, HeavyTailProducesElephants) {
 TEST(BackgroundTraffic, DeterministicForSeed) {
   auto run_once = [] {
     Simulation sim;
-    Path fwd({small_link()}), rev({small_link()});
+    OwnedRoute fwd({small_link()}), rev({small_link()});
     BackgroundTrafficConfig cfg;
     cfg.target_load = 0.25;
     cfg.until = units::Seconds::of(5.0);
@@ -111,7 +112,7 @@ TEST(BackgroundTraffic, DegradesForegroundWorstCase) {
 
 TEST(BackgroundTraffic, StartWindowDelaysFirstArrival) {
   Simulation sim;
-  Path fwd({small_link()}), rev({small_link()});
+  OwnedRoute fwd({small_link()}), rev({small_link()});
   BackgroundTrafficConfig cfg;
   cfg.target_load = 0.4;
   cfg.mean_flow_size = units::Bytes::megabytes(2.0);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace sss::simnet {
 namespace {
 
@@ -102,13 +104,51 @@ TEST(RunFluidExperiment, MatchesWorkloadShape) {
   cfg.concurrency = 3;
   cfg.parallel_flows = 2;
   cfg.transfer_size = units::Bytes::megabytes(50.0);
-  cfg.mode = SpawnMode::kScheduled;
+  cfg.mode = SpawnMode::kSimultaneousBatches;
   cfg.link.capacity = units::DataRate::gigabits_per_second(2.5);
   const auto result = run_fluid_experiment(cfg);
   EXPECT_EQ(result.metrics.clients.size(), 6u);
   EXPECT_EQ(result.metrics.flows.size(), 12u);
   EXPECT_DOUBLE_EQ(result.metrics.loss_rate, 0.0);
   for (const auto& c : result.metrics.clients) EXPECT_GT(c.fct_s(), 0.0);
+}
+
+// The fluid pipe carries only the workload's own clients, so it refuses
+// cross-traffic and admission by name instead of leaving them out.
+TEST(RunFluidExperiment, RefusesWorldsItCannotSimulate) {
+  WorkloadConfig base;
+  base.duration = units::Seconds::of(1.0);
+  base.transfer_size = units::Bytes::megabytes(10.0);
+  const auto message = [](const WorkloadConfig& cfg) {
+    try {
+      (void)run_fluid_experiment(cfg);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  WorkloadConfig cfg = base;
+  cfg.background_load = 0.5;
+  EXPECT_EQ(message(cfg), "fluid substrate does not simulate cross-traffic (background_load > 0)");
+  cfg = base;
+  cfg.path_hops = {base.link, base.link};
+  cfg.path_hops[0].name = "edge";
+  cfg.path_hops[1].name = "wan";
+  HopCrossTraffic storm;
+  storm.hop = 1;
+  storm.load = 0.3;
+  cfg.hop_cross_traffic = {HopCrossTraffic{}, storm};
+  cfg.hop_cross_traffic[0].load = 0.0;
+  EXPECT_EQ(message(cfg), "fluid substrate does not simulate cross-traffic (storm 1 load > 0)");
+  const std::string admission =
+      "fluid substrate does not simulate admission (mode=scheduled admits one transfer at a "
+      "time)";
+  // An admission policy otherwise needs facility tenants, which the fluid
+  // substrate refuses first; mode=scheduled is the one that reaches it.
+  cfg = base;
+  cfg.mode = SpawnMode::kScheduled;
+  EXPECT_EQ(message(cfg), admission);
+  EXPECT_EQ(message(base), "");
 }
 
 TEST(RunFluidExperiment, FluidIsOptimisticVersusPacketModel) {

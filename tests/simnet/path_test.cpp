@@ -1,13 +1,13 @@
-// Tests for multi-hop Path routing: per-hop packet conservation, one-hop
-// equivalence with the single-link simulator (the refactor's regression
-// guarantee), mid-path drops, and hop metric snapshots.
-#include "simnet/path.hpp"
-
+// Tests for multi-hop routing over Routes (arrays of live links):
+// per-hop packet conservation, one-hop equivalence with the single-link
+// simulator (the refactor's regression guarantee), mid-path drops, and hop
+// metric snapshots.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "owned_route.hpp"
 #include "simnet/metrics.hpp"
 #include "simnet/tcp_flow.hpp"
 #include "simnet/workload.hpp"
@@ -39,29 +39,41 @@ std::vector<LinkConfig> reverse_chain(const std::vector<LinkConfig>& hops) {
   return out;
 }
 
-TEST(Path, RejectsEmptyAndNullHops) {
-  EXPECT_THROW(Path(std::vector<LinkConfig>{}), std::invalid_argument);
-  EXPECT_THROW(Path(std::vector<Link*>{}), std::invalid_argument);
-  EXPECT_THROW(Path(std::vector<Link*>{nullptr}), std::invalid_argument);
+TEST(Route, TcpFlowRejectsEmptyAndNullRoutes) {
+  const OwnedRoute hop({make_link("hop", 2.5, 1.0, 5.0)});
+  const std::vector<Link*> none;
+  const std::vector<Link*> null_hop = {nullptr};
+  const std::vector<Link*> null_tail = {&hop.hop(0), nullptr};
+  const auto mb = units::Bytes::megabytes(1.0);
+  EXPECT_THROW(TcpFlow(0, mb, TcpConfig{}, none, hop), std::invalid_argument);
+  EXPECT_THROW(TcpFlow(0, mb, TcpConfig{}, hop, none), std::invalid_argument);
+  EXPECT_THROW(TcpFlow(0, mb, TcpConfig{}, null_hop, hop), std::invalid_argument);
+  EXPECT_THROW(TcpFlow(0, mb, TcpConfig{}, hop, null_tail), std::invalid_argument);
 }
 
-TEST(Path, BottleneckAndDelayAggregates) {
-  Path path(chain3(25.0, 10.0, 40.0));
-  EXPECT_EQ(path.hop_count(), 3u);
-  EXPECT_EQ(path.bottleneck_hop(), 1u);
-  EXPECT_DOUBLE_EQ(path.bottleneck_capacity().gbit_per_s(), 10.0);
-  EXPECT_NEAR(path.total_propagation_delay().ms(), 8.0, 1e-12);
+// One bottleneck and summed-delay rule, whether it reads hop configs or a
+// Route's live links.
+TEST(Route, BottleneckAndDelayAggregates) {
+  const std::vector<LinkConfig> hops = chain3(25.0, 10.0, 40.0);
+  const OwnedRoute route(hops);
+  EXPECT_EQ(Route(route).size(), 3u);
+  EXPECT_EQ(bottleneck_hop_index(Route(route)), 1u);
+  EXPECT_EQ(bottleneck_hop_index(hops), 1u);
+  EXPECT_NEAR(total_propagation_delay(Route(route)).ms(), 8.0, 1e-12);
+  EXPECT_EQ(total_propagation_delay(Route(route)).seconds(),
+            total_propagation_delay(hops).seconds());
 }
 
-TEST(Path, BottleneckTieBreaksToFirstHop) {
-  Path path(chain3(25.0, 25.0, 25.0));
-  EXPECT_EQ(path.bottleneck_hop(), 0u);
+TEST(Route, BottleneckTieBreaksToFirstHop) {
+  const OwnedRoute route(chain3(25.0, 25.0, 25.0));
+  EXPECT_EQ(bottleneck_hop_index(Route(route)), 0u);
+  EXPECT_THROW((void)bottleneck_hop_index(Route()), std::invalid_argument);
 }
 
-TEST(Path, FlowCompletesOverThreeHops) {
+TEST(Route, FlowCompletesOverThreeHops) {
   Simulation sim;
-  Path fwd(chain3(2.5, 2.5, 2.5));
-  Path rev(reverse_chain(chain3(2.5, 2.5, 2.5)));
+  OwnedRoute fwd(chain3(2.5, 2.5, 2.5));
+  OwnedRoute rev(reverse_chain(chain3(2.5, 2.5, 2.5)));
   TcpFlow flow(1, units::Bytes::megabytes(10.0), TcpConfig{}, fwd, rev);
   flow.start(sim);
   sim.run();
@@ -71,18 +83,18 @@ TEST(Path, FlowCompletesOverThreeHops) {
     EXPECT_GE(fwd.hop(h).counters().bytes_forwarded, 10e6) << "hop " << h;
   }
   // RTT floor: sum of one-way delays both directions.
-  EXPECT_GE(flow.min_rtt().seconds(), 2.0 * fwd.total_propagation_delay().seconds());
+  EXPECT_GE(flow.min_rtt().seconds(), 2.0 * total_propagation_delay(Route(fwd)).seconds());
 }
 
 // The per-hop packet-conservation invariant: at every hop, offered =
 // forwarded + dropped, and everything a hop forwards is offered to the
 // next hop (once the simulation drains, nothing is in flight).
-TEST(Path, PacketConservationAtEveryHop) {
+TEST(Route, PacketConservationAtEveryHop) {
   Simulation sim;
   // Tight mid-path buffer under 8 competing flows: real congestion, drops
   // at the WAN hop.
-  Path fwd(chain3(2.5, 1.0, 2.5, 0.1));
-  Path rev(reverse_chain(chain3(2.5, 1.0, 2.5, 0.1)));
+  OwnedRoute fwd(chain3(2.5, 1.0, 2.5, 0.1));
+  OwnedRoute rev(reverse_chain(chain3(2.5, 1.0, 2.5, 0.1)));
   std::vector<std::unique_ptr<TcpFlow>> flows;
   for (std::uint32_t i = 0; i < 8; ++i) {
     flows.push_back(
@@ -92,8 +104,10 @@ TEST(Path, PacketConservationAtEveryHop) {
   sim.run();
   for (auto& f : flows) ASSERT_TRUE(f->complete());
 
-  EXPECT_GT(fwd.packets_dropped_total(), 0u);  // the squeeze actually bit
-  for (const Path* path : {&fwd, &rev}) {
+  std::uint64_t dropped = 0;
+  for (std::size_t h = 0; h < fwd.hop_count(); ++h) dropped += fwd.hop(h).counters().packets_dropped;
+  EXPECT_GT(dropped, 0u);  // the squeeze actually bit
+  for (const OwnedRoute* path : {&fwd, &rev}) {
     for (std::size_t h = 0; h < path->hop_count(); ++h) {
       const LinkCounters& c = path->hop(h).counters();
       EXPECT_EQ(c.packets_offered, c.packets_forwarded + c.packets_dropped)
@@ -107,10 +121,10 @@ TEST(Path, PacketConservationAtEveryHop) {
   }
 }
 
-// The refactor's regression guarantee: a one-hop Path run is bit-identical
+// The refactor's regression guarantee: a one-hop path_hops run is bit-identical
 // to the legacy single-link configuration (same config.link, empty
 // path_hops), for every recorded metric.
-TEST(Path, OneHopRunMatchesSingleLinkBitExactly) {
+TEST(Route, OneHopRunMatchesSingleLinkBitExactly) {
   WorkloadConfig legacy;
   legacy.duration = units::Seconds::of(2.0);
   legacy.concurrency = 3;
@@ -140,15 +154,15 @@ TEST(Path, OneHopRunMatchesSingleLinkBitExactly) {
   EXPECT_EQ(b.metrics.hops[0].name, "fabric");
 }
 
-TEST(Path, MidPathDropIsRecoveredBySender) {
+TEST(Route, MidPathDropIsRecoveredBySender) {
   Simulation sim;
   // Wide well-buffered edges, nearly bufferless narrow middle: losses
   // happen only mid-path, where the sender cannot see them directly.
   const std::vector<LinkConfig> hops = {make_link("edge", 25.0, 0.1, 50.0),
                                         make_link("wan", 1.0, 7.5, 0.05),
                                         make_link("ingest", 25.0, 0.4, 50.0)};
-  Path fwd(hops);
-  Path rev(reverse_chain(hops));
+  OwnedRoute fwd(hops);
+  OwnedRoute rev(reverse_chain(hops));
   std::vector<std::unique_ptr<TcpFlow>> flows;
   for (std::uint32_t i = 0; i < 6; ++i) {
     flows.push_back(
@@ -166,8 +180,8 @@ TEST(Path, MidPathDropIsRecoveredBySender) {
   EXPECT_GT(retransmits, 0u);
 }
 
-TEST(Path, HopCsvHeaderAndValuesAreRectangular) {
-  Path path(chain3(25.0, 10.0, 40.0));
+TEST(Route, HopCsvHeaderAndValuesAreRectangular) {
+  const OwnedRoute path(chain3(25.0, 10.0, 40.0));
   std::vector<HopMetrics> hops;
   for (std::size_t h = 0; h < path.hop_count(); ++h) hops.push_back(snapshot_hop(path.hop(h)));
   const auto header = hop_csv_header(3);
@@ -186,7 +200,7 @@ TEST(Path, HopCsvHeaderAndValuesAreRectangular) {
 // own route's next step, so a drop of one route's packet must not shift
 // the other's: each sink gets only its own packets, in send order, and
 // exactly as many as its last hop forwarded.
-TEST(Path, SharedHopDropsKeepEachRouteOwnPackets) {
+TEST(Route, SharedHopDropsKeepEachRouteOwnPackets) {
   struct RecordingSink : PacketSink {
     std::vector<std::uint64_t> seqs;
     void on_packet(Simulation&, const Packet& packet) override { seqs.push_back(packet.seq); }
@@ -236,13 +250,13 @@ TEST(Path, SharedHopDropsKeepEachRouteOwnPackets) {
             2 * kPackets);
 }
 
-TEST(Path, NonOwningPathSharesLinkState) {
-  // A one-hop non-owning path over a link of an owning path: cross traffic
-  // lands in the same counters the main path reports.
-  Path main(chain3(2.5, 2.5, 2.5));
-  Path side(std::vector<Link*>{&main.hop(1)});
+TEST(Route, RoutesOverOneLinkShareItsState) {
+  // A one-hop route over the middle link of a three-hop route: cross
+  // traffic lands in the same counters the main route reports.
+  const OwnedRoute main(chain3(2.5, 2.5, 2.5));
+  Link* const side[] = {&main.hop(1)};
   Simulation sim;
-  Path side_rev(std::vector<LinkConfig>{make_link("side-rev", 2.5, 7.5, 256.0)});
+  const OwnedRoute side_rev({make_link("side-rev", 2.5, 7.5, 256.0)});
   TcpFlow flow(7, units::Bytes::megabytes(1.0), TcpConfig{}, side, side_rev);
   flow.start(sim);
   sim.run();

@@ -7,6 +7,8 @@
 #include <memory>
 #include <vector>
 
+#include "owned_route.hpp"
+
 namespace sss::simnet {
 namespace {
 
@@ -27,7 +29,7 @@ LinkConfig fast_link(double gbps = 25.0, double prop_ms = 8.0, double buffer_mb 
 
 TEST(TcpFlow, RejectsBadConstruction) {
   Simulation sim;
-  Path fwd({fast_link()}), rev({fast_link()});
+  OwnedRoute fwd({fast_link()}), rev({fast_link()});
   EXPECT_THROW(TcpFlow(0, units::Bytes::of(0.0), TcpConfig{}, fwd, rev),
                std::invalid_argument);
   TcpConfig bad;
@@ -39,7 +41,7 @@ TEST(TcpFlow, RejectsBadConstruction) {
 // Packet's 16-bit size and 32-bit seq bound what a flow may send: past
 // either ceiling the constructor refuses rather than truncate a field.
 TEST(TcpFlow, RejectsPacketsPastTheNarrowFields) {
-  Path fwd({fast_link()}), rev({fast_link()});
+  OwnedRoute fwd({fast_link()}), rev({fast_link()});
   TcpConfig widest;
   widest.mss_bytes = 65483;
   widest.header_bytes = 52;
@@ -62,7 +64,7 @@ TEST(TcpFlow, RejectsPacketsPastTheNarrowFields) {
 
 TEST(TcpFlow, StartTwiceThrows) {
   Simulation sim;
-  Path fwd({fast_link()}), rev({fast_link()});
+  OwnedRoute fwd({fast_link()}), rev({fast_link()});
   TcpFlow flow(0, units::Bytes::megabytes(1.0), TcpConfig{}, fwd, rev);
   flow.start(sim);
   EXPECT_THROW(flow.start(sim), std::logic_error);
@@ -70,7 +72,7 @@ TEST(TcpFlow, StartTwiceThrows) {
 
 TEST(TcpFlow, SingleFlowCompletesAndDeliversAllBytes) {
   Simulation sim;
-  Path fwd({fast_link()}), rev({fast_link()});
+  OwnedRoute fwd({fast_link()}), rev({fast_link()});
   Completion obs;
   TcpFlow flow(1, units::Bytes::megabytes(50.0), TcpConfig{}, fwd, rev, &obs);
   flow.start(sim);
@@ -87,7 +89,7 @@ TEST(TcpFlow, UncongestedCompletionNearTheoreticalPlusSlowStart) {
   // slow start adds a couple hundred ms — the paper's Fig. 2(b) observes
   // ~0.2 s.  Assert the right ballpark (under 0.6 s, above theoretical).
   Simulation sim;
-  Path fwd({fast_link()}), rev({fast_link()});
+  OwnedRoute fwd({fast_link()}), rev({fast_link()});
   Completion obs;
   TcpFlow flow(1, units::Bytes::gigabytes(0.5), TcpConfig{}, fwd, rev, &obs);
   flow.start(sim);
@@ -101,20 +103,20 @@ TEST(TcpFlow, UncongestedCompletionNearTheoreticalPlusSlowStart) {
 TEST(TcpFlow, CompletionTimeNeverBelowTheoretical) {
   for (double mb : {1.0, 8.0, 64.0}) {
     Simulation sim;
-    Path fwd({fast_link()}), rev({fast_link()});
+    OwnedRoute fwd({fast_link()}), rev({fast_link()});
     TcpFlow flow(1, units::Bytes::megabytes(mb), TcpConfig{}, fwd, rev);
     flow.start(sim);
     sim.run();
     ASSERT_TRUE(flow.complete());
     const double theoretical =
-        mb * 1e6 / fwd.bottleneck_capacity().bps() + 2.0 * 0.008;  // + RTT floor
+        mb * 1e6 / fwd.hop(0).config().capacity.bps() + 2.0 * 0.008;  // + RTT floor
     EXPECT_GE(flow.completion_time().seconds(), theoretical * 0.99) << "size " << mb;
   }
 }
 
 TEST(TcpFlow, RttSamplesNearPathRtt) {
   Simulation sim;
-  Path fwd({fast_link()}), rev({fast_link()});
+  OwnedRoute fwd({fast_link()}), rev({fast_link()});
   TcpFlow flow(1, units::Bytes::megabytes(10.0), TcpConfig{}, fwd, rev);
   flow.start(sim);
   sim.run();
@@ -126,7 +128,7 @@ TEST(TcpFlow, RttSamplesNearPathRtt) {
 
 TEST(TcpFlow, ManyCompetingFlowsAllComplete) {
   Simulation sim;
-  Path fwd({fast_link(25.0, 8.0, 10.0)}), rev({fast_link()});
+  OwnedRoute fwd({fast_link(25.0, 8.0, 10.0)}), rev({fast_link()});
   Completion obs;
   std::vector<std::unique_ptr<TcpFlow>> flows;
   for (std::uint32_t i = 0; i < 16; ++i) {
@@ -142,7 +144,7 @@ TEST(TcpFlow, ManyCompetingFlowsAllComplete) {
 TEST(TcpFlow, CongestionCausesRetransmissions) {
   // Tiny buffer forces drop-tail losses among competing flows in slow start.
   Simulation sim;
-  Path fwd({fast_link(25.0, 8.0, 0.5)}), rev({fast_link()});
+  OwnedRoute fwd({fast_link(25.0, 8.0, 0.5)}), rev({fast_link()});
   Completion obs;
   std::vector<std::unique_ptr<TcpFlow>> flows;
   for (std::uint32_t i = 0; i < 8; ++i) {
@@ -161,7 +163,7 @@ TEST(TcpFlow, CongestionCausesRetransmissions) {
 TEST(TcpFlow, CongestedSlowerThanUncongested) {
   auto run_one = [](double buffer_mb, int competitors) {
     Simulation sim;
-    Path fwd({fast_link(25.0, 8.0, buffer_mb)}), rev({fast_link()});
+    OwnedRoute fwd({fast_link(25.0, 8.0, buffer_mb)}), rev({fast_link()});
     std::vector<std::unique_ptr<TcpFlow>> flows;
     for (int i = 0; i < competitors; ++i) {
       flows.push_back(std::make_unique<TcpFlow>(static_cast<std::uint32_t>(i),
@@ -182,7 +184,7 @@ TEST(TcpFlow, CongestedSlowerThanUncongested) {
 TEST(TcpFlow, LastPartialSegmentDeliveredExactly) {
   // Total not divisible by MSS: last packet is short, flow still completes.
   Simulation sim;
-  Path fwd({fast_link()}), rev({fast_link()});
+  OwnedRoute fwd({fast_link()}), rev({fast_link()});
   TcpConfig cfg;
   cfg.mss_bytes = 1000;
   cfg.header_bytes = 40;
@@ -198,7 +200,7 @@ TEST(TcpFlow, SevereLossTriggersRto) {
   // always recover (whole windows vanish), so RTOs must fire and flows must
   // STILL complete — the mechanism behind the paper's multi-second tails.
   Simulation sim;
-  Path fwd({fast_link(1.0, 8.0, 0.05)}), rev({fast_link()});
+  OwnedRoute fwd({fast_link(1.0, 8.0, 0.05)}), rev({fast_link()});
   std::vector<std::unique_ptr<TcpFlow>> flows;
   for (std::uint32_t i = 0; i < 12; ++i) {
     flows.push_back(std::make_unique<TcpFlow>(i, units::Bytes::megabytes(2.0), TcpConfig{},
@@ -216,7 +218,7 @@ TEST(TcpFlow, SevereLossTriggersRto) {
 
 TEST(TcpFlow, WindowCappedByConfig) {
   Simulation sim;
-  Path fwd({fast_link()}), rev({fast_link()});
+  OwnedRoute fwd({fast_link()}), rev({fast_link()});
   TcpConfig cfg;
   cfg.max_cwnd_packets = 16.0;
   TcpFlow flow(1, units::Bytes::megabytes(20.0), cfg, fwd, rev);

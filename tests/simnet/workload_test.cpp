@@ -6,6 +6,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
+
+#include "simnet/metrics.hpp"
+#include "simnet/scheduler.hpp"
+#include "simnet/topology.hpp"
 
 namespace sss::simnet {
 namespace {
@@ -23,6 +29,129 @@ WorkloadConfig small_config(int concurrency, int parallel_flows, SpawnMode mode)
   cfg.link.propagation_delay = units::Seconds::millis(8.0);
   cfg.link.buffer = units::Bytes::megabytes(5.0);
   return cfg;
+}
+
+// --- the resolved World -----------------------------------------------------
+
+std::vector<std::size_t> iota_route(std::size_t n) {
+  std::vector<std::size_t> route;
+  for (std::size_t h = 0; h < n; ++h) route.push_back(h);
+  return route;
+}
+
+TEST(World, SingleLinkIsOneEdgeAndOneDefaultTenant) {
+  WorkloadConfig cfg = small_config(3, 2, SpawnMode::kSimultaneousBatches);
+  cfg.scheduler.deadline_s = 7.0;
+  const World world = normalize(cfg);
+  EXPECT_EQ(world.source, World::Source::kLink);
+  EXPECT_EQ(world.edges, std::vector<LinkConfig>{cfg.link});
+  EXPECT_EQ(world.canonical, iota_route(1));
+  ASSERT_EQ(world.tenants.size(), 1u);
+  const WorldTenant& all = world.tenants[0];
+  EXPECT_EQ(all.name, "all");
+  EXPECT_EQ(all.route, world.canonical);
+  EXPECT_EQ(all.concurrency, 3);
+  EXPECT_EQ(all.transfer_size.bytes(), cfg.transfer_size.bytes());
+  EXPECT_EQ(all.deadline_s, 7.0);
+  EXPECT_EQ(world.bottleneck().capacity.bps(), cfg.link.capacity.bps());
+  EXPECT_EQ(world.rtt().seconds(), cfg.link.propagation_delay.seconds() * 2.0);
+}
+
+TEST(World, PathHopsAreTheCanonicalChain) {
+  WorkloadConfig cfg = small_config(1, 1, SpawnMode::kSimultaneousBatches);
+  cfg.path_hops = Topology(topology_preset("edge_dtn_wan_hpc")).canonical_route();
+  cfg.link.capacity = units::DataRate::gigabits_per_second(0.001);  // never read
+  const World world = normalize(cfg);
+  EXPECT_EQ(world.source, World::Source::kPathHops);
+  EXPECT_EQ(world.edges, cfg.path_hops);
+  EXPECT_EQ(world.canonical, iota_route(cfg.path_hops.size()));
+  EXPECT_EQ(world.hops(world.canonical), cfg.effective_hops());
+  EXPECT_EQ(world.bottleneck().capacity.bps(), cfg.bottleneck_capacity().bps());
+  EXPECT_EQ(world.rtt().seconds(),
+            total_propagation_delay(cfg.path_hops).seconds() * 2.0);
+}
+
+TEST(World, TopologyWithoutTenantsIsItsCanonicalRoute) {
+  WorkloadConfig cfg = small_config(1, 1, SpawnMode::kSimultaneousBatches);
+  cfg.topology = "lcls_to_nersc_esnet";
+  const Topology topo(topology_preset(cfg.topology));
+  const World world = normalize(cfg);
+  EXPECT_EQ(world.source, World::Source::kTopology);
+  EXPECT_EQ(world.edges, topo.canonical_route());
+  EXPECT_EQ(world.canonical, iota_route(world.edges.size()));
+  ASSERT_EQ(world.tenants.size(), 1u);
+  EXPECT_EQ(world.tenants[0].name, "all");
+  const std::vector<LinkConfig> hops = topo.canonical_route();
+  EXPECT_EQ(world.bottleneck().name, hops[bottleneck_hop_index(hops)].name);
+}
+
+// Declared tenants route over the whole preset graph and inherit every
+// knob they leave at 0 from the workload.
+TEST(World, TenantsInheritSizeConcurrencyAndDeadline) {
+  WorkloadConfig cfg = small_config(2, 1, SpawnMode::kSimultaneousBatches);
+  cfg.topology = "dual_facility_fanout";
+  cfg.scheduler.policy = SchedPolicy::kEdf;
+  cfg.scheduler.deadline_s = 9.0;
+  TenantSpec inherits;
+  TenantSpec own;
+  own.name = "beamline";
+  own.src = "ins1";
+  own.dst = "fac_b";
+  own.concurrency = 5;
+  own.transfer_size = units::Bytes::megabytes(20.0);
+  own.deadline_s = 3.0;
+  cfg.tenants = {inherits, own};
+  const Topology topo(topology_preset(cfg.topology));
+  const World world = normalize(cfg);
+  EXPECT_EQ(world.edges.size(), topo.config().links.size());
+  EXPECT_EQ(world.canonical, topo.route_indices("ins0", "fac_a"));
+  ASSERT_EQ(world.tenants.size(), 2u);
+  const WorldTenant& a = world.tenants[0];
+  EXPECT_EQ(a.name, "tenant0");
+  EXPECT_EQ(a.route, world.canonical);
+  EXPECT_EQ(a.concurrency, 2);
+  EXPECT_EQ(a.transfer_size.bytes(), cfg.transfer_size.bytes());
+  EXPECT_EQ(a.deadline_s, 9.0);
+  const WorldTenant& b = world.tenants[1];
+  EXPECT_EQ(b.name, "beamline");
+  EXPECT_EQ(b.route, topo.route_indices("ins1", "fac_b"));
+  EXPECT_EQ(b.concurrency, 5);
+  EXPECT_EQ(b.transfer_size.bytes(), 20e6);
+  EXPECT_EQ(b.deadline_s, 3.0);
+  // ins1-nic and fac-b-ingest tie at 40 Gbps: the first hop wins.
+  EXPECT_EQ(world.bottleneck(b.route).name, "ins1-nic");
+
+  // Each tenant's theoretical time is its size over its route's bottleneck.
+  const std::vector<TenantStat> stats = facility_tenant_stats(cfg, ExperimentMetrics{});
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats[0].name, "tenant0");
+  EXPECT_EQ(stats[0].t_theoretical_s,
+            (cfg.transfer_size / world.bottleneck(a.route).capacity).seconds());
+  EXPECT_EQ(stats[1].t_theoretical_s,
+            (units::Bytes::megabytes(20.0) / units::DataRate::gigabits_per_second(40.0))
+                .seconds());
+}
+
+TEST(World, TypoedTenantEndpointKeepsTheRoutingMessage) {
+  WorkloadConfig cfg = small_config(1, 1, SpawnMode::kSimultaneousBatches);
+  cfg.topology = "dual_facility_fanout";
+  cfg.scheduler.policy = SchedPolicy::kFifo;
+  TenantSpec typo;
+  typo.dst = "fac_c";
+  cfg.tenants = {typo};
+  std::string expected;
+  try {
+    (void)Topology(topology_preset(cfg.topology)).route_indices("ins0", "fac_c");
+  } catch (const std::invalid_argument& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "validate() accepted an unknown endpoint";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
 }
 
 TEST(WorkloadConfig, ValidationCatchesBadValues) {
