@@ -86,6 +86,11 @@ World normalize(const WorkloadConfig& config) {
     return out;
   };
   if (!config.topology.empty()) {
+    if (!config.path_hops.empty()) {
+      throw std::invalid_argument(
+          "topology and path_hops are mutually exclusive (the topology's route "
+          "replaces the explicit hop list)");
+    }
     world.source = World::Source::kTopology;
     const Topology topo(topology_preset(config.topology));
     if (config.tenants.empty()) {
@@ -188,11 +193,6 @@ void WorkloadConfig::validate() const {
   require(background_load >= 0.0, "background_load must be >= 0");
   require(background_mean_flow_size.bytes() > 0.0, "background_mean_flow_size must be > 0");
   require(background_pareto_shape >= 0.0, "background_pareto_shape must be >= 0");
-  if (!topology.empty() && !path_hops.empty()) {
-    throw std::invalid_argument(
-        "topology and path_hops are mutually exclusive (the topology's route "
-        "replaces the explicit hop list)");
-  }
   if (!tenants.empty() && topology.empty()) {
     throw std::invalid_argument("tenants require a topology preset");
   }

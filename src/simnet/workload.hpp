@@ -250,8 +250,9 @@ struct World {
 
 // Resolve `config` into its World: the only code that reads `link`,
 // `path_hops` and `topology`, and the only code that fills in tenant
-// defaults.  Throws std::invalid_argument for an unknown preset or a tenant
-// endpoint the preset cannot route (Topology::route_indices' messages).
+// defaults.  Throws std::invalid_argument for an unknown preset, a preset
+// together with path_hops, or a tenant endpoint the preset cannot route
+// (Topology::route_indices' messages).
 // Plain LinkConfig chains are taken as given: path_hops may repeat or omit
 // hop names, which Topology would reject.
 [[nodiscard]] World normalize(const WorkloadConfig& config);
